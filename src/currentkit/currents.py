@@ -6,8 +6,14 @@ temperature beta are 1, cosh(beta*J) - 1 and sinh(beta*J); summing a product of
 class weights over all assignments with a prescribed source set reproduces the
 partition function and correlation ratios exactly. Events (connectivity,
 double connectivity, through-sets) depend on a configuration only through its
-positive-bond mask, so sweeps aggregate weight by (positive mask, source mask)
-and events are evaluated once per mask.
+positive-bond mask, so sweeps aggregate weight by (positive mask, source mask).
+
+Event measures are tables over all 2**n_bonds global positive masks. A
+per-graph component table labels every vertex's cluster under every mask, so
+an event becomes a boolean indicator vector made of table gathers. The layers
+of a measure superpose into one weight per mask through the covering (union)
+product in its subtraction-free 3**n_bonds form, and the measure is the sum of
+those weights over the indicator.
 """
 from __future__ import annotations
 
@@ -50,8 +56,8 @@ def class_weight_product(g: CouplingGraph, bonds: Sequence[int], classes: Sequen
 def _bonds_arg(g: CouplingGraph, restriction) -> tuple:
     if restriction is None:
         return tuple(range(g.n_bonds))
-    bs = tuple(sorted(set(int(b) for b in restriction)))
-    for b in bs:
+    bs = tuple(sorted({int(b) for b in restriction}))
+    for b in bs[:1] + bs[-1:]:     # sorted: the two ends bound every index
         if not (0 <= b < g.n_bonds):
             raise GraphError(f"bond index {b} out of range")
     return bs
@@ -198,82 +204,7 @@ def spin_expectation(g: CouplingGraph, vertices: Iterable = (), restriction=None
 
 
 # ---------------------------------------------------------------------------
-# connectivity on positive-bond masks
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1 << 18)
-def _components(g: CouplingGraph, mask: int) -> tuple:
-    """Component id per vertex in the graph of mask-positive bonds."""
-    n = g.n_vertices
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        m &= m - 1
-        i, j = g.bonds[b]
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return tuple(find(v) for v in range(n))
-
-
-def _connected(g: CouplingGraph, mask: int, iu: int, iv: int) -> bool:
-    if iu == iv:
-        return True
-    c = _components(g, mask)
-    return c[iu] == c[iv]
-
-
-def _doubly_connected(g: CouplingGraph, mask: int, iu: int, iv: int) -> bool:
-    """Two bond-disjoint positive paths between iu and iv (true at iu == iv).
-
-    Menger on the simple graph of positive bonds: doubly connected iff
-    connected and still connected after removing any single positive bond.
-    """
-    if iu == iv:
-        return True
-    if not _connected(g, mask, iu, iv):
-        return False
-    m = mask
-    while m:
-        bbit = m & -m
-        m &= m - 1
-        if not _connected(g, mask & ~bbit, iu, iv):
-            return False
-    return True
-
-
-def _incident_mask(g: CouplingGraph, A_idx: frozenset) -> int:
-    m = 0
-    for b, (i, j) in enumerate(g.bonds):
-        if i in A_idx or j in A_idx:
-            m |= 1 << b
-    return m
-
-
-def _through(g: CouplingGraph, mask: int, iu: int, iv: int, A_idx: frozenset) -> bool:
-    """Doubly connected, and every positive path iu -> iv meets A_idx.
-
-    At iu == iv the only path is the empty one at iu, so the event is iu in A.
-    """
-    if iu == iv:
-        return iu in A_idx
-    if not _doubly_connected(g, mask, iu, iv):
-        return False
-    if iu in A_idx or iv in A_idx:
-        return True
-    return not _connected(g, mask & ~_incident_mask(g, A_idx), iu, iv)
-
-
-# ---------------------------------------------------------------------------
-# events and layered measures
+# events as indicator vectors over all global positive masks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -315,20 +246,79 @@ def _bonds_mask(g: CouplingGraph, bonds) -> int:
     return m
 
 
+def _incident_mask(g: CouplingGraph, A_idx) -> int:
+    m = 0
+    for b, (i, j) in enumerate(g.bonds):
+        if i in A_idx or j in A_idx:
+            m |= 1 << b
+    return m
+
+
+@lru_cache(maxsize=8)
+def _component_table(g: CouplingGraph) -> np.ndarray:
+    """Component label (smallest vertex index) of every vertex under every
+    global positive mask, shape (2**n_bonds, n_vertices).
+
+    Built by doubling over the bonds: the rows of masks with top bit k are
+    the rows below 2**k with bond k's endpoints merged to the smaller label.
+    int8 labels suffice, since a connected graph on more than 127 vertices
+    has too many bonds to pass the memory check.
+    """
+    nb, n = g.n_bonds, g.n_vertices
+    # the int8 table plus the int64 mask vector of an indicator gather
+    if (1 << nb) * (n + 16) > _MEM_LIMIT:
+        raise CapExceeded(f"component table for {nb} bonds on {n} vertices too large")
+    comp = np.empty((1 << nb, n), dtype=np.int8)
+    comp[0] = np.arange(n)
+    for k, (i, j) in enumerate(g.bonds):
+        blk = comp[:1 << k]
+        lo = np.minimum(blk[:, i], blk[:, j])[:, None]
+        hi = np.maximum(blk[:, i], blk[:, j])[:, None]
+        comp[1 << k:2 << k] = np.where(blk == hi, lo, blk)
+    return comp
+
+
+@lru_cache(maxsize=64)
+def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
+    """Bool vector over all global positive masks: where ``ev`` holds.
+
+    ``double`` is Menger on the simple graph of positive bonds: connected, and
+    still connected after removing any single positive bond. ``through`` is
+    doubly connected with every positive path u -> v meeting A; at u == v the
+    only path is the empty one at u, so the event is u in A.
+    """
+    if ev.kind == "and":
+        out = np.ones(1 << g.n_bonds, dtype=bool)
+        for p in ev.parts:
+            out &= _indicator(g, p)
+        return out
+    comp = _component_table(g)
+    m = np.arange(1 << g.n_bonds) & _bonds_mask(g, ev.bonds)
+    iu, iv = g.index(ev.u), g.index(ev.v)
+
+    def linked(drop: int = 0) -> np.ndarray:
+        mm = m & ~drop
+        return comp[mm, iu] == comp[mm, iv]
+
+    if ev.kind == "conn":
+        return linked()
+    if ev.kind == "double":
+        out = linked()
+        for b in range(g.n_bonds) if ev.bonds is None else ev.bonds:
+            out &= linked(1 << b)
+        return out
+    if ev.kind == "through":
+        out = _indicator(g, double_conn(ev.u, ev.v, ev.bonds))
+        A_idx = {g.index(a) for a in ev.A}
+        if iu in A_idx or iv in A_idx:
+            return out
+        return out & ~linked(_incident_mask(g, A_idx))
+    raise ValueError(f"unknown event kind {ev.kind!r}")
+
+
 def event_holds(g: CouplingGraph, ev: Event, mask: int) -> bool:
     """Evaluate ``ev`` on a global positive-bond mask."""
-    if ev.kind == "and":
-        return all(event_holds(g, p, mask) for p in ev.parts)
-    m = mask & _bonds_mask(g, ev.bonds)
-    iu, iv = g.index(ev.u), g.index(ev.v)
-    if ev.kind == "conn":
-        return _connected(g, m, iu, iv)
-    if ev.kind == "double":
-        return _doubly_connected(g, m, iu, iv)
-    if ev.kind == "through":
-        A_idx = frozenset(g.index(a) for a in ev.A)
-        return _through(g, m, iu, iv, A_idx)
-    raise ValueError(f"unknown event kind {ev.kind!r}")
+    return bool(_indicator(g, ev)[mask])
 
 
 @dataclass(frozen=True)
@@ -339,51 +329,66 @@ class Layer:
     sources: tuple = ()
 
 
-def _global_mask_map(g: CouplingGraph, bonds: tuple) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _global_mask_map(bonds: tuple) -> np.ndarray:
     """Local positive mask (over positions in ``bonds``) -> global bond mask."""
-    nb = len(bonds)
-    gm = np.zeros(1 << nb, dtype=np.int64)
-    for pm in range(1, 1 << nb):
-        low = (pm & -pm).bit_length() - 1
-        gm[pm] = gm[pm & (pm - 1)] | (1 << bonds[low])
+    gm = np.zeros(1 << len(bonds), dtype=np.int64)
+    for k, b in enumerate(bonds):
+        gm[1 << k:2 << k] = gm[:1 << k] | (1 << b)
     return gm
 
 
-def _layer_weights(g: CouplingGraph, layer: Layer) -> tuple:
-    bonds = _bonds_arg(g, layer.bonds)
-    W = _positive_table(g, bonds)
-    Z = W[:, 0].sum()
-    sm = _source_mask(g, layer.sources)
-    return _global_mask_map(g, bonds), np.asarray(W[:, sm]) / Z, len(bonds)
+def _cover(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Covering product r[S] = sum over A | B == S of f[A] * h[B].
+
+    Splitting every mask on its top bit gives r0 = f0*h0 and
+    r1 = f0*h1 + f1*(h0 + h1): three half-size products and no subtraction,
+    so nonnegative inputs lose nothing to cancellation. The recursion runs
+    batched, one level per bond, over all 3**nb branches.
+    """
+    nb = f.size.bit_length() - 1
+    f, h = f.reshape(1, -1), h.reshape(1, -1)
+    for _ in range(nb):
+        f, h = f.reshape(len(f), 2, -1), h.reshape(len(h), 2, -1)
+        f = np.concatenate((f[:, :1], f), axis=1).reshape(3 * len(f), -1)
+        h = np.concatenate((h, h[:, :1] + h[:, 1:]), axis=1).reshape(3 * len(h), -1)
+    r = f * h
+    for _ in range(nb):
+        r = r.reshape(-1, 3, r.shape[1])
+        r = np.concatenate((r[:, 0], r[:, 1] + r[:, 2]), axis=1)
+    return r.reshape(-1)
+
+
+@lru_cache(maxsize=16)
+def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
+    """Normalised superposed weight of every global positive mask.
+
+    ``layers`` holds (bond tuple, source mask) pairs. A layer's weights go to
+    their global masks by plain assignment, since the local -> global map is
+    injective; successive layers combine by the covering product.
+    """
+    nb = g.n_bonds
+    # the deepest level of _cover holds three vectors of 3**nb doubles
+    if len(layers) > 1 and 3 ** nb * 24 > _MEM_LIMIT:
+        raise CapExceeded(f"superposition of {len(layers)} layers on {nb} bonds too large")
+    out = None
+    for bonds, sm in layers:
+        W = _positive_table(g, bonds)
+        dense = np.zeros(1 << nb)
+        dense[_global_mask_map(bonds)] = W[:, sm] / W[:, 0].sum()
+        out = dense if out is None else _cover(out, dense)
+    return out
 
 
 def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
                   cap: int | None = None) -> float:
     """Sum over the layers' class assignments of the product of normalised
     weights, times the event indicator on the superposed positive mask."""
-    layers = list(layers)
-    if not layers:
+    key = tuple((_bonds_arg(g, l.bonds), _source_mask(g, l.sources)) for l in layers)
+    if not key:
         raise GraphError("at least one layer required")
-    widest = max(len(_bonds_arg(g, l.bonds)) for l in layers)
-    default = SINGLE_LAYER_CAP if len(layers) == 1 else MULTI_LAYER_CAP
-    _check_cap(max(widest, g.n_bonds), cap, default)
-
-    masks = np.zeros(1, dtype=np.int64)
-    vals = np.ones(1, dtype=float)
-    for layer in layers:
-        gm, wv, _ = _layer_weights(g, layer)
-        nz = np.flatnonzero(wv)
-        GM = masks[:, None] | gm[nz][None, :]
-        WT = vals[:, None] * wv[nz][None, :]
-        dense = np.zeros(1 << g.n_bonds, dtype=float)
-        np.add.at(dense, GM.ravel(), WT.ravel())
-        masks = np.flatnonzero(dense)
-        vals = dense[masks]
-    total = 0.0
-    for mk, wv in zip(masks.tolist(), vals.tolist()):
-        if event_holds(g, event, mk):
-            total += wv
-    return total
+    _check_cap(g.n_bonds, cap, SINGLE_LAYER_CAP if len(key) == 1 else MULTI_LAYER_CAP)
+    return float(_superposed(g, key)[_indicator(g, event)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +477,22 @@ def pi1_upper(g: CouplingGraph, x, o=None, cap: int | None = None) -> float:
     W = _positive_table(g, bonds)
     Z = W[:, 0].sum()
     G = two_point_matrix(g)
-    gm = _global_mask_map(g, bonds)
+    gm = _global_mask_map(bonds)
+    comp = _component_table(g)
     theta_cache: dict = {}
     total = 0.0
     for iu in range(g.n_vertices):
         wv = np.asarray(W[:, (1 << io) ^ (1 << iu)]) / Z
+        dbl = _indicator(g, double_conn(o, g.labels[iu]))
         for pm_local in np.flatnonzero(wv):
             mk = int(gm[pm_local])
-            if not _doubly_connected(g, mk, io, iu):
+            if not dbl[mk]:
                 continue
             w = float(wv[pm_local])
             for b in g.incident(iu):
                 iv = g.other_end(b, iu)
-                comp = _components(g, mk & ~(1 << b))
-                A = frozenset(g.labels[k] for k in range(g.n_vertices)
-                              if comp[k] == comp[io])
+                c = comp[mk & ~(1 << b)]
+                A = frozenset(g.labels[k] for k in range(g.n_vertices) if c[k] == c[io])
                 inner = 0.0
                 for iy in range(g.n_vertices):
                     key = (iy, A)
@@ -499,6 +505,6 @@ def pi1_upper(g: CouplingGraph, x, o=None, cap: int | None = None) -> float:
 
 
 def clear_caches() -> None:
-    _source_table.cache_clear()
-    _positive_table.cache_clear()
-    _components.cache_clear()
+    for cached in (_source_table, _positive_table, _global_mask_map,
+                   _component_table, _indicator, _superposed):
+        cached.cache_clear()

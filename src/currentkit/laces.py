@@ -18,8 +18,8 @@ import numpy as np
 from .graphs import CouplingGraph, GraphError
 from .currents import (
     ZERO, EVEN, ODD,
-    class_weights, partition_function, pi0,
-    _components, _doubly_connected, _global_mask_map, _positive_table,
+    class_weights, double_conn, partition_function, pi0,
+    _component_table, _global_mask_map, _indicator, _positive_table,
 )
 
 
@@ -216,7 +216,7 @@ def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
         if k_mask & (1 << b):
             raise GraphError("rest mask overlaps the explored bonds")
     V = tilde_v_sets(g, path, classes)
-    comp = _components(g, k_mask)
+    comp = _component_table(g)[k_mask].tolist()
     ids = [frozenset(comp[u] for u in s) for s in V]
     size = path.length
 
@@ -266,7 +266,7 @@ def lace_arc_components(g: CouplingGraph, path: ExploredPath,
                         classes: Sequence[int], k_mask: int, edges) -> list:
     """Witness component ids per arc (rest components linking the arc ends)."""
     V = tilde_v_sets(g, path, classes)
-    comp = _components(g, k_mask)
+    comp = _component_table(g)[k_mask].tolist()
     ids = [frozenset(comp[u] for u in s) for s in V]
     return [ids[s] & ids[t] for s, t in edges]
 
@@ -290,6 +290,7 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
         raise GraphError("endpoints must differ")
     Z = partition_function(g)
     direct = pi0(g, x, o=o)
+    doubly = _indicator(g, double_conn(o, x))
     split_total = 0.0
     recon_total = 0.0
     hist: Counter = Counter()
@@ -306,7 +307,7 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
             w_path *= class_weights(g, b)[ODD]
         Wc = _positive_table(g, rest)
         kvec = np.asarray(Wc[:, 0])
-        gmap = _global_mask_map(g, rest)
+        gmap = _global_mask_map(rest)
         m_pos_base = 0
         for b in bonds_seq:
             m_pos_base |= 1 << b
@@ -325,7 +326,7 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
                 w_k = float(kvec[pm_local])
                 k_mask = int(gmap[pm_local])
                 full = m_pos | k_mask
-                dbl = _doubly_connected(g, full, io, ix)
+                dbl = bool(doubly[full])
                 if dbl:
                     split_total += w_m * w_k
                 lace = build_lace(g, path, classes, k_mask)

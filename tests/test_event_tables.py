@@ -1,0 +1,259 @@
+"""Table-driven events and layer superposition against per-mask routes.
+
+The library evaluates an event as one indicator vector over all global
+positive masks and superposes layers with the covering product. The oracles
+here take the direct routes instead: a union-find per positive mask for the
+events, and the outer product of the layers' nonzero weights accumulated with
+``np.add.at`` for the superposition.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from currentkit import (
+    CapExceeded, Layer, SpreadOut,
+    build_graph, conj, conn, double_conn, embed_on_torus, event_measure,
+    partition_function, through,
+)
+from currentkit import currents
+from currentkit.cli import CORPUS_SHAPES
+
+
+def corpus_graphs(seed=7):
+    """Every corpus shape at every corpus beta, with seeded couplings."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _, verts, bonds, betas in CORPUS_SHAPES:
+        for beta in betas:
+            js = rng.uniform(0.5, 1.5, size=len(bonds))
+            out.append(build_graph(verts, [(u, v, float(j)) for (u, v), j in zip(bonds, js)],
+                                   beta=beta))
+    return out
+
+
+def spread_torus():
+    return embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+
+
+# -- per-mask event oracle --------------------------------------------------
+
+def _components(g, mask):
+    parent = list(range(g.n_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for b, (i, j) in enumerate(g.bonds):
+        if mask >> b & 1:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    return [find(v) for v in range(g.n_vertices)]
+
+
+def _connected(g, mask, iu, iv):
+    c = _components(g, mask)
+    return c[iu] == c[iv]
+
+
+def _doubly_connected(g, mask, iu, iv):
+    if iu == iv:
+        return True
+    return _connected(g, mask, iu, iv) and all(
+        _connected(g, mask & ~(1 << b), iu, iv)
+        for b in range(g.n_bonds) if mask >> b & 1)
+
+
+def _through(g, mask, iu, iv, A_idx):
+    if iu == iv:
+        return iu in A_idx
+    if not _doubly_connected(g, mask, iu, iv):
+        return False
+    if iu in A_idx or iv in A_idx:
+        return True
+    cut = sum(1 << b for b, (i, j) in enumerate(g.bonds) if i in A_idx or j in A_idx)
+    return not _connected(g, mask & ~cut, iu, iv)
+
+
+def oracle_holds(g, ev, mask):
+    if ev.kind == "and":
+        return all(oracle_holds(g, p, mask) for p in ev.parts)
+    if ev.bonds is not None:
+        mask &= sum(1 << b for b in ev.bonds)
+    iu, iv = g.index(ev.u), g.index(ev.v)
+    if ev.kind == "conn":
+        return _connected(g, mask, iu, iv)
+    if ev.kind == "double":
+        return _doubly_connected(g, mask, iu, iv)
+    return _through(g, mask, iu, iv, {g.index(a) for a in ev.A})
+
+
+def suite_events(g):
+    """Every event kind the suites build, over every endpoint pair."""
+    labs = g.labels
+    nb = g.n_bonds
+    windows = (tuple(range(nb // 2 + 1)), tuple(range(1, nb)))
+    out = []
+    for u in labs:
+        for v in labs:
+            out += [conn(u, v), double_conn(u, v), through(u, v, ()),
+                    through(u, v, (u,)), through(u, v, (v,)), through(u, v, labs)]
+            out += [conn(u, v, bonds=B) for B in windows]
+            out += [through(u, v, (w,)) for w in labs if w not in (u, v)]
+            out += [conj(double_conn(u, v), conn(u, w)) for w in labs]
+            out += [conj(conn(u, v, bonds=B), conn(u, w, bonds=B))
+                    for B in windows for w in labs[:2]]
+    return out
+
+
+@pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: s[0])
+def test_indicator_matches_per_mask_oracle(shape):
+    _, verts, bonds, _ = shape
+    g = build_graph(verts, [(u, v, 1.0) for u, v in bonds], beta=0.5)
+    masks = range(1 << g.n_bonds)
+    for ev in suite_events(g):
+        want = np.array([oracle_holds(g, ev, m) for m in masks])
+        got = currents._indicator(g, ev)
+        assert got.dtype == bool
+        assert np.array_equal(got, want), ev
+
+
+def test_component_table_labels_clusters():
+    g = spread_torus()
+    comp = currents._component_table(g)
+    assert comp.shape == (1 << g.n_bonds, g.n_vertices)
+    for m in range(0, 1 << g.n_bonds, 37):
+        ref = _components(g, m)
+        same = [[ref[a] == ref[b] for b in range(g.n_vertices)] for a in range(g.n_vertices)]
+        assert np.array_equal(comp[m][:, None] == comp[m][None, :], np.array(same))
+        # labels are the smallest vertex index of each cluster
+        assert all(comp[m][v] == min(w for w in range(g.n_vertices) if ref[w] == ref[v])
+                   for v in range(g.n_vertices))
+
+
+def test_global_mask_map_matches_bit_loop():
+    for bonds in ((), (3,), (0, 2, 5), tuple(range(9))):
+        want = [sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
+                for pm in range(1 << len(bonds))]
+        assert currents._global_mask_map(bonds).tolist() == want
+
+
+# -- outer-product superposition oracle -------------------------------------
+
+def outer_superposition(g, layers):
+    masks = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1)
+    dense = None
+    for layer in layers:
+        bonds = currents._bonds_arg(g, layer.bonds)
+        W = currents._positive_table(g, bonds)
+        wv = W[:, currents._source_mask(g, layer.sources)] / W[:, 0].sum()
+        gm = np.array([sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
+                       for pm in range(1 << len(bonds))], dtype=np.int64)
+        nz = np.flatnonzero(wv)
+        dense = np.zeros(1 << g.n_bonds)
+        np.add.at(dense, (masks[:, None] | gm[nz][None, :]).ravel(),
+                  (vals[:, None] * wv[nz][None, :]).ravel())
+        masks = np.flatnonzero(dense)
+        vals = dense[masks]
+    return dense
+
+
+def layer_stacks(g):
+    """Layer lists shaped like the suites' measures, plus a three-layer stack."""
+    labs = g.labels
+    o, x, y = labs[0], labs[-1], labs[len(labs) // 2]
+    nb = g.n_bonds
+    full = tuple(range(nb))
+    outside = currents._outside_bonds(g, (y,))
+    return [
+        [Layer(None, (o, x))],
+        [Layer(outside, ()), Layer(None, (o, x))],
+        [Layer(full, ()), Layer(full, (o, x))],
+        [Layer(tuple(range(nb // 2 + 1)), (o, y)), Layer(full, (y, x))],
+        [Layer(full[1:], ()), Layer(full[:1], (o, y))],
+        [Layer(full, ()), Layer(outside, ()), Layer(full, (o, x))],
+    ]
+
+
+def _key(g, layers):
+    return tuple((currents._bonds_arg(g, l.bonds), currents._source_mask(g, l.sources))
+                 for l in layers)
+
+
+@pytest.mark.parametrize("g", corpus_graphs() + [spread_torus()],
+                         ids=lambda g: f"n{g.n_vertices}b{g.n_bonds}@{g.beta:g}")
+def test_covering_product_matches_outer_product(g):
+    for layers in layer_stacks(g):
+        if len(layers) > 2 and g.n_bonds > 7:
+            continue
+        want = outer_superposition(g, layers)
+        got = currents._superposed(g, _key(g, layers))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_event_measure_matches_per_mask_route():
+    g = spread_torus()
+    o, x, y = g.labels[0], g.labels[2], g.labels[3]
+    full = tuple(range(g.n_bonds))
+    cases = [
+        ([Layer(None, (o, x))], double_conn(o, x)),
+        ([Layer(currents._outside_bonds(g, (y,)), ()), Layer(None, (o, x))], through(o, x, (y,))),
+        ([Layer(full, ()), Layer(full, (o, x))], conn(o, y, bonds=full)),
+        ([Layer(full, (o, y)), Layer(full, (y, x))], conn(o, y, bonds=full)),
+    ]
+    for layers, ev in cases:
+        dense = outer_superposition(g, layers)
+        want = sum(w for m, w in enumerate(dense.tolist()) if w and oracle_holds(g, ev, m))
+        assert event_measure(g, layers, ev, cap=16) == pytest.approx(want, rel=1e-12)
+
+
+# -- memory refusals and caches ---------------------------------------------
+
+def test_oversize_superposition_refused_before_allocation(monkeypatch):
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
+    two = [Layer(None, ()), Layer(None, (0, 2))]
+    work = 3 ** g.n_bonds * 24
+    currents.clear_caches()
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
+    with pytest.raises(CapExceeded):
+        event_measure(g, two, conn(0, 2))
+    assert currents._positive_table.cache_info().currsize == 0
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work)
+    assert event_measure(g, two, conn(0, 2)) > 0.0
+    # at the real limit the check fires before anything is built
+    monkeypatch.undo()
+    currents.clear_caches()
+    ring = build_graph(list(range(17)), [(i, (i + 1) % 17, 1.0) for i in range(17)], beta=0.1)
+    full = tuple(range(17))
+    with pytest.raises(CapExceeded):
+        currents._superposed(ring, ((full, 0), (full, 0)))
+    assert currents._positive_table.cache_info().currsize == 0
+
+
+def test_oversize_component_table_refused(monkeypatch):
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)], beta=0.5)
+    currents.clear_caches()
+    monkeypatch.setattr(currents, "_MEM_LIMIT", (1 << g.n_bonds) * (g.n_vertices + 16) - 1)
+    with pytest.raises(CapExceeded):
+        currents.event_holds(g, conn(0, 2), 0b11)
+    monkeypatch.undo()
+    assert currents.event_holds(g, conn(0, 2), 0b11)
+    ring = build_graph(list(range(27)), [(i, (i + 1) % 27, 1.0) for i in range(27)], beta=0.1)
+    with pytest.raises(CapExceeded):
+        currents._component_table(ring)
+
+
+def test_clear_caches_empties_every_cache():
+    caches = [f for f in vars(currents).values() if hasattr(f, "cache_info")]
+    assert len(caches) >= 6
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
+    partition_function(g)
+    event_measure(g, [Layer(None, ()), Layer(None, (0, 1))], conn(0, 2))
+    assert all(f.cache_info().currsize > 0 for f in caches)
+    currents.clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in caches)
