@@ -17,8 +17,8 @@ import numpy as np
 from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
-    Field, NonContracting,
-    convolve, delta, hyp1_report, rw_green_proxy, tilde_g,
+    NonContracting,
+    _hat, _inv, delta, hyp1_report, rw_green_proxy, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
 
@@ -451,9 +451,18 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
     theta = float(L) ** (-2)
     hyp1 = hyp1_report(G, tau, L)
     flat = float(Gt.data.mean())
-    t2 = tau * tau
+    shape = G.data.shape
     g2 = Gt * Gt
-    psi = convolve(convolve(dlt + t2, dlt + g2), dlt + t2)
+    # psi = (d+t2) * (d+g2) * (d+t2) with the delta 1 on the spectrum
+    E = _hat(tau.data * tau.data)
+    E += 1.0
+    S = _hat(g2.data)
+    S += 1.0
+    S *= E
+    S *= E
+    psi = _inv(S, shape)
+    del S, E
+    Ghat = _hat(G.data)
     if radii is None:
         radii = list(range(1, side // 2 + 1))
     rows = {}
@@ -461,10 +470,12 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
         x = (r,) + (0,) * (d - 1)
         term0 = Gt.value(x) ** 3
         core = Gt.value(x) - flat
-        A = Field(d, side, psi.data * Gt.shifted(x).data)
+        S = _hat(psi * Gt.shifted(x).data)
+        S *= Ghat
+        conv = _inv(S, shape)
+        del S
         B = Gt.data * g2.shifted(x).data
-        conv = convolve(A, G)
-        term1 = float((B * conv.data).sum())
+        term1 = float((B * conv).sum())
         rho = term1 / term0 if term0 > 0 else math.inf
         if rho < 1.0:
             est = term0 + term1 / (1.0 - rho)

@@ -4,6 +4,12 @@ Periodic scalar fields on (Z/side)^d with circular convolution, weighted-norm
 grids, the random-walk proxy pair, geometric chain sums with certified tails,
 the triangle kernel, and the diagnostic reports (convolution bound, decay
 hypotheses, pointwise reduction ratios) used by the reductions suite.
+
+Convolution goes through the half spectrum (``_hat``/``_inv``, rfftn and
+irfftn over every axis). The reports transform each operand once per call
+and form their convolution products on the spectrum, where the delta is 1.
+Four-point sums over reflection-symmetric fields are dot products of two
+pair products x -> A(x-a) B(x-b).
 """
 from __future__ import annotations
 
@@ -91,16 +97,22 @@ def from_offsets(d: int, side: int, offsets: dict) -> Field:
     return f
 
 
+def _hat(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real field: rfftn over every axis."""
+    return np.fft.rfftn(a, axes=tuple(range(a.ndim)))
+
+
+def _inv(S: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real field of the given shape whose half spectrum is S."""
+    return np.fft.irfftn(S, s=shape, axes=tuple(range(len(shape))))
+
+
 def convolve(f: Field, g: Field, method: str = "fft") -> Field:
     """Circular convolution (f*g)(z) = sum_x f(x) g(z - x)."""
     if (f.d, f.side) != (g.d, g.side):
         raise GraphError("field shape mismatch")
     if method == "fft":
-        axes = tuple(range(f.d))
-        F = np.fft.rfftn(f.data)
-        G = np.fft.rfftn(g.data)
-        out = np.fft.irfftn(F * G, s=f.data.shape, axes=axes)
-        return Field(f.d, f.side, out)
+        return Field(f.d, f.side, _inv(_hat(f.data) * _hat(g.data), f.data.shape))
     if method == "direct":
         out = np.zeros_like(f.data)
         axes = tuple(range(f.d))
@@ -363,22 +375,28 @@ def hyp3_report(Gt: Field, tau: Field, floor: float = 0.0) -> dict:
     """Stability of Gt under one and two tau-smearing steps: the sup of
     (tau^{*j} * Gt) / Gt over entries with Gt above the floor."""
     out = {}
-    cur = Field(Gt.d, Gt.side, Gt.data.copy())
-    thr = max(floor, 1e-300)
+    mask = Gt.data > max(floor, 1e-300)
+    base = Gt.data[mask]
+    T = _hat(tau.data)
+    S = _hat(Gt.data)
     for j in (1, 2):
-        cur = convolve(tau, cur)
-        mask = Gt.data > thr
-        out[f"ratio_{j}"] = float((cur.data[mask] / Gt.data[mask]).max())
+        S *= T
+        out[f"ratio_{j}"] = float((_inv(S, Gt.data.shape)[mask] / base).max())
     return out
+
+
+def _key_gap(s: np.ndarray, e: np.ndarray) -> float:
+    """Min of s^2 - e, with s = (delta+tau) * f and e = (delta+tau^2) * f^2."""
+    return float((s * s - e).min())
 
 
 def key_lemma_gap(tau: Field, f: Field) -> float:
     """Min of ((delta+tau) * f)^2 - (delta+tau^2) * f^2; nonnegative iff the
     square-absorption lemma holds pointwise for this pair."""
     dlt = delta(tau.d, tau.side)
-    lhs = convolve(dlt + tau * tau, f * f)
-    rhs = convolve(dlt + tau, f)
-    return float((rhs.data ** 2 - lhs.data).min())
+    e = convolve(dlt + tau * tau, f * f)
+    s = convolve(dlt + tau, f)
+    return _key_gap(s.data, e.data)
 
 
 def key_lemma_gap_matrix(Tau: np.ndarray, F: np.ndarray) -> float:
@@ -400,31 +418,62 @@ def psi1_report(Gt: Field, tau: Field) -> dict:
     the pointwise squares. Step 2 absorbs squares via the key lemma; step 3
     replaces tau by Gt. Returns the identity residual and the minimal slack of
     each inequality (nonnegative means satisfied).
+
+    Each operand is transformed once; the delta is 1 on the spectrum. The
+    two sides of the step-1 identity are inverted separately, so the residual
+    measures the rounding of two routes and is not read off one spectrum.
     """
-    d, side = Gt.d, Gt.side
-    dlt = delta(d, side)
-    t2 = tau * tau
-    g2 = Gt * Gt
-    e = dlt + t2
-    full = convolve(convolve(e, dlt + g2), e)
-    lhs1 = full - dlt
-    rhs1 = e + convolve(e, t2) + convolve(convolve(e, e), g2) - dlt
-    resid = float(np.abs(lhs1.data - rhs1.data).max())
-    s_tau = convolve(dlt + tau, tau)
-    s2_gt = convolve(convolve(dlt + tau, dlt + tau), Gt)
-    rhs2 = t2 + s_tau * s_tau + s2_gt * s2_gt
-    slack2 = float((rhs2.data - lhs1.data).min())
-    s_gt = convolve(dlt + tau, Gt)
-    rhs3 = g2 + s_gt * s_gt + s2_gt * s2_gt
-    slack3 = float((rhs3.data - rhs2.data).min())
+    shape = Gt.data.shape
+    o = (0,) * Gt.d
+    t2 = tau.data * tau.data
+    g2 = Gt.data * Gt.data
+    T2 = _hat(t2)
+    E = T2 + 1.0
+    T2 *= E
+    e_t2 = _inv(T2, shape)                  # (d+t2) * t2
+    del T2
+    G2 = _hat(g2)
+    EG2 = E * G2
+    e_g2 = _inv(EG2, shape)                 # (d+t2) * g2
+    EG2 *= E
+    ee_g2 = _inv(EG2, shape)                # (d+t2) * (d+t2) * g2
+    del EG2
+    G2 += 1.0
+    G2 *= E
+    G2 *= E
+    lhs1 = _inv(G2, shape)                  # (d+t2) * (d+g2) * (d+t2)
+    del G2, E
+    lhs1[o] -= 1.0
+    e = t2.copy()
+    e[o] += 1.0                             # d + t2
+    rhs1 = e + e_t2 + ee_g2
+    rhs1[o] -= 1.0
+    del e, ee_g2
+    resid = float(np.abs(lhs1 - rhs1).max())
+    del rhs1
+    S = _hat(tau.data)
+    P = S + 1.0
+    S *= P
+    s_tau = _inv(S, shape)                  # (d+tau) * tau
+    S = _hat(Gt.data)
+    S *= P
+    s_gt = _inv(S, shape)                   # (d+tau) * Gt
+    S *= P
+    s2_gt = _inv(S, shape)                  # (d+tau) * (d+tau) * Gt
+    del S, P
+    sq2 = s2_gt * s2_gt
+    rhs2 = t2 + s_tau * s_tau + sq2
+    slack2 = float((rhs2 - lhs1).min())
+    rhs3 = g2 + s_gt * s_gt + sq2
+    slack3 = float((rhs3 - rhs2).min())
     # FFT rounding is absolute at the scale of the unit delta spikes in the
     # inputs, so the residual is normalised against 1, not the output max
     # (which can sit orders of magnitude lower without any loss of exactness).
-    scale = max(np.abs(lhs1.data).max(), 1.0)
+    scale = max(np.abs(lhs1).max(), 1.0)
     return {"identity_residual": resid, "identity_rel": resid / scale,
             "slack_step2": slack2, "slack_step3": slack3,
-            "key_lemma_tau": key_lemma_gap(tau, tau),
-            "key_lemma_gt": key_lemma_gap(tau, Gt)}
+            "key_lemma_tau": _key_gap(s_tau, e_t2),
+            "key_lemma_gt": _key_gap(s_gt, e_g2)}
 
 
 def _probe_pairs(d: int) -> list:
@@ -433,6 +482,57 @@ def _probe_pairs(d: int) -> list:
     z = (0,) * d
     two = tuple(2 * c for c in e1)
     return [z, e1, e2, two, tuple(a + b for a, b in zip(e1, e2))]
+
+
+def _check_reflection_symmetric(f: Field, name: str, rtol: float = 1e-14) -> None:
+    """Raise GraphError unless f(-x) = f(x) up to rtol relative to max |f|."""
+    scale = f.linf()
+    diff = f.reversed().data
+    diff -= f.data
+    dev = float(np.abs(diff, out=diff).max())
+    if dev > rtol * scale:
+        raise GraphError(f"{name} is not reflection-symmetric: "
+                         f"max |f(-x) - f(x)| = {dev:.3g}")
+
+
+def _pair_product(F: Field, a, H: Field, b) -> np.ndarray:
+    """x -> F(x-a) H(x-b), written block by block with no rolled copies:
+    along each axis the cuts at a and b split the index range into runs on
+    which neither shifted index wraps."""
+    n = F.side
+    runs = []
+    for ak, bk in zip(a, b):
+        cuts = sorted({0, ak % n, bk % n, n})
+        runs.append([(lo, hi, (lo - ak) % n, (lo - bk) % n)
+                     for lo, hi in zip(cuts, cuts[1:])])
+    out = np.empty_like(F.data)
+    for block in iproduct(*runs):
+        np.multiply(F.data[tuple(slice(f, f + hi - lo) for lo, hi, f, _ in block)],
+                    H.data[tuple(slice(h, h + hi - lo) for lo, hi, _, h in block)],
+                    out=out[tuple(slice(lo, hi) for lo, hi, _, _ in block)])
+    return out.ravel()
+
+
+def _four_point_sums(A: Field, B: Field, C: Field, D: Field, quads: list) -> list:
+    """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each (u, u', v, v') in quads.
+
+    A and C must be reflection-symmetric, so each sum is the dot product of
+    the pairs x -> A(x-u) B(x-u') and x -> C(x-v) D(x-v'). The left pairs of
+    the family are kept and each right pair is built once for all of them;
+    einsum keeps the reduction independent of the BLAS thread count.
+    """
+    lefts = {}
+    for u, up, _, _ in quads:
+        if (u, up) not in lefts:
+            lefts[(u, up)] = _pair_product(A, u, B, up)
+    sums = {}
+    for v, vp in dict.fromkeys((v, vp) for _, _, v, vp in quads):
+        R = _pair_product(C, v, D, vp)
+        for q in quads:
+            if q[2:] == (v, vp):
+                sums[q] = float(np.einsum("i,i->", lefts[q[:2]], R))
+        del R
+    return [sums[q] for q in quads]
 
 
 def depicted_ratios(G: Field, Gt: Field) -> dict:
@@ -448,17 +548,12 @@ def depicted_ratios(G: Field, Gt: Field) -> dict:
          target keeps one full-G segment; O(1) expected.
       5: triangle against its three-two-point product envelope; O(1) expected.
     Families 0 to 2 are expected to scale like side-range**(-d).
+    G and Gt must be reflection-symmetric (GraphError otherwise).
     """
+    _check_reflection_symmetric(G, "G")
+    _check_reflection_symmetric(Gt, "Gt")
     d = G.d
     probes = _probe_pairs(d)
-
-    def four_point(leftA, leftB, rightA, rightB, u, up, v, vp):
-        # sum_x A(u-x) B(x-u') C(v-x) D(x-v')
-        arrA = leftA.reversed().shifted(u).data
-        arrB = leftB.shifted(up).data
-        arrC = rightA.reversed().shifted(v).data
-        arrD = rightB.shifted(vp).data
-        return float((arrA * arrB * arrC * arrD).sum())
 
     def gt(a, b):
         return Gt.value(tuple(q - p for p, q in zip(a, b)))
@@ -466,30 +561,32 @@ def depicted_ratios(G: Field, Gt: Field) -> dict:
     def gfull(a, b):
         return G.value(tuple(q - p for p, q in zip(a, b)))
 
+    def worst(A, B, C, D, quads, target):
+        sums = _four_point_sums(A, B, C, D, quads)
+        return max(s / target(*q) for s, q in zip(sums, quads))
+
+    def smeared(u, up, v, vp):
+        return gt(u, up) * gt(v, vp)
+
     out = {}
     z = (0,) * d
     quads = [(z, p, q, r) for p in probes[1:3] for q in probes[1:3] for r in probes[2:4]]
     # 0: Gt Gt Gt Gt
-    out["ratio0"] = max(
-        four_point(Gt, Gt, Gt, Gt, u, up, v, vp) / (gt(u, up) * gt(v, vp))
-        for (u, up, v, vp) in quads)
+    out["ratio0"] = worst(Gt, Gt, Gt, Gt, quads, smeared)
     # 1: G Gt Gt Gt
-    out["ratio1"] = max(
-        four_point(G, Gt, Gt, Gt, u, up, v, vp) / (gt(u, up) * gt(v, vp))
-        for (u, up, v, vp) in quads)
+    out["ratio1"] = worst(G, Gt, Gt, Gt, quads, smeared)
     # 2: G Gt G Gt
-    out["ratio2"] = max(
-        four_point(G, Gt, G, Gt, u, up, v, vp) / (gt(u, up) * gt(v, vp))
-        for (u, up, v, vp) in quads)
+    out["ratio2"] = worst(G, Gt, G, Gt, quads, smeared)
     # 3: coincident endpoint u' = v', slashed legs into it
-    out["ratio3"] = max(
-        four_point(Gt, G, Gt, G, u, w, v, w) / (gt(u, w) * gt(v, w))
-        for u in probes[1:3] for v in probes[2:4] for w in probes[:2])
+    out["ratio3"] = worst(
+        Gt, G, Gt, G,
+        [(u, w, v, w) for u in probes[1:3] for v in probes[2:4] for w in probes[:2]],
+        smeared)
     # 4: bubble at u = v, target keeps one full segment
-    out["ratio4"] = max(
-        four_point(G, Gt, G, Gt, z, up, z, vp)
-        / (gfull(z, up) * gt(z, vp) + gt(z, up) * gfull(z, vp))
-        for up in probes[1:4] for vp in probes[1:4])
+    out["ratio4"] = worst(
+        G, Gt, G, Gt,
+        [(z, up, z, vp) for up in probes[1:4] for vp in probes[1:4]],
+        lambda u, up, v, vp: gfull(u, up) * gt(v, vp) + gt(u, up) * gfull(v, vp))
     # 5: triangle against its product envelope
     t5 = []
     for x in probes[1:4]:

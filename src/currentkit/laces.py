@@ -366,32 +366,41 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
 
 def check_partition_of_unity(g: CouplingGraph, x, o=None, order=None) -> dict:
     """For every class vector with sources {o, x}: exactly one fresh walk's
-    odd-and-earliest indicator fires, and it is the greedily traced walk."""
+    odd-and-earliest indicator fires, and it is the greedily traced walk.
+
+    The sources are the boundary of the odd bonds, so the class vectors are
+    enumerated as the odd masks with boundary {o, x}, each with every
+    zero/even split of the remaining bonds.
+    """
     o = g.labels[0] if o is None else o
     io, ix = g.index(o), g.index(x)
     target = (1 << io) ^ (1 << ix)
     paths = enumerate_explorations(g, x, o=o, order=order)
     nb = g.n_bonds
+    boundary = [0]                      # boundary[m]: sources of odd mask m
+    for i, j in g.bonds:
+        boundary += [s ^ (1 << i) ^ (1 << j) for s in boundary]
     checked = 0
     bad_count = 0
     greedy_mismatch = 0
-    for idx in range(3 ** nb):
-        rem = idx
-        classes = []
-        for _ in range(nb):
-            classes.append(rem % 3)
-            rem //= 3
-        sm, odd, _ = _masks_from_classes(g, classes)
+    for odd, sm in enumerate(boundary):
         if sm != target:
             continue
-        checked += 1
+        rest = [b for b in range(nb) if not odd >> b & 1]
+        n_split = 1 << len(rest)
+        checked += n_split
         flagged = [p for p in paths if path_indicator(g, p, odd)]
         if len(flagged) != 1:
-            bad_count += 1
+            bad_count += n_split
             continue
-        traced = earliest_odd_path(g, classes, x, o=o, order=order)
-        if traced.bonds != flagged[0].bonds:
-            greedy_mismatch += 1
+        for bits in range(n_split):
+            classes = [ODD if odd >> b & 1 else ZERO for b in range(nb)]
+            for k, b in enumerate(rest):
+                if bits >> k & 1:
+                    classes[b] = EVEN
+            traced = earliest_odd_path(g, classes, x, o=o, order=order)
+            if traced.bonds != flagged[0].bonds:
+                greedy_mismatch += 1
     return {"checked": checked, "not_exactly_one": bad_count,
             "greedy_mismatch": greedy_mismatch,
             "passed": bad_count == 0 and greedy_mismatch == 0 and checked > 0}

@@ -1,7 +1,15 @@
-"""Torus field calculus: convolution, proxy pair, chains, kernels, reports."""
+"""Torus field calculus: convolution, proxy pair, chains, kernels, reports.
+
+The reports transform each operand once and contract four-point sums as dot
+products of pair products. The oracles at the end of this file take the
+direct routes instead: nested ``convolve`` calls for psi1, hyp3 and the decay
+kernel term, and reflected, rolled copies of all four legs for each
+four-point sum.
+"""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +21,10 @@ from currentkit import (
     psi1_report, rw_green_proxy, step_distribution, tilde_g, triangle_T,
     triangle_tensor, weighted_norm, wrap_mass,
 )
+from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    centered_norm_grid, conv_power, from_offsets, triangle_T_field, zeros,
+    _probe_pairs, centered_norm_grid, conv_power, from_offsets,
+    triangle_T_field, zeros,
 )
 
 
@@ -262,3 +272,185 @@ def test_depicted_ratios_positive_finite():
     assert sorted(r) == [f"ratio{k}" for k in range(6)]
     for v in r.values():
         assert math.isfinite(v) and v > 0
+
+
+def test_depicted_ratios_refuses_asymmetric_field():
+    G, tau = rw_green_proxy(SpreadOut(3, 1.0), 8, 0.5)
+    Gt = tilde_g(G, tau)
+    spike = zeros(3, 8)
+    spike.data[1, 0, 0] = 1e-9 * G.linf()
+    with pytest.raises(GraphError):
+        depicted_ratios(G + spike, Gt)
+    with pytest.raises(GraphError):
+        depicted_ratios(G, Gt + spike)
+
+
+def test_psi1_report_flags_step2_violation():
+    # tau = -delta_1 annihilates constants: (d+tau) * Gt = 0 for constant Gt,
+    # so rhs2 = t2 + ((d+tau) * tau)^2 = 2 delta_1 + delta_2 while
+    # lhs1 = (d+t2) * (d+c^2) * (d+t2) - d = 2 delta_1 + delta_2 + 4 c^2.
+    c = 0.5
+    tau = from_offsets(1, 6, {(1,): -1.0})
+    Gt = Field(1, 6, np.full(6, c))
+    rep = psi1_report(Gt, tau)
+    assert rep["slack_step2"] == pytest.approx(-4.0 * c * c, abs=1e-12)
+    assert rep["identity_rel"] <= 1e-12
+
+
+# -- transform counts ----------------------------------------------------------
+
+@pytest.fixture
+def transforms(monkeypatch):
+    calls = Counter()
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_transform_counts(transforms):
+    G, tau = rw_green_proxy(SpreadOut(2, 1.0), 8, 0.5)
+    Gt = tilde_g(G, tau)
+    transforms.clear()
+    psi1_report(Gt, tau)
+    assert sum(transforms.values()) <= 11
+    transforms.clear()
+    hyp3_report(Gt, tau)
+    assert sum(transforms.values()) <= 4
+    transforms.clear()
+    radii = [1, 2, 3, 4]
+    decay_trend(d=2, L=1.0, side=8, p=0.5, radii=radii)
+    assert sum(transforms.values()) <= 2 * len(radii) + 12
+
+
+# -- oracles: the direct routes -------------------------------------------------
+
+def psi1_oracle(Gt, tau):
+    """psi1_report by nested convolutions, one convolve per product."""
+    d, side = Gt.d, Gt.side
+    dlt = delta(d, side)
+    t2 = tau * tau
+    g2 = Gt * Gt
+    e = dlt + t2
+    lhs1 = convolve(convolve(e, dlt + g2), e) - dlt
+    rhs1 = e + convolve(e, t2) + convolve(convolve(e, e), g2) - dlt
+    resid = float(np.abs(lhs1.data - rhs1.data).max())
+    s_tau = convolve(dlt + tau, tau)
+    s2_gt = convolve(convolve(dlt + tau, dlt + tau), Gt)
+    rhs2 = t2 + s_tau * s_tau + s2_gt * s2_gt
+    s_gt = convolve(dlt + tau, Gt)
+    rhs3 = g2 + s_gt * s_gt + s2_gt * s2_gt
+    scale = max(np.abs(lhs1.data).max(), 1.0)
+    return {"identity_residual": resid, "identity_rel": resid / scale,
+            "slack_step2": float((rhs2.data - lhs1.data).min()),
+            "slack_step3": float((rhs3.data - rhs2.data).min()),
+            "key_lemma_tau": float((s_tau.data ** 2 - convolve(e, t2).data).min()),
+            "key_lemma_gt": float((s_gt.data ** 2 - convolve(e, g2).data).min())}
+
+
+def hyp3_oracle(Gt, tau):
+    cur = Gt
+    mask = Gt.data > 1e-300
+    out = {}
+    for j in (1, 2):
+        cur = convolve(tau, cur)
+        out[f"ratio_{j}"] = float((cur.data[mask] / Gt.data[mask]).max())
+    return out
+
+
+def four_point_oracle(A, B, C, D, u, up, v, vp):
+    """sum_x A(u-x) B(x-u') C(v-x) D(x-v') from reflected, rolled copies."""
+    return float((A.reversed().shifted(u).data * B.shifted(up).data
+                  * C.reversed().shifted(v).data * D.shifted(vp).data).sum())
+
+
+def depicted_oracle(G, Gt):
+    """Families 0 to 4 of depicted_ratios, one four_point_oracle per sum."""
+    probes = _probe_pairs(G.d)
+    z = (0,) * G.d
+
+    def gt(a, b):
+        return Gt.value(tuple(q - p for p, q in zip(a, b)))
+
+    def gfull(a, b):
+        return G.value(tuple(q - p for p, q in zip(a, b)))
+
+    quads = [(z, p, q, r) for p in probes[1:3] for q in probes[1:3] for r in probes[2:4]]
+    out = {}
+    for k, legs in enumerate(((Gt, Gt, Gt, Gt), (G, Gt, Gt, Gt), (G, Gt, G, Gt))):
+        out[f"ratio{k}"] = max(four_point_oracle(*legs, *q) / (gt(*q[:2]) * gt(*q[2:]))
+                               for q in quads)
+    out["ratio3"] = max(
+        four_point_oracle(Gt, G, Gt, G, u, w, v, w) / (gt(u, w) * gt(v, w))
+        for u in probes[1:3] for v in probes[2:4] for w in probes[:2])
+    out["ratio4"] = max(
+        four_point_oracle(G, Gt, G, Gt, z, up, z, vp)
+        / (gfull(z, up) * gt(z, vp) + gt(z, up) * gfull(z, vp))
+        for up in probes[1:4] for vp in probes[1:4])
+    return out
+
+
+def decay_term1_oracle(G, tau, Gt, radii):
+    """The first kernel term of decay_trend per radius, with psi from nested
+    convolutions and one convolve(A, G) per radius."""
+    d, side = G.d, G.side
+    dlt = delta(d, side)
+    t2 = tau * tau
+    g2 = Gt * Gt
+    psi = convolve(convolve(dlt + t2, dlt + g2), dlt + t2)
+    out = {}
+    for r in radii:
+        x = (r,) + (0,) * (d - 1)
+        A = Field(d, side, psi.data * Gt.shifted(x).data)
+        B = Gt.data * g2.shifted(x).data
+        out[r] = float((B * convolve(A, G).data).sum())
+    return out
+
+
+PROXIES = [(2, 1.0, 8, 0.5), (3, 1.0, 8, 0.5), (5, 2.0, 16, 0.99)]
+
+
+@pytest.fixture(scope="module", params=PROXIES, ids=lambda c: "d%d_L%g_s%d" % c[:3])
+def proxy(request):
+    d, L, side, p = request.param
+    G, tau = rw_green_proxy(SpreadOut(d, L), side, p)
+    return request.param, G, tau, tilde_g(G, tau)
+
+
+def test_psi1_report_matches_nested_convolutions(proxy):
+    _, _, tau, Gt = proxy
+    got = psi1_report(Gt, tau)
+    want = psi1_oracle(Gt, tau)
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-16), key
+
+
+def test_hyp3_report_matches_nested_convolutions(proxy):
+    _, _, tau, Gt = proxy
+    got = hyp3_report(Gt, tau)
+    want = hyp3_oracle(Gt, tau)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
+def test_depicted_ratios_match_rolled_four_points(proxy):
+    _, G, _, Gt = proxy
+    got = depicted_ratios(G, Gt)
+    want = depicted_oracle(G, Gt)
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
+def test_decay_trend_matches_per_radius_convolution(proxy):
+    (d, L, side, p), G, tau, Gt = proxy
+    rep = decay_trend(d=d, L=L, side=side, p=p)
+    want = decay_term1_oracle(G, tau, Gt, sorted(rep["rows"]))
+    for r, term1 in want.items():
+        row = rep["rows"][r]
+        assert row["term1"] == pytest.approx(term1, rel=1e-12), r
+        rho = term1 / row["term0"]
+        est = row["term0"] + (term1 / (1.0 - rho) if rho < 1.0 else term1)
+        assert row["estimate"] == pytest.approx(est, rel=1e-12), r

@@ -11,13 +11,17 @@ import math
 import pytest
 
 from currentkit import (
-    GraphError,
-    build_graph, build_lace, check_partition_of_unity, earliest_odd_path,
+    GraphError, SpreadOut,
+    build_graph, embed_on_torus, build_lace, check_partition_of_unity, earliest_odd_path,
     enumerate_explorations, extraction_gap, is_valid_lace,
     verify_pi0_decomposition,
 )
+from currentkit.cli import CORPUS_SHAPES
 from currentkit.currents import ZERO, EVEN, ODD
-from currentkit.laces import lace_arc_components, path_indicator, path_layers, tilde_v_sets
+from currentkit.laces import (
+    _masks_from_classes, lace_arc_components, path_indicator, path_layers,
+    tilde_v_sets,
+)
 
 
 def hand_graph(beta=0.4):
@@ -202,6 +206,50 @@ def test_partition_of_unity_triangle():
     assert rep["checked"] == 6
     assert rep["not_exactly_one"] == 0
     assert rep["greedy_mismatch"] == 0
+
+
+def partition_of_unity_oracle(g, x, o=None, order=None):
+    """check_partition_of_unity by walking all 3^nb class vectors and keeping
+    those whose sources are {o, x}."""
+    o = g.labels[0] if o is None else o
+    target = (1 << g.index(o)) ^ (1 << g.index(x))
+    paths = enumerate_explorations(g, x, o=o, order=order)
+    checked = bad = mismatch = 0
+    for idx in range(3 ** g.n_bonds):
+        classes = [idx // 3 ** b % 3 for b in range(g.n_bonds)]
+        sm, odd, _ = _masks_from_classes(g, classes)
+        if sm != target:
+            continue
+        checked += 1
+        flagged = [p for p in paths if path_indicator(g, p, odd)]
+        if len(flagged) != 1:
+            bad += 1
+        elif earliest_odd_path(g, classes, x, o=o, order=order).bonds != flagged[0].bonds:
+            mismatch += 1
+    return {"checked": checked, "not_exactly_one": bad, "greedy_mismatch": mismatch}
+
+
+def _pou_counts(rep):
+    return {k: rep[k] for k in ("checked", "not_exactly_one", "greedy_mismatch")}
+
+
+@pytest.mark.parametrize("shape", CORPUS_SHAPES, ids=lambda s: s[0])
+def test_partition_of_unity_matches_full_sweep(shape):
+    _, verts, bonds, _ = shape
+    g = build_graph(verts, [(u, v, 1.0) for u, v in bonds], beta=0.5)
+    rev = tuple(range(g.n_bonds - 1, -1, -1))
+    for x in g.labels[1:]:
+        for order in (None, rev):
+            want = partition_of_unity_oracle(g, x, order=order)
+            assert _pou_counts(check_partition_of_unity(g, x, order=order)) == want
+
+
+def test_partition_of_unity_matches_full_sweep_spread_torus():
+    g = embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+    x = g.labels[len(g.labels) // 2]
+    rep = check_partition_of_unity(g, x)
+    assert rep["passed"]
+    assert _pou_counts(rep) == partition_of_unity_oracle(g, x)
 
 
 def test_extraction_gap_nonnegative():
