@@ -15,17 +15,15 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graphs import CouplingGraph, GraphError, SpreadOut, build_graph, load_graph, save_graph
 from .currents import (
-    Layer, conj, conn,
-    correlation, event_measure, four_point, partition_function, pi0,
+    correlation, four_point, partition_function, pi0,
     pi0_tilde, spin_expectation, sst_lhs, sst_switch_rhs,
-    theta_double_prime, theta_prime, two_point_matrix,
+    subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
 )
 from .fields import (
     Field, NonContracting, convolution_bound_check, convolve, delta,
@@ -49,7 +47,6 @@ CSV_COLUMNS = ("suite", "instance", "check", "lhs", "rhs", "margin", "status", "
 class RunConfig:
     rtol: float = 1e-10
     cap: int | None = None
-    threads: int = 1
     seed: int = 7
     out: str = "reports"
     corpus_dir: str | None = None
@@ -63,8 +60,6 @@ class RunConfig:
     def __post_init__(self):
         if self.rtol <= 0:
             raise ValueError("rtol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.cap is not None and self.cap < 1:
             raise ValueError("cap must be positive")
         if self.depicted_side < 4 or self.torus_side < 4:
@@ -262,45 +257,50 @@ def _sampled_layer_pairs(g: CouplingGraph) -> list:
     return pairs
 
 
+def _bound_row(iid: str, check: str, lhs, rhs, note) -> Row:
+    """Worst-margin sst row of the bound lhs <= rhs over broadcast arrays.
+
+    The margin is the smallest rhs - lhs, taken at its first entry in C order,
+    whose index ``note`` turns into the row's note; the row fails if any
+    lhs > rhs * UPWARD.
+    """
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float),
+                                   np.asarray(rhs, dtype=float))
+    gap = rhs - lhs
+    at = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    viol = int(np.count_nonzero(lhs > rhs * UPWARD))
+    return Row("sst", iid, check, 0.0, float(gap[at]), float(gap[at]),
+               "pass" if viol == 0 else "fail", note(*at))
+
+
 def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows = []
     G = two_point_matrix(g, cap=cfg.cap)
-    o = g.labels[0]
-    io = g.index(o)
     labs = g.labels
+    o = labs[0]
+    io = g.index(o)
+    subsets = _bond_subsets(g)
+    S, T = subset_connection_tables(g, o=o, cap=cfg.cap)
 
-    worst, note, viol = math.inf, "", 0
-    for B in _bond_subsets(g):
-        for x in labs:
-            if x == o:
-                continue
-            for y in labs:
-                lhs = sst_lhs(g, x, y, B=B, cap=cfg.cap)
-                rhs = G[io, g.index(y)] * G[g.index(y), g.index(x)]
-                viol += lhs > rhs * UPWARD
-                if rhs - lhs < worst:
-                    worst, note = rhs - lhs, f"B={B} x={x} y={y}"
-    rows.append(Row("sst", iid, "lmm1_all_subsets", 0.0, worst, worst,
-                    "pass" if viol == 0 else "fail", note))
+    xs = [ix for ix in range(g.n_vertices) if ix != io]
+    rhs = G[io] * G[:, xs].T                      # G(o,y) G(y,x), x != o
+    rows.append(_bound_row(iid, "lmm1_all_subsets", S[:, xs], rhs,
+                           lambda m, i, y: f"B={subsets[m]} x={labs[xs[i]]} y={labs[y]}"))
 
-    worst, note, viol = math.inf, "", 0
+    pairs = _sampled_layer_pairs(g)
+    xy = [(x, y) for x in labs if x != o for y in labs]
+    lhs = np.array([[sst_lhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap) for x, y in xy]
+                    for B, Bp in pairs])
+    pair_note = lambda k, j: "B={} B'={} x={} y={}".format(*pairs[k], *xy[j])
+    nested = [k for k, (B, Bp) in enumerate(pairs) if set(B) <= set(Bp)]
+    rows.append(_bound_row(iid, "two_layer_bound", lhs[nested], rhs.ravel(),
+                           lambda k, j: pair_note(nested[k], j)))
     worst_sw = 0.0
-    for B, Bp in _sampled_layer_pairs(g):
-        nested = set(B) <= set(Bp)
-        for x in labs:
-            if x == o:
-                continue
-            for y in labs:
-                lhs = sst_lhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap)
-                rhs = G[io, g.index(y)] * G[g.index(y), g.index(x)]
-                if nested:
-                    viol += lhs > rhs * UPWARD
-                    if rhs - lhs < worst:
-                        worst, note = rhs - lhs, f"B={B} B'={Bp} x={x} y={y}"
-                    sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap)
-                    worst_sw = max(worst_sw, _rel(lhs, sw))
-    rows.append(Row("sst", iid, "two_layer_bound", 0.0, worst, worst,
-                    "pass" if viol == 0 else "fail", note))
+    for k in nested:
+        B, Bp = pairs[k]
+        for j, (x, y) in enumerate(xy):
+            sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap)
+            worst_sw = max(worst_sw, _rel(float(lhs[k, j]), sw))
     rows.append(Row("sst", iid, "switch_identity", worst_sw, 0.0, worst_sw,
                     "pass" if worst_sw <= cfg.rtol else "fail",
                     "max rel err over sampled nested layer pairs"))
@@ -310,50 +310,25 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     spec_rad = float(np.max(np.abs(np.linalg.eigvals(B2))))
     if spec_rad < 1.0:
         C = np.linalg.solve(np.eye(g.n_vertices) - B2, np.eye(g.n_vertices))
-        worst, note, viol = math.inf, "", 0
-        for B, Bp in _sampled_layer_pairs(g):
-            for x in labs:
-                if x == o:
-                    continue
-                for y in labs:
-                    lhs = sst_lhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap)
-                    iy, ix = g.index(y), g.index(x)
-                    rhs = float((G[io] * G[:, ix] * C[:, iy]).sum())
-                    viol += lhs > rhs * UPWARD
-                    if rhs - lhs < worst:
-                        worst, note = rhs - lhs, f"B={B} B'={Bp} x={x} y={y}"
-        rows.append(Row("sst", iid, "bubble_chain_bound", 0.0, worst, worst,
-                        "pass" if viol == 0 else "fail", note))
+        rhs = [float((G[io] * G[:, g.index(x)] * C[:, g.index(y)]).sum()) for x, y in xy]
+        rows.append(_bound_row(iid, "bubble_chain_bound", lhs, rhs, pair_note))
     else:
         rows.append(Row("sst", iid, "bubble_chain_bound", 0.0, math.inf,
                         math.inf, "trivial",
                         f"bubble matrix spectral radius {spec_rad:.3g} >= 1"))
 
-    T3 = triangle_tensor(G)
-    worst, note, viol = math.inf, "", 0
-    for B in _bond_subsets(g):
-        for x in labs:
-            for y in labs:
-                ev = conj(conn(o, x, bonds=B), conn(o, y, bonds=B))
-                lhs = event_measure(g, (Layer(bonds=B, sources=()),), ev, cap=cfg.cap)
-                rhs = float(T3[io, g.index(x), g.index(y)])
-                viol += lhs > rhs * UPWARD
-                if rhs - lhs < worst:
-                    worst, note = rhs - lhs, f"B={B} x={x} y={y}"
-    rows.append(Row("sst", iid, "lmm2_all_subsets", 0.0, worst, worst,
-                    "pass" if viol == 0 else "fail", note))
+    rows.append(_bound_row(iid, "lmm2_all_subsets", T, triangle_tensor(G)[io],
+                           lambda m, x, y: f"B={subsets[m]} x={labs[x]} y={labs[y]}"))
 
-    worst, note, viol = math.inf, "", 0
-    for quad in itertools.combinations(labs, 4):
-        w, x, y, z = (g.index(q) for q in quad)
-        lhs = four_point(g, *quad, cap=cfg.cap)
-        rhs = G[w, x] * G[y, z] + G[w, y] * G[x, z] + G[w, z] * G[x, y]
-        viol += lhs > rhs * UPWARD
-        if rhs - lhs < worst:
-            worst, note = rhs - lhs, f"quad={quad}"
-    if math.isfinite(worst):
-        rows.append(Row("sst", iid, "lebowitz_four_point", 0.0, worst, worst,
-                        "pass" if viol == 0 else "fail", note))
+    quads = list(itertools.combinations(labs, 4))
+    if quads:
+        lhs = [four_point(g, *quad, cap=cfg.cap) for quad in quads]
+        rhs = []
+        for quad in quads:
+            w, x, y, z = (g.index(q) for q in quad)
+            rhs.append(G[w, x] * G[y, z] + G[w, y] * G[x, z] + G[w, z] * G[x, y])
+        rows.append(_bound_row(iid, "lebowitz_four_point", lhs, rhs,
+                               lambda k: f"quad={quads[k]}"))
 
     gap = min(extraction_gap(g.beta * g.couplings[b]) for b in range(g.n_bonds))
     rows.append(Row("sst", iid, "tanh_extraction_gap", 0.0, gap, gap,
@@ -694,12 +669,7 @@ def _decay_rows(cfg: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 
 def _run_over_instances(fn, instances, cfg: RunConfig) -> list:
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            chunks = list(ex.map(lambda it: fn(it[0], it[1], cfg), instances))
-    else:
-        chunks = [fn(iid, g, cfg) for iid, g in instances]
-    return [row for chunk in chunks for row in chunk]
+    return [row for iid, g in instances for row in fn(iid, g, cfg)]
 
 
 def run_suite(suite: str, cfg: RunConfig) -> list:
@@ -760,7 +730,6 @@ def main(argv=None) -> int:
     ap_run.add_argument("--config", default=None)
     ap_run.add_argument("--out", default=None)
     ap_run.add_argument("--cap", type=int, default=None)
-    ap_run.add_argument("--threads", type=int, default=None)
     args = ap.parse_args(argv)
 
     if args.command == "corpus":
@@ -775,8 +744,6 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if args.cap is not None:
             overrides["cap"] = args.cap
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if overrides:
             cfg = replace(cfg, **overrides)
     except (ValueError, OSError) as exc:

@@ -14,6 +14,13 @@ an event becomes a boolean indicator vector made of table gathers. The layers
 of a measure superpose into one weight per mask through the covering (union)
 product in its subtraction-free 3**n_bonds form, and the measure is the sum of
 those weights over the indicator.
+
+A layer on a bond subset B is the full positive table restricted to the masks
+inside B: bonds outside B sit in the zero class, with weight 1 and no source.
+So one sweep over all bonds gives every subset's one-layer measure, as subset
+sums (a zeta transform over the bond masks, nonnegative terms only) of the
+full table times an indicator, divided by Z_B, the subset sum of the
+sourceless column.
 """
 from __future__ import annotations
 
@@ -463,6 +470,36 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
     B_prime = _bonds_arg(g, B_prime)
     ev = conn(o, y, bonds=B)
     return event_measure(g, [Layer(B_prime, (o, y)), Layer(B, (y, x))], ev, cap=cap)
+
+
+def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -> tuple:
+    """Every bond subset's one-layer connection measures from one sweep.
+
+    Returns (S, T), each of shape (2**n_bonds, n, n) over subset masks B and
+    vertex indices x, y: S[B, x, y] = sst_lhs(g, x, y, B=B), and T[B, x, y] is
+    the sourceless measure on B of {o <-> x and o <-> y}. Subset sums of the
+    full positive table times the connection indicators give the unnormalised
+    measures; T[B, o, o] is then Z_B, the divisor of every entry.
+    """
+    o = _origin_label(g, o)
+    nb, n = g.n_bonds, g.n_vertices
+    _check_cap(nb, cap, SINGLE_LAYER_CAP)
+    # both (2**nb, n, n) float tables plus one (2**nb, n) column gather at a time
+    if (8 << nb) * n * (2 * n + 1) > _MEM_LIMIT:
+        raise CapExceeded(f"subset tables for {nb} bonds on {n} vertices too large")
+    io = g.index(o)
+    P = _positive_table(g, tuple(range(nb)))
+    comp = _component_table(g)
+    linked = comp == comp[:, io:io + 1]          # o <-> y under each mask
+    F = np.empty((2, 1 << nb, n, n))
+    np.multiply(P[:, (1 << io) ^ (1 << np.arange(n))][:, :, None], linked[:, None, :],
+                out=F[0])
+    np.multiply((P[:, :1] * linked)[:, :, None], linked[:, None, :], out=F[1])
+    for k in range(nb):                          # zeta transform: F[B] = sum over m <= B
+        blk = F.reshape(2, -1, 2, 1 << k, n * n)
+        blk[:, :, 1] += blk[:, :, 0]
+    F /= F[1, :, io, io].copy()[:, None, None]
+    return F[0], F[1]
 
 
 def pi1_upper(g: CouplingGraph, x, o=None, cap: int | None = None) -> float:

@@ -5,11 +5,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from currentkit.cli import (
     CORPUS_SHAPES, Row, RunConfig, UPWARD,
-    _ineq_row, corpus_by_graph, default_corpus, emit_corpus, load_corpus, main,
+    _bound_row, _ineq_row, corpus_by_graph, default_corpus, emit_corpus, load_corpus, main,
 )
 
 
@@ -53,8 +54,8 @@ def test_load_corpus_rejects_empty_dir(tmp_path):
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
+    with pytest.raises(TypeError):           # the threads option is gone
+        RunConfig(threads=2)
     with pytest.raises(ValueError):
         RunConfig(cap=0)
     with pytest.raises(ValueError):
@@ -83,6 +84,48 @@ def test_ineq_row_boundaries():
     assert _ineq_row("s", "i", "c", 1.0 + 2.0 ** -47, 1.0).status == "pass"
     assert _ineq_row("s", "i", "c", 1.0 + 2.0 ** -40, 1.0).status == "fail"
     assert UPWARD - 1.0 == 2.0 ** -46
+
+
+def _loop_bound(lhs, rhs, notes):
+    """The per-entry sweep the suites ran before _bound_row: strict < keeps
+    the first minimum of rhs - lhs, and lhs > rhs * UPWARD is a violation."""
+    worst, note, viol = math.inf, "", 0
+    for a, b, nt in zip(lhs, rhs, notes):
+        viol += a > b * UPWARD
+        if b - a < worst:
+            worst, note = b - a, nt
+    return worst, note, viol
+
+
+def test_bound_row_matches_entry_loop():
+    rng = np.random.default_rng(5)
+    cases = [
+        ([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]),             # ties at 0: first wins
+        ([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]),           # signed zeros tie too
+        ([1.0 + 2.0 ** -47, 1.0], [1.0, 1.0]),          # inside the allowance
+        ([1.0 + 2.0 ** -40, 0.5, 3.0], [1.0, 1.0, 2.0]),
+        (rng.uniform(size=50).tolist(), rng.uniform(size=50).tolist()),
+    ]
+    for lhs, rhs in cases:
+        notes = [f"k={k}" for k in range(len(lhs))]
+        worst, note, viol = _loop_bound(lhs, rhs, notes)
+        row = _bound_row("i", "c", lhs, rhs, lambda k: notes[k])
+        assert (row.rhs, row.margin, row.note) == (worst, worst, note)
+        assert math.copysign(1.0, row.margin) == math.copysign(1.0, worst)
+        assert row.status == ("pass" if viol == 0 else "fail")
+    # broadcast rhs over a leading axis, note gets the full index
+    lhs = np.array([[0.5, 0.25], [0.75, 0.25]])
+    row = _bound_row("i", "c", lhs, [1.0, 0.5], lambda m, j: (m, j))
+    assert (row.margin, row.note, row.status) == (0.25, (0, 1), "pass")
+
+
+def test_threads_option_removed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert main(["run", "identities", "--config", str(cfg)]) == 2
+    assert "threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "identities", "--threads", "2"])
 
 
 def test_main_corpus_command(tmp_path, capsys):

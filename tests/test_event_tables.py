@@ -4,7 +4,9 @@ The library evaluates an event as one indicator vector over all global
 positive masks and superposes layers with the covering product. The oracles
 here take the direct routes instead: a union-find per positive mask for the
 events, and the outer product of the layers' nonzero weights accumulated with
-``np.add.at`` for the superposition.
+``np.add.at`` for the superposition. The all-subsets tables, read from one
+sweep over all bonds, are checked against one ``event_measure`` call per
+bond subset, each on its own sweep of that subset.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ import pytest
 from currentkit import (
     CapExceeded, Layer, SpreadOut,
     build_graph, conj, conn, double_conn, embed_on_torus, event_measure,
-    partition_function, through,
+    partition_function, sst_lhs, through,
 )
 from currentkit import currents
-from currentkit.cli import CORPUS_SHAPES
+from currentkit.cli import CORPUS_SHAPES, RunConfig, _sampled_layer_pairs, _sst_instance
 
 
 def corpus_graphs(seed=7):
@@ -210,6 +212,81 @@ def test_event_measure_matches_per_mask_route():
         dense = outer_superposition(g, layers)
         want = sum(w for m, w in enumerate(dense.tolist()) if w and oracle_holds(g, ev, m))
         assert event_measure(g, layers, ev, cap=16) == pytest.approx(want, rel=1e-12)
+
+
+# -- all-subsets connection tables against per-subset calls ----------------
+
+@pytest.mark.parametrize("g", corpus_graphs(),
+                         ids=lambda g: f"n{g.n_vertices}b{g.n_bonds}@{g.beta:g}")
+def test_subset_tables_match_per_subset_measures(g):
+    labs = g.labels
+    o = labs[0]
+    S, T = currents.subset_connection_tables(g)
+    assert S.shape == T.shape == (1 << g.n_bonds, g.n_vertices, g.n_vertices)
+    for m in range(1 << g.n_bonds):
+        B = tuple(b for b in range(g.n_bonds) if m >> b & 1)
+        for ix, x in enumerate(labs):
+            for iy, y in enumerate(labs):
+                ev = conj(conn(o, x, bonds=B), conn(o, y, bonds=B))
+                want_s = sst_lhs(g, x, y, B=B)
+                want_t = event_measure(g, (Layer(bonds=B, sources=()),), ev)
+                assert S[m, ix, iy] == pytest.approx(want_s, rel=1e-12, abs=0.0)
+                assert T[m, ix, iy] == pytest.approx(want_t, rel=1e-12, abs=0.0)
+
+
+def test_subset_tables_other_origin():
+    g = corpus_graphs()[-1]
+    o = g.labels[2]
+    S, T = currents.subset_connection_tables(g, o=o)
+    m = 0b10110
+    B = tuple(b for b in range(g.n_bonds) if m >> b & 1)
+    for ix, x in enumerate(g.labels):
+        for iy, y in enumerate(g.labels):
+            assert S[m, ix, iy] == pytest.approx(sst_lhs(g, x, y, B=B, o=o), rel=1e-12)
+    assert np.all(T[:, 2, 2] == 1.0)
+
+
+def test_subset_tables_refused_before_allocation(monkeypatch):
+    g = corpus_graphs()[-1]
+    nb, n = g.n_bonds, g.n_vertices
+    work = (8 << nb) * n * (2 * n + 1)
+    currents.clear_caches()
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
+    with pytest.raises(CapExceeded):
+        currents.subset_connection_tables(g)
+    assert currents._positive_table.cache_info().currsize == 0
+    assert currents._component_table.cache_info().currsize == 0
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work)
+    assert currents.subset_connection_tables(g)[0].shape[0] == 1 << nb
+    monkeypatch.undo()
+    currents.clear_caches()
+    with pytest.raises(CapExceeded):
+        currents.subset_connection_tables(g, cap=nb - 1)
+    assert currents._positive_table.cache_info().currsize == 0
+    assert currents.subset_connection_tables(g, cap=nb)[1].shape[0] == 1 << nb
+
+
+def test_sst_suite_sweeps_each_bond_set_once(monkeypatch):
+    """The all-subsets checks read one positive table over all bonds; the
+    other positive sweeps of an instance are the sampled layer pairs' own."""
+    sweeps = []
+    real = currents._sweep
+
+    def counted(g, bonds, with_positive):
+        if with_positive:
+            sweeps.append(bonds)
+        return real(g, bonds, with_positive)
+
+    monkeypatch.setattr(currents, "_sweep", counted)
+    for k, g in enumerate(corpus_graphs()):
+        currents.clear_caches()
+        sweeps.clear()
+        _sst_instance(f"g{k}", g, RunConfig())
+        full = tuple(range(g.n_bonds))
+        sampled = {b for pair in _sampled_layer_pairs(g) for b in pair}
+        assert sweeps.count(full) == 1
+        assert len(sweeps) == len(set(sweeps)) == len(sampled | {full})
+    currents.clear_caches()
 
 
 # -- memory refusals and caches ---------------------------------------------
