@@ -11,14 +11,14 @@ from .currents import (
     CapExceeded, Event, Layer,
     conj, conn, correlation, double_conn, event_holds, event_measure,
     four_point, partition_function,
-    pi0, pi0_tilde, pi1_upper, spin_expectation, sst_lhs, sst_switch_rhs,
+    pi0, pi0_tilde, spin_expectation, sst_lhs, sst_switch_rhs,
     theta_double_prime, theta_prime, through, two_point_matrix,
 )
 from .fields import (
     Field, NonContracting,
-    bubble_chain, convolve, convolution_bound_check, delta, depicted_ratios,
+    convolve, convolution_bound_check, delta, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap, key_lemma_gap_matrix,
-    psi1_report, rw_green_proxy, step_distribution, tilde_g, triangle_T,
+    psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
 from .laces import (
@@ -41,7 +41,7 @@ __all__ = [
     "CapExceeded", "CouplingGraph", "DiagramEngine", "Event", "ExploredPath",
     "Field", "GraphError", "GraphFields", "Layer", "NonContracting",
     "SpreadOut", "TheoremEvaluator", "__version__",
-    "bubble_chain", "build_graph", "build_lace", "check_partition_of_unity",
+    "build_graph", "build_lace", "check_partition_of_unity",
     "conj", "conn", "convolution_bound_check", "convolve", "correlation",
     "decay_trend", "delta", "depicted_ratios", "double_conn",
     "earliest_odd_path", "embed_on_torus", "enumerate_explorations",
@@ -49,13 +49,13 @@ __all__ = [
     "four_point", "graph_from_dict", "graph_to_dict",
     "hyp1_report", "hyp2_report", "hyp3_report",
     "is_valid_lace", "key_lemma_gap", "key_lemma_gap_matrix", "load_graph",
-    "partition_function", "pi0", "pi0_tilde", "pi1_upper", "placements_ddotx",
+    "partition_function", "pi0", "pi0_tilde", "placements_ddotx",
     "placements_dddotx", "placements_dotx", "placements_x", "psi1_report",
     "reduced_ddotu_apply", "reduced_ddotv_value", "reduced_dddotu_apply",
     "reduced_dddotv_value", "reduced_t3_prefix", "reduced_t3_terminal",
     "rw_green_proxy", "save_graph", "spin_expectation",
     "spread_out_coupling", "sst_lhs", "sst_switch_rhs", "step_distribution",
-    "theta_double_prime", "theta_prime", "through", "tilde_g", "triangle_T",
+    "theta_double_prime", "theta_prime", "through", "tilde_g",
     "triangle_tensor", "two_point_matrix", "verify_pi0_decomposition",
     "weighted_norm", "wrap_mass",
 ]

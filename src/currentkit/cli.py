@@ -38,8 +38,6 @@ from .diagrams import (
     reduced_dddotv_value, reduced_t3_prefix, reduced_t3_terminal,
 )
 
-SUITES = ("identities", "sst", "lace", "theorems", "reductions", "decay")
-
 CSV_COLUMNS = ("suite", "instance", "check", "lhs", "rhs", "margin", "status", "note")
 
 
@@ -672,22 +670,22 @@ def _run_over_instances(fn, instances, cfg: RunConfig) -> list:
     return [row for iid, g in instances for row in fn(iid, g, cfg)]
 
 
+# suite name -> runner, in the order ``run all`` takes them
+SUITES = {
+    "identities": lambda cfg: _run_over_instances(_identities_instance, load_corpus(cfg), cfg),
+    "sst": lambda cfg: _run_over_instances(_sst_instance, load_corpus(cfg), cfg),
+    "lace": lambda cfg: _run_over_instances(_lace_instance, corpus_by_graph(), cfg),
+    "theorems": lambda cfg: _run_over_instances(_theorems_instance, load_corpus(cfg), cfg),
+    "reductions": lambda cfg: (_run_over_instances(_reductions_graph_rows, corpus_by_graph(), cfg)
+                               + _reductions_torus_rows(cfg)),
+    "decay": _decay_rows,
+}
+
+
 def run_suite(suite: str, cfg: RunConfig) -> list:
-    if suite == "identities":
-        return _run_over_instances(_identities_instance, load_corpus(cfg), cfg)
-    if suite == "sst":
-        return _run_over_instances(_sst_instance, load_corpus(cfg), cfg)
-    if suite == "lace":
-        return _run_over_instances(_lace_instance, corpus_by_graph(), cfg)
-    if suite == "theorems":
-        return _run_over_instances(_theorems_instance, load_corpus(cfg), cfg)
-    if suite == "reductions":
-        rows = _run_over_instances(_reductions_graph_rows, corpus_by_graph(), cfg)
-        rows.extend(_reductions_torus_rows(cfg))
-        return rows
-    if suite == "decay":
-        return _decay_rows(cfg)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](cfg)
 
 
 def write_report(rows: list, out_dir: str, runtimes: dict) -> tuple:
@@ -726,7 +724,7 @@ def main(argv=None) -> int:
     ap_corpus = sub.add_parser("corpus", help="write the built-in corpus")
     ap_corpus.add_argument("--out", default="reports")
     ap_run = sub.add_parser("run", help="run one suite or all")
-    ap_run.add_argument("suite", choices=SUITES + ("all",))
+    ap_run.add_argument("suite", choices=[*SUITES, "all"])
     ap_run.add_argument("--config", default=None)
     ap_run.add_argument("--out", default=None)
     ap_run.add_argument("--cap", type=int, default=None)
@@ -750,7 +748,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    suites = SUITES if args.suite == "all" else (args.suite,)
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     rows, runtimes = [], {}
     for suite in suites:
         t0 = time.time()

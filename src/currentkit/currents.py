@@ -2,11 +2,21 @@
 
 A current configuration on a bond set is summarised by one of three parity
 classes per bond: zero, positive even, or odd. The class weights at inverse
-temperature beta are 1, cosh(beta*J) - 1 and sinh(beta*J); summing a product of
-class weights over all assignments with a prescribed source set reproduces the
-partition function and correlation ratios exactly. Events (connectivity,
-double connectivity, through-sets) depend on a configuration only through its
-positive-bond mask, so sweeps aggregate weight by (positive mask, source mask).
+temperature beta are 1, cosh(beta*J) - 1 and sinh(beta*J), the even one
+evaluated as 2 sinh(beta*J/2)**2 so that it keeps full relative precision at
+small beta*J; summing a product of class weights over all assignments with a
+prescribed source set reproduces the partition function and correlation
+ratios exactly. Events (connectivity, double connectivity, through-sets)
+depend on a configuration only through its positive-bond mask, so sweeps
+aggregate weight by (positive mask, source mask).
+
+A sweep is a recursion over the bonds, with only nonnegative terms. A bond
+with endpoints i, j keeps a source mask s in the zero and even classes and
+sends it to s ^ (1<<i | 1<<j) in the odd class, so each bond updates the
+source table T as T[s] -> T[s] cosh + T[s ^ flip] sinh, in O(2**n). The
+positive table doubles instead: the rows of masks with top bit k are the
+rows below 2**k times the even weight plus their flipped columns times the
+odd weight, O(2**(n_bonds + n)) in all.
 
 Event measures are tables over all 2**n_bonds global positive masks. A
 per-graph component table labels every vertex's cluster under every mask, so
@@ -37,9 +47,7 @@ ZERO, EVEN, ODD = 0, 1, 2
 
 SINGLE_LAYER_CAP = 16
 MULTI_LAYER_CAP = 12
-PI1_CAP = 10
 
-_CHUNK = 1 << 18
 _MEM_LIMIT = 1 << 30
 
 
@@ -48,16 +56,13 @@ class CapExceeded(ValueError):
 
 
 def class_weights(g: CouplingGraph, b: int) -> tuple:
-    """(zero, positive-even, odd) weights for bond ``b``."""
+    """(zero, positive-even, odd) weights for bond ``b``.
+
+    The even weight cosh(a) - 1 is evaluated as 2 sinh(a/2)**2, which keeps
+    full relative precision at small a instead of cancelling against 1.
+    """
     a = g.beta * g.couplings[b]
-    return (1.0, math.cosh(a) - 1.0, math.sinh(a))
-
-
-def class_weight_product(g: CouplingGraph, bonds: Sequence[int], classes: Sequence[int]) -> float:
-    w = 1.0
-    for b, c in zip(bonds, classes):
-        w *= class_weights(g, b)[c]
-    return w
+    return (1.0, 2.0 * math.sinh(0.5 * a) ** 2, math.sinh(a))
 
 
 def _bonds_arg(g: CouplingGraph, restriction) -> tuple:
@@ -77,47 +82,36 @@ def _source_mask(g: CouplingGraph, vertices: Iterable) -> int:
     return m
 
 
-def _vertex_masks(g: CouplingGraph, bonds: Sequence[int]) -> np.ndarray:
-    vm = np.zeros(len(bonds), dtype=np.int64)
-    for k, b in enumerate(bonds):
-        i, j = g.bonds[b]
-        vm[k] = (1 << i) | (1 << j)
-    return vm
-
-
 def _sweep(g: CouplingGraph, bonds: tuple, with_positive: bool) -> np.ndarray:
     """Aggregate class-weight products by (positive mask, source mask).
 
     Returns shape (2**len(bonds), 2**n) when ``with_positive`` else (2**n,).
     Positive-mask bit k refers to position k within ``bonds``.
+
+    Built bond by bond as the module docstring says. The positive table's
+    rows with top bit k are written in place, block by block, as in
+    ``_component_table``, so its peak is the table plus one half-size product.
     """
     nb = len(bonds)
     n = g.n_vertices
     if with_positive and (1 << (nb + n)) * 8 > _MEM_LIMIT:
         raise CapExceeded(f"positive table for {nb} bonds on {n} vertices too large")
-    wt = np.array([class_weights(g, b) for b in bonds], dtype=float)
-    vm = _vertex_masks(g, bonds)
-    total = 3 ** nb
-    out_n = (1 << (nb + n)) if with_positive else (1 << n)
-    acc = np.zeros(out_n, dtype=float)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        w = np.ones(hi - lo, dtype=float)
-        pm = np.zeros(hi - lo, dtype=np.int64)
-        sm = np.zeros(hi - lo, dtype=np.int64)
-        for k in range(nb):
-            dig = rem % 3
-            rem //= 3
-            w *= wt[k, dig]
-            if with_positive:
-                pm |= (dig >= 1).astype(np.int64) << k
-            sm ^= np.where(dig == ODD, vm[k], 0)
-        key = (pm << n) | sm if with_positive else sm
-        acc += np.bincount(key, weights=w, minlength=out_n)
-    if with_positive:
-        return acc.reshape(1 << nb, 1 << n)
-    return acc
+    sources = np.arange(1 << n)
+    T = np.zeros((1 << nb, 1 << n) if with_positive else 1 << n)
+    T.flat[0] = 1.0
+    for k, b in enumerate(bonds):
+        i, j = g.bonds[b]
+        flipped = sources ^ ((1 << i) | (1 << j))
+        zero, even, odd = class_weights(g, b)
+        if with_positive:
+            blk, top = T[:1 << k], T[1 << k:2 << k]
+            # indices are in range; "clip" only spares take a buffered copy
+            np.take(blk, flipped, axis=1, out=top, mode="clip")
+            top *= odd
+            top += blk * even
+        else:
+            T = T * (zero + even) + T[flipped] * odd
+    return T
 
 
 @lru_cache(maxsize=64)
@@ -500,45 +494,6 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
         blk[:, :, 1] += blk[:, :, 0]
     F /= F[1, :, io, io].copy()[:, None, None]
     return F[0], F[1]
-
-
-def pi1_upper(g: CouplingGraph, x, o=None, cap: int | None = None) -> float:
-    """First-order upper envelope: sourced double-connection weight to a pivot
-    u, one explicit tanh step u -> v, a two-point factor v -> y, and the
-    through-set measure re-rooted at y with A the positive cluster of the
-    origin after deleting the stepped bond."""
-    o = _origin_label(g, o)
-    bonds = _bonds_arg(g, None)
-    _check_cap(len(bonds), cap, PI1_CAP)
-    io = g.index(o)
-    W = _positive_table(g, bonds)
-    Z = W[:, 0].sum()
-    G = two_point_matrix(g)
-    gm = _global_mask_map(bonds)
-    comp = _component_table(g)
-    theta_cache: dict = {}
-    total = 0.0
-    for iu in range(g.n_vertices):
-        wv = np.asarray(W[:, (1 << io) ^ (1 << iu)]) / Z
-        dbl = _indicator(g, double_conn(o, g.labels[iu]))
-        for pm_local in np.flatnonzero(wv):
-            mk = int(gm[pm_local])
-            if not dbl[mk]:
-                continue
-            w = float(wv[pm_local])
-            for b in g.incident(iu):
-                iv = g.other_end(b, iu)
-                c = comp[mk & ~(1 << b)]
-                A = frozenset(g.labels[k] for k in range(g.n_vertices) if c[k] == c[io])
-                inner = 0.0
-                for iy in range(g.n_vertices):
-                    key = (iy, A)
-                    if key not in theta_cache:
-                        theta_cache[key] = theta_prime(g, x, A, o=g.labels[iy],
-                                                       cap=MULTI_LAYER_CAP)
-                    inner += G[iv, iy] * theta_cache[key]
-                total += w * g.tau(b) * inner
-    return total
 
 
 def clear_caches() -> None:

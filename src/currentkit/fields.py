@@ -1,9 +1,9 @@
 """Torus field calculus.
 
 Periodic scalar fields on (Z/side)^d with circular convolution, weighted-norm
-grids, the random-walk proxy pair, geometric chain sums with certified tails,
-the triangle kernel, and the diagnostic reports (convolution bound, decay
-hypotheses, pointwise reduction ratios) used by the reductions suite.
+grids, the random-walk proxy pair, the triangle kernel, and the diagnostic
+reports (convolution bound, decay hypotheses, pointwise reduction ratios)
+used by the reductions suite.
 
 Convolution goes through the half spectrum (``_hat``/``_inv``, rfftn and
 irfftn over every axis). The reports transform each operand once per call
@@ -122,15 +122,6 @@ def convolve(f: Field, g: Field, method: str = "fft") -> Field:
     raise GraphError(f"unknown convolution method {method!r}")
 
 
-def conv_power(f: Field, j: int, method: str = "fft") -> Field:
-    if j < 0:
-        raise GraphError("negative convolution power")
-    out = delta(f.d, f.side)
-    for _ in range(j):
-        out = convolve(out, f, method=method)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weighted norms
 # ---------------------------------------------------------------------------
@@ -200,57 +191,9 @@ def tilde_g(G: Field, tau: Field, method: str = "fft") -> Field:
     return out
 
 
-def bubble_chain(Gt: Field, m: int | None, j_start: int = 0, atol: float = 1e-12) -> Field:
-    """Sum of convolution powers of the pointwise square of Gt.
-
-    With m an integer this is sum_{j=j_start}^{m} (Gt^2)^{*j}. With m = None
-    the infinite sum is certified: for nonnegative summands the l1 mass of each
-    increment contracts by exactly q = l1(Gt^2) per step, so the series is
-    truncated once the increment mass drops below atol * (1 - q) / q and the
-    remaining tail mass (an entrywise upper bound for the missing terms) is
-    added to every entry. Raises NonContracting when q >= 1.
-    """
-    if j_start < 0:
-        raise GraphError("j_start must be >= 0")
-    sq = Gt * Gt
-    cur = conv_power(sq, j_start)
-    out = Field(Gt.d, Gt.side, cur.data.copy())
-    if m is not None:
-        if m < j_start:
-            return zeros(Gt.d, Gt.side)
-        for _ in range(j_start, m):
-            cur = convolve(cur, sq)
-            out = out + cur
-        return out
-    q = sq.l1()
-    if q >= 1.0:
-        raise NonContracting(f"bubble mass {q} >= 1, infinite chain diverges")
-    if q == 0.0:
-        return out
-    while cur.l1() >= atol * (1.0 - q) / q:
-        cur = convolve(cur, sq)
-        out = out + cur
-    tail = cur.l1() * q / (1.0 - q)
-    return Field(Gt.d, Gt.side, out.data + tail)
-
-
 # ---------------------------------------------------------------------------
 # triangle kernel
 # ---------------------------------------------------------------------------
-
-def triangle_T(G: np.ndarray, o: int, x: int, y: int) -> float:
-    """Triangle-with-tail kernel on a finite vertex set.
-
-    T(o, x, y) = sum_z G(o,z) G(z,x) G(y,z) * [ G(o,x) G(y,z)
-                  + G(o,y) G(z,x) + G(o,z) G(x,y) ].
-    With G the identity this collapses to 3 on the full diagonal: only z = o
-    survives and each bracket term contributes 1.
-    """
-    G = np.asarray(G)
-    core = G[o, :] * G[:, x] * G[y, :]
-    bracket = G[o, x] * G[y, :] + G[o, y] * G[:, x] + G[o, :] * G[x, y]
-    return float(np.dot(core, bracket))
-
 
 def triangle_tensor(G: np.ndarray) -> np.ndarray:
     """All triangle values T(a, b, c) as an (n, n, n) tensor."""

@@ -103,9 +103,6 @@ class CouplingGraph:
         """Bond indices meeting vertex index ``v``."""
         return self._incident[v]
 
-    def bond_endpoints(self, b: int) -> tuple:
-        return self.bonds[b]
-
     def other_end(self, b: int, v: int) -> int:
         i, j = self.bonds[b]
         if v == i:
@@ -120,10 +117,6 @@ class CouplingGraph:
 
     def with_beta(self, beta: float) -> "CouplingGraph":
         return CouplingGraph(self.labels, self.bonds, self.couplings, float(beta))
-
-    def origin(self) -> int:
-        """Default origin: index of the smallest label, which is 0 by sortedness."""
-        return 0
 
 
 def build_graph(vertices: Iterable, weighted_bonds: Iterable, beta: float = 1.0) -> CouplingGraph:

@@ -145,32 +145,6 @@ def enumerate_explorations(g: CouplingGraph, x, o=None, order=None) -> list:
     return out
 
 
-def path_layers(g: CouplingGraph, path_bonds: Sequence[int], o=None,
-                order=None) -> ExploredPath:
-    """Explored layers of an arbitrary bond walk, independent of any classes.
-
-    Layer j holds the not-yet-explored bonds at the walk's j-th vertex whose
-    rank does not exceed the walked bond's; the walked bond closes the layer.
-    """
-    o = g.labels[0] if o is None else o
-    rank = _rank_array(g, order)
-    w = g.index(o)
-    explored: set = set()
-    omega = [w]
-    layers = []
-    for pb in path_bonds:
-        if pb in explored or w not in g.bonds[pb]:
-            raise GraphError("not a valid fresh walk bond")
-        layer = [b for b in g.incident(w)
-                 if b not in explored and rank[b] <= rank[pb]]
-        layer.sort(key=lambda b: rank[b])
-        explored.update(layer)
-        w = g.other_end(pb, w)
-        omega.append(w)
-        layers.append(tuple(layer))
-    return ExploredPath(tuple(omega), tuple(path_bonds), tuple(layers))
-
-
 def path_indicator(g: CouplingGraph, path: ExploredPath, odd_mask: int) -> bool:
     """Whether a configuration's odd bonds make ``path`` the earliest odd walk:
     every walked bond odd, every other explored bond not odd."""

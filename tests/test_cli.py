@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from currentkit.cli import (
-    CORPUS_SHAPES, Row, RunConfig, UPWARD,
+    CORPUS_SHAPES, SUITES, Row, RunConfig, UPWARD,
     _bound_row, _ineq_row, corpus_by_graph, default_corpus, emit_corpus, load_corpus, main,
+    run_suite,
 )
 
 
@@ -126,6 +127,16 @@ def test_threads_option_removed(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["run", "identities", "--threads", "2"])
+
+
+def test_suite_registry():
+    assert list(SUITES) == ["identities", "sst", "lace", "theorems", "reductions", "decay"]
+    with pytest.raises(ValueError, match="bogus"):
+        run_suite("bogus", RunConfig())
+    with pytest.raises(ValueError):
+        run_suite("all", RunConfig())
+    with pytest.raises(SystemExit):
+        main(["run", "bogus"])
 
 
 def test_main_corpus_command(tmp_path, capsys):

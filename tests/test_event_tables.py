@@ -1,6 +1,8 @@
-"""Table-driven events and layer superposition against per-mask routes.
+"""Table-driven sweeps, events and layer superposition against direct routes.
 
-The library evaluates an event as one indicator vector over all global
+The library builds its current tables bond by bond; the oracle here
+enumerates all 3**nb class vectors with base-3 digits, with the same class
+weights. The library evaluates an event as one indicator vector over all global
 positive masks and superposes layers with the covering product. The oracles
 here take the direct routes instead: a union-find per positive mask for the
 events, and the outer product of the layers' nonzero weights accumulated with
@@ -9,6 +11,8 @@ sweep over all bonds, are checked against one ``event_measure`` call per
 bond subset, each on its own sweep of that subset.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from currentkit import (
     partition_function, sst_lhs, through,
 )
 from currentkit import currents
-from currentkit.cli import CORPUS_SHAPES, RunConfig, _sampled_layer_pairs, _sst_instance
+from currentkit.cli import (
+    CORPUS_SHAPES, UPWARD, RunConfig, _sampled_layer_pairs, _sst_instance,
+)
 
 
 def corpus_graphs(seed=7):
@@ -36,6 +42,78 @@ def corpus_graphs(seed=7):
 
 def spread_torus():
     return embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+
+
+# -- parity sweep against the base-3 enumeration ----------------------------
+
+def base3_sweep(g, bonds, with_positive):
+    """Class vector number c has class (c // 3**k) % 3 on bonds[k]; its
+    weight is binned by (positive mask, source mask)."""
+    nb, n = len(bonds), g.n_vertices
+    wt = np.array([currents.class_weights(g, b) for b in bonds])
+    rem = np.arange(3 ** nb)
+    w = np.ones(3 ** nb)
+    pm = np.zeros(3 ** nb, dtype=np.int64)
+    sm = np.zeros(3 ** nb, dtype=np.int64)
+    for k, b in enumerate(bonds):
+        dig = rem % 3
+        rem //= 3
+        w *= wt[k, dig]
+        pm |= (dig != currents.ZERO).astype(np.int64) << k
+        i, j = g.bonds[b]
+        sm ^= np.where(dig == currents.ODD, (1 << i) | (1 << j), 0)
+    if not with_positive:
+        return np.bincount(sm, weights=w, minlength=1 << n)
+    key = (pm << n) | sm
+    return np.bincount(key, weights=w, minlength=1 << (nb + n)).reshape(1 << nb, 1 << n)
+
+
+@pytest.mark.parametrize("g", corpus_graphs() + [spread_torus()],
+                         ids=lambda g: f"n{g.n_vertices}b{g.n_bonds}@{g.beta:g}")
+def test_sweep_matches_base3_enumeration(g):
+    full = tuple(range(g.n_bonds))
+    for bonds in (full, full[1::2]):
+        for with_positive in (False, True):
+            np.testing.assert_allclose(currents._sweep(g, bonds, with_positive),
+                                       base3_sweep(g, bonds, with_positive),
+                                       rtol=1e-12, atol=0.0)
+
+
+def test_positive_sweep_refused_before_allocation(monkeypatch):
+    g = spread_torus()
+    full = tuple(range(g.n_bonds))
+    table = (1 << (g.n_bonds + g.n_vertices)) * 8
+    monkeypatch.setattr(currents, "_MEM_LIMIT", table - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            currents._sweep(g, full, with_positive=True)
+        assert tracemalloc.get_traced_memory()[1] < table // 16
+        monkeypatch.setattr(currents, "_MEM_LIMIT", table)
+        tracemalloc.reset_peak()
+        assert currents._sweep(g, full, with_positive=True).nbytes == table
+        # the table plus one half-size product at the last bond
+        assert tracemalloc.get_traced_memory()[1] < 1.55 * table
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_tight_two_layer_bound_within_upward(seed):
+    """At B = B' = all bonds the two-layer sst lhs equals G(o,y) G(y,x)
+    exactly, so the sst suite's tight rows hold only if both routes agree to
+    within the suite's upward allowance. Couplings are drawn as the benchmark
+    corpus draws them for its seeds."""
+    for g in corpus_graphs(seed):
+        if g.beta != 0.1:
+            continue
+        full = tuple(range(g.n_bonds))
+        G = currents.two_point_matrix(g)      # origin o = labels[0], index 0
+        for ix, x in enumerate(g.labels[1:], start=1):
+            for iy, y in enumerate(g.labels):
+                lhs = sst_lhs(g, x, y, B=full, B_prime=full)
+                assert lhs <= G[0, iy] * G[iy, ix] * UPWARD, (g.n_vertices, x, y)
+    currents.clear_caches()
 
 
 # -- per-mask event oracle --------------------------------------------------

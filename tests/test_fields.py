@@ -1,4 +1,4 @@
-"""Torus field calculus: convolution, proxy pair, chains, kernels, reports.
+"""Torus field calculus: convolution, proxy pair, kernels, reports.
 
 The reports transform each operand once and contract four-point sums as dot
 products of pair products. The oracles at the end of this file take the
@@ -16,14 +16,14 @@ import pytest
 
 from currentkit import (
     Field, GraphError, NonContracting, SpreadOut,
-    bubble_chain, convolution_bound_check, convolve, delta, depicted_ratios,
+    convolution_bound_check, convolve, delta, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap, key_lemma_gap_matrix,
-    psi1_report, rw_green_proxy, step_distribution, tilde_g, triangle_T,
+    psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _probe_pairs, centered_norm_grid, conv_power, from_offsets,
+    _probe_pairs, centered_norm_grid, from_offsets,
     triangle_T_field, zeros,
 )
 
@@ -72,18 +72,6 @@ def test_reversed_and_shifted():
     assert f.reversed().value((2, 1)) == pytest.approx(f.value((-2, -1)))
     s = f.shifted((1, 3))
     assert s.value((2, 4)) == pytest.approx(f.value((1, 1)))
-
-
-def test_conv_power():
-    f = from_offsets(1, 8, {(1,): 0.5, (-1,): 0.5})
-    p0 = conv_power(f, 0)
-    assert np.allclose(p0.data, delta(1, 8).data)
-    p2 = conv_power(f, 2)
-    # two symmetric steps: back at 0 with mass 1/2, at +-2 with 1/4
-    assert p2.value((0,)) == pytest.approx(0.5)
-    assert p2.value((2,)) == pytest.approx(0.25)
-    with pytest.raises(GraphError):
-        conv_power(f, -1)
 
 
 def test_weighted_norm_floor():
@@ -136,31 +124,14 @@ def test_tilde_g_rejects_significant_negative():
         tilde_g(G, tau)
 
 
-def test_bubble_chain_finite_orders():
-    Gt = from_offsets(1, 9, {(1,): 0.4, (-1,): 0.4})
-    sq = Gt * Gt
-    want = delta(1, 9) + sq + convolve(sq, sq)
-    got = bubble_chain(Gt, 2)
-    assert np.allclose(got.data, want.data, atol=1e-13)
-    tail = bubble_chain(Gt, 2, j_start=1)
-    assert np.allclose(tail.data, (sq + convolve(sq, sq)).data, atol=1e-13)
-    empty = bubble_chain(Gt, 0, j_start=1)
-    assert empty.l1() == 0.0
-
-
-def test_bubble_chain_certified_upper():
-    Gt = from_offsets(1, 9, {(1,): 0.4, (-1,): 0.4})
-    inf_sum = bubble_chain(Gt, None, atol=1e-13)
-    long_sum = bubble_chain(Gt, 60)
-    # certified infinite chain dominates any truncation, entrywise
-    assert np.all(inf_sum.data >= long_sum.data - 1e-15)
-    assert np.max(inf_sum.data - long_sum.data) <= 1e-9
-
-
-def test_bubble_chain_divergence_refused():
-    Gt = from_offsets(1, 5, {(1,): 1.1})
-    with pytest.raises(NonContracting):
-        bubble_chain(Gt, None)
+def triangle_T(G, o, x, y):
+    """Scalar oracle of the triangle kernel on a finite vertex set:
+    sum_z G(o,z) G(z,x) G(y,z) [G(o,x) G(y,z) + G(o,y) G(z,x) + G(o,z) G(x,y)].
+    With G the identity only z = o survives, and each bracket term gives 1
+    on the full diagonal."""
+    core = G[o, :] * G[:, x] * G[y, :]
+    bracket = G[o, x] * G[y, :] + G[o, y] * G[:, x] + G[o, :] * G[x, y]
+    return float(np.dot(core, bracket))
 
 
 def test_triangle_identity_matrix():

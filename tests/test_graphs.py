@@ -53,7 +53,6 @@ def test_incidence_and_helpers():
     g = triangle()
     assert g.bonds == ((0, 1), (0, 2), (1, 2))
     assert g.incident(0) == (0, 1)
-    assert g.bond_endpoints(1) == (0, 2)
     assert g.other_end(1, 0) == 2
     assert g.other_end(1, 2) == 0
     with pytest.raises(GraphError):
@@ -61,7 +60,6 @@ def test_incidence_and_helpers():
     assert g.index(2) == 2
     with pytest.raises(GraphError):
         g.index("nope")
-    assert g.origin() == 0
     assert g.tau(0) == pytest.approx(math.tanh(1.0))
     g2 = g.with_beta(0.25)
     assert g2.beta == 0.25 and g2.bonds == g.bonds

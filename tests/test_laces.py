@@ -19,7 +19,7 @@ from currentkit import (
 from currentkit.cli import CORPUS_SHAPES
 from currentkit.currents import ZERO, EVEN, ODD
 from currentkit.laces import (
-    _masks_from_classes, lace_arc_components, path_indicator, path_layers,
+    _masks_from_classes, lace_arc_components, path_indicator,
     tilde_v_sets,
 )
 
@@ -132,17 +132,6 @@ def test_path_indicator():
     assert not path_indicator(g, path, odd | (1 << g.bonds.index((1, 2))))
     # losing a walked bond breaks the walk itself
     assert not path_indicator(g, path, odd & ~(1 << g.bonds.index((1, 3))))
-
-
-def test_path_layers_standalone():
-    g = hand_graph()
-    walk = [g.bonds.index(uv) for uv in ((0, 1), (1, 3), (3, 5))]
-    path = path_layers(g, walk)
-    assert path.omega == (0, 1, 3, 5)
-    got = [tuple(g.bonds[b] for b in layer) for layer in path.layers]
-    assert got == [((0, 1),), ((1, 2), (1, 3)), ((3, 4), (3, 5))]
-    with pytest.raises(GraphError):
-        path_layers(g, [g.bonds.index((3, 5))])  # does not start at the origin
 
 
 def test_enumerate_explorations_contains_greedy():
