@@ -8,7 +8,7 @@ from .graphs import (
     load_graph, save_graph, spread_out_coupling,
 )
 from .currents import (
-    CapExceeded, Event, Layer,
+    CapExceeded, Layer,
     conj, conn, correlation, double_conn, event_holds, event_measure,
     four_point, partition_function,
     pi0, pi0_tilde, spin_expectation, sst_lhs, sst_switch_rhs,
@@ -17,42 +17,30 @@ from .currents import (
 from .fields import (
     Field, NonContracting,
     convolve, convolution_bound_check, delta, depicted_ratios,
-    hyp1_report, hyp2_report, hyp3_report, key_lemma_gap, key_lemma_gap_matrix,
+    hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
 from .laces import (
-    ExploredPath,
     build_lace, check_partition_of_unity, earliest_odd_path,
     enumerate_explorations, extraction_gap, is_valid_lace,
     verify_pi0_decomposition,
-)
-from .diagrams import (
-    DiagramEngine, GraphFields, TheoremEvaluator,
-    decay_trend, fields_from_graph,
-    placements_ddotx, placements_dddotx, placements_dotx, placements_x,
-    reduced_ddotu_apply, reduced_ddotv_value, reduced_dddotu_apply,
-    reduced_dddotv_value, reduced_t3_prefix, reduced_t3_terminal,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded", "CouplingGraph", "DiagramEngine", "Event", "ExploredPath",
-    "Field", "GraphError", "GraphFields", "Layer", "NonContracting",
-    "SpreadOut", "TheoremEvaluator", "__version__",
+    "CapExceeded", "CouplingGraph", "Field", "GraphError", "Layer",
+    "NonContracting", "SpreadOut", "__version__",
     "build_graph", "build_lace", "check_partition_of_unity",
     "conj", "conn", "convolution_bound_check", "convolve", "correlation",
-    "decay_trend", "delta", "depicted_ratios", "double_conn",
+    "delta", "depicted_ratios", "double_conn",
     "earliest_odd_path", "embed_on_torus", "enumerate_explorations",
-    "event_holds", "event_measure", "extraction_gap", "fields_from_graph",
+    "event_holds", "event_measure", "extraction_gap",
     "four_point", "graph_from_dict", "graph_to_dict",
     "hyp1_report", "hyp2_report", "hyp3_report",
-    "is_valid_lace", "key_lemma_gap", "key_lemma_gap_matrix", "load_graph",
-    "partition_function", "pi0", "pi0_tilde", "placements_ddotx",
-    "placements_dddotx", "placements_dotx", "placements_x", "psi1_report",
-    "reduced_ddotu_apply", "reduced_ddotv_value", "reduced_dddotu_apply",
-    "reduced_dddotv_value", "reduced_t3_prefix", "reduced_t3_terminal",
+    "is_valid_lace", "key_lemma_gap_matrix", "load_graph",
+    "partition_function", "pi0", "pi0_tilde", "psi1_report",
     "rw_green_proxy", "save_graph", "spin_expectation",
     "spread_out_coupling", "sst_lhs", "sst_switch_rhs", "step_distribution",
     "theta_double_prime", "theta_prime", "through", "tilde_g",

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .currents import (
     subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
 )
 from .fields import (
-    Field, NonContracting, convolution_bound_check, convolve, delta,
+    Field, convolution_bound_check, convolve, delta,
     depicted_ratios, hyp1_report, hyp2_report, hyp3_report,
     key_lemma_gap_matrix, psi1_report, rw_green_proxy, tilde_g,
     triangle_tensor,
@@ -44,7 +44,6 @@ CSV_COLUMNS = ("suite", "instance", "check", "lhs", "rhs", "margin", "status", "
 @dataclass(frozen=True)
 class RunConfig:
     rtol: float = 1e-10
-    cap: int | None = None
     seed: int = 7
     out: str = "reports"
     corpus_dir: str | None = None
@@ -58,8 +57,6 @@ class RunConfig:
     def __post_init__(self):
         if self.rtol <= 0:
             raise ValueError("rtol must be positive")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("cap must be positive")
         if self.depicted_side < 4 or self.torus_side < 4:
             raise ValueError("torus sides must be >= 4")
 
@@ -201,16 +198,16 @@ def _identities_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows = []
     rt = cfg.rtol
     rows.append(_ident_row("identities", iid, "partition_function",
-                           partition_function(g, cap=cfg.cap),
+                           partition_function(g),
                            spin_expectation(g), rt))
     labs = g.labels
     for x, y in itertools.combinations(labs, 2):
         rows.append(_ident_row("identities", iid, f"two_point[{x},{y}]",
-                               correlation(g, x, y, cap=cfg.cap),
+                               correlation(g, x, y),
                                spin_expectation(g, (x, y)), rt))
     for quad in itertools.combinations(labs, 4):
         rows.append(_ident_row("identities", iid, f"four_point[{','.join(map(str, quad))}]",
-                               four_point(g, *quad, cap=cfg.cap),
+                               four_point(g, *quad),
                                spin_expectation(g, quad), rt))
     g0 = g.with_beta(0.0)
     far = labs[-1]
@@ -223,10 +220,10 @@ def _identities_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     worst = math.inf
     note = ""
     for x, y in itertools.combinations(labs, 2):
-        full = correlation(g, x, y, cap=cfg.cap)
+        full = correlation(g, x, y)
         for b in range(g.n_bonds):
             sub = tuple(k for k in range(g.n_bonds) if k != b)
-            gap = full - correlation(g, x, y, restriction=sub, cap=cfg.cap)
+            gap = full - correlation(g, x, y, restriction=sub)
             if gap < worst:
                 worst, note = gap, f"pair=({x},{y}) dropped_bond={b}"
     rows.append(Row("identities", iid, "volume_monotonicity", 0.0, worst, worst,
@@ -273,12 +270,12 @@ def _bound_row(iid: str, check: str, lhs, rhs, note) -> Row:
 
 def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows = []
-    G = two_point_matrix(g, cap=cfg.cap)
+    G = two_point_matrix(g)
     labs = g.labels
     o = labs[0]
     io = g.index(o)
     subsets = _bond_subsets(g)
-    S, T = subset_connection_tables(g, o=o, cap=cfg.cap)
+    S, T = subset_connection_tables(g, o=o)
 
     xs = [ix for ix in range(g.n_vertices) if ix != io]
     rhs = G[io] * G[:, xs].T                      # G(o,y) G(y,x), x != o
@@ -287,7 +284,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
 
     pairs = _sampled_layer_pairs(g)
     xy = [(x, y) for x in labs if x != o for y in labs]
-    lhs = np.array([[sst_lhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap) for x, y in xy]
+    lhs = np.array([[sst_lhs(g, x, y, B=B, B_prime=Bp) for x, y in xy]
                     for B, Bp in pairs])
     pair_note = lambda k, j: "B={} B'={} x={} y={}".format(*pairs[k], *xy[j])
     nested = [k for k, (B, Bp) in enumerate(pairs) if set(B) <= set(Bp)]
@@ -297,7 +294,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     for k in nested:
         B, Bp = pairs[k]
         for j, (x, y) in enumerate(xy):
-            sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp, cap=cfg.cap)
+            sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp)
             worst_sw = max(worst_sw, _rel(float(lhs[k, j]), sw))
     rows.append(Row("sst", iid, "switch_identity", worst_sw, 0.0, worst_sw,
                     "pass" if worst_sw <= cfg.rtol else "fail",
@@ -320,7 +317,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
 
     quads = list(itertools.combinations(labs, 4))
     if quads:
-        lhs = [four_point(g, *quad, cap=cfg.cap) for quad in quads]
+        lhs = [four_point(g, *quad) for quad in quads]
         rhs = []
         for quad in quads:
             w, x, y, z = (g.index(q) for q in quad)
@@ -402,23 +399,23 @@ def _theorems_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         rows.append(Row("theorems", iid, "diagonal_rejected", 1.0, 1.0, 0.0, "pass"))
 
     for x in labs[1:]:
-        lhs = pi0(g, x, cap=cfg.cap)
+        lhs = pi0(g, x)
         rhs = ev.theorem_rhs(1, x, strict=False)
         rows.append(_ineq_row("theorems", iid, f"thm1[x={x}]", lhs, rhs))
     for x in labs[1:]:
         for A in anchor_sets:
-            lhs = theta_prime(g, x, A, cap=cfg.cap)
+            lhs = theta_prime(g, x, A)
             rhs = ev.theorem_rhs(2, x, A=A, strict=False)
             rows.append(_ineq_row("theorems", iid, f"thm2[x={x},A={A}]", lhs, rhs))
     for x in labs[1:]:
         for y in labs:
-            lhs = pi0_tilde(g, x, y, cap=cfg.cap)
+            lhs = pi0_tilde(g, x, y)
             rhs = ev.theorem_rhs(3, x, y=y, strict=False)
             rows.append(_ineq_row("theorems", iid, f"thm3[x={x},y={y}]", lhs, rhs))
     for x in labs[1:]:
         for y in labs:
             for A in anchor_sets:
-                lhs = theta_double_prime(g, x, y, A, cap=cfg.cap)
+                lhs = theta_double_prime(g, x, y, A)
                 rhs = ev.theorem_rhs(4, x, A=A, y=y, strict=False)
                 rows.append(_ineq_row("theorems", iid,
                                       f"thm4[x={x},y={y},A={A}]", lhs, rhs))
@@ -466,9 +463,8 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
                     "max rel gap, factorized vs quadruple sum"))
 
     I = np.eye(n)
-    eng_u = DiagramEngine(fb, 1, _e_override=I, _t3_override=reduced_t3_prefix(fb))
-    eng_v = DiagramEngine(fb, 1, _e_override=I, _t3_override=reduced_t3_terminal(fb),
-                          _terminal_gate=False)
+    eng_u = DiagramEngine(fb, 1, E=I, T3=reduced_t3_prefix(fb))
+    eng_v = DiagramEngine(fb, 1, E=I, T3=reduced_t3_terminal(fb), gate=False)
     a, v, x = 0, min(1, n - 1), n - 1
     checks = [
         ("reduced_ddotU0", np.max(np.abs(eng_u.apply_kernel(P, ("ddotU", a))
@@ -727,7 +723,6 @@ def main(argv=None) -> int:
     ap_run.add_argument("suite", choices=[*SUITES, "all"])
     ap_run.add_argument("--config", default=None)
     ap_run.add_argument("--out", default=None)
-    ap_run.add_argument("--cap", type=int, default=None)
     args = ap.parse_args(argv)
 
     if args.command == "corpus":
@@ -740,8 +735,6 @@ def main(argv=None) -> int:
         overrides = {}
         if args.out is not None:
             overrides["out"] = args.out
-        if args.cap is not None:
-            overrides["cap"] = args.cap
         if overrides:
             cfg = replace(cfg, **overrides)
     except (ValueError, OSError) as exc:

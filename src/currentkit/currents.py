@@ -26,16 +26,19 @@ product in its subtraction-free 3**n_bonds form, and the measure is the sum of
 those weights over the indicator.
 
 A layer on a bond subset B is the full positive table restricted to the masks
-inside B: bonds outside B sit in the zero class, with weight 1 and no source.
-So one sweep over all bonds gives every subset's one-layer measure, as subset
-sums (a zeta transform over the bond masks, nonnegative terms only) of the
-full table times an indicator, divided by Z_B, the subset sum of the
-sourceless column.
+inside B, bit for bit: bonds outside B sit in the zero class, with weight 1
+and no source, and row m gets the same flips and weights in the same order.
+So one positive table per graph serves every layer, and every subset's
+one-layer measure is a subset sum (a zeta transform over the bond masks) of
+that table times an indicator, divided by Z_B, the sourceless subset sum.
+
+Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
+allocation when the table's traced peak would pass ``_MEM_LIMIT``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -45,14 +48,21 @@ from .graphs import CouplingGraph, GraphError
 
 ZERO, EVEN, ODD = 0, 1, 2
 
-SINGLE_LAYER_CAP = 16
-MULTI_LAYER_CAP = 12
-
 _MEM_LIMIT = 1 << 30
+_OVERHEAD = 1 << 16     # interpreter objects and array headers of one call
 
 
 class CapExceeded(ValueError):
-    """Requested sweep is larger than the configured enumeration cap."""
+    """A table would not fit in memory, or a measure passes its ``cap=``."""
+
+
+def _fits(nbytes: int, what: str) -> None:
+    """Refuse, before allocation, a table whose working set would pass
+    ``_MEM_LIMIT``. ``nbytes`` counts the arrays alive at the construction's
+    traced peak; ``_OVERHEAD`` is added for everything else."""
+    need = nbytes + _OVERHEAD
+    if need > _MEM_LIMIT:
+        raise CapExceeded(f"{what} needs {need} bytes, over the {_MEM_LIMIT}-byte limit")
 
 
 def class_weights(g: CouplingGraph, b: int) -> tuple:
@@ -90,12 +100,14 @@ def _sweep(g: CouplingGraph, bonds: tuple, with_positive: bool) -> np.ndarray:
 
     Built bond by bond as the module docstring says. The positive table's
     rows with top bit k are written in place, block by block, as in
-    ``_component_table``, so its peak is the table plus one half-size product.
+    ``_component_table``, so its peak is the table plus one half-size product
+    and the source and flip vectors; the source sweep peaks at six 2**n
+    vectors: the table, its two products, a gather and those two.
     """
     nb = len(bonds)
     n = g.n_vertices
-    if with_positive and (1 << (nb + n)) * 8 > _MEM_LIMIT:
-        raise CapExceeded(f"positive table for {nb} bonds on {n} vertices too large")
+    _fits((12 << (nb + n)) + (16 << n) if with_positive else 48 << n,
+          f"{'positive' if with_positive else 'source'} table for {nb} bonds on {n} vertices")
     sources = np.arange(1 << n)
     T = np.zeros((1 << nb, 1 << n) if with_positive else 1 << n)
     T.flat[0] = 1.0
@@ -119,15 +131,22 @@ def _source_table(g: CouplingGraph, bonds: tuple) -> np.ndarray:
     return _sweep(g, bonds, with_positive=False)
 
 
-@lru_cache(maxsize=32)
-def _positive_table(g: CouplingGraph, bonds: tuple) -> np.ndarray:
-    return _sweep(g, bonds, with_positive=True)
+@lru_cache(maxsize=8)
+def _positive_table(g: CouplingGraph) -> np.ndarray:
+    """Positive table over all bonds; a layer on B reads its rows ``_inside(g, B)``."""
+    return _sweep(g, tuple(range(g.n_bonds)), with_positive=True)
 
 
-def _check_cap(bonds_total: int, cap: int | None, default: int) -> None:
-    limit = default if cap is None else cap
-    if bonds_total > limit:
-        raise CapExceeded(f"{bonds_total} bonds exceeds cap {limit}")
+@lru_cache(maxsize=64)
+def _inside(g: CouplingGraph, bonds: tuple) -> np.ndarray:
+    """Ascending global positive masks that use only ``bonds``."""
+    m = np.arange(1 << g.n_bonds)
+    return m[(m & ~_bonds_mask(g, bonds)) == 0]
+
+
+def _check_cap(bonds_total: int, cap: int | None) -> None:
+    if cap is not None and bonds_total > cap:
+        raise CapExceeded(f"{bonds_total} bonds exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +159,13 @@ def partition_function(g: CouplingGraph, restriction=None, cap: int | None = Non
     Equals 2**(-n) times the spin sum of exp(-beta H) restricted to those bonds.
     """
     bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap, SINGLE_LAYER_CAP)
+    _check_cap(len(bonds), cap)
     return float(_source_table(g, bonds)[0])
 
 
 def correlation(g: CouplingGraph, x, y, restriction=None, cap: int | None = None) -> float:
     bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap, SINGLE_LAYER_CAP)
+    _check_cap(len(bonds), cap)
     st = _source_table(g, bonds)
     sm = _source_mask(g, (x, y))
     return float(st[sm] / st[0])
@@ -154,7 +173,7 @@ def correlation(g: CouplingGraph, x, y, restriction=None, cap: int | None = None
 
 def four_point(g: CouplingGraph, x, y, u, v, restriction=None, cap: int | None = None) -> float:
     bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap, SINGLE_LAYER_CAP)
+    _check_cap(len(bonds), cap)
     st = _source_table(g, bonds)
     sm = _source_mask(g, (x, y, u, v))
     return float(st[sm] / st[0])
@@ -163,7 +182,7 @@ def four_point(g: CouplingGraph, x, y, u, v, restriction=None, cap: int | None =
 def two_point_matrix(g: CouplingGraph, restriction=None, cap: int | None = None) -> np.ndarray:
     """Symmetric matrix of pair correlations over all vertex index pairs."""
     bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap, SINGLE_LAYER_CAP)
+    _check_cap(len(bonds), cap)
     st = _source_table(g, bonds)
     n = g.n_vertices
     M = np.empty((n, n), dtype=float)
@@ -178,8 +197,8 @@ def two_point_matrix(g: CouplingGraph, restriction=None, cap: int | None = None)
 # ---------------------------------------------------------------------------
 
 def _spin_matrix(n: int) -> np.ndarray:
-    if n > 20:
-        raise CapExceeded("spin sweep limited to 20 vertices")
+    # three (2**n, n) arrays while it is built, then four 2**n spin-sum vectors
+    _fits((8 << n) * (3 * n + 4), f"spin sum over {n} vertices")
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
     return 1.0 - 2.0 * bits
 
@@ -266,9 +285,9 @@ def _component_table(g: CouplingGraph) -> np.ndarray:
     has too many bonds to pass the memory check.
     """
     nb, n = g.n_bonds, g.n_vertices
-    # the int8 table plus the int64 mask vector of an indicator gather
-    if (1 << nb) * (n + 16) > _MEM_LIMIT:
-        raise CapExceeded(f"component table for {nb} bonds on {n} vertices too large")
+    # the int8 table, plus the larger of its last doubling step's half-size
+    # label temporaries and an indicator's int64 mask gathers
+    _fits((1 << nb) * (2 * n + 24), f"component table for {nb} bonds on {n} vertices")
     comp = np.empty((1 << nb, n), dtype=np.int8)
     comp[0] = np.arange(n)
     for k, (i, j) in enumerate(g.bonds):
@@ -330,15 +349,6 @@ class Layer:
     sources: tuple = ()
 
 
-@lru_cache(maxsize=32)
-def _global_mask_map(bonds: tuple) -> np.ndarray:
-    """Local positive mask (over positions in ``bonds``) -> global bond mask."""
-    gm = np.zeros(1 << len(bonds), dtype=np.int64)
-    for k, b in enumerate(bonds):
-        gm[1 << k:2 << k] = gm[:1 << k] | (1 << b)
-    return gm
-
-
 def _cover(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Covering product r[S] = sum over A | B == S of f[A] * h[B].
 
@@ -364,19 +374,21 @@ def _cover(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     """Normalised superposed weight of every global positive mask.
 
-    ``layers`` holds (bond tuple, source mask) pairs. A layer's weights go to
-    their global masks by plain assignment, since the local -> global map is
-    injective; successive layers combine by the covering product.
+    ``layers`` holds (bond tuple, source mask) pairs. A layer's weights are
+    the positive table's rows inside its bonds, left in place among all
+    global masks; successive layers combine by the covering product.
     """
     nb = g.n_bonds
-    # the deepest level of _cover holds three vectors of 3**nb doubles
-    if len(layers) > 1 and 3 ** nb * 24 > _MEM_LIMIT:
-        raise CapExceeded(f"superposition of {len(layers)} layers on {nb} bonds too large")
+    if len(layers) > 1:
+        # _cover peaks at four vectors of 3**nb doubles; four mask vectors
+        # (the product so far, the layer, its gather and the result) beside
+        _fits(32 * 3 ** nb + (32 << nb), f"superposition of {len(layers)} layers on {nb} bonds")
+    P = _positive_table(g)
     out = None
     for bonds, sm in layers:
-        W = _positive_table(g, bonds)
+        rows = _inside(g, bonds)
         dense = np.zeros(1 << nb)
-        dense[_global_mask_map(bonds)] = W[:, sm] / W[:, 0].sum()
+        dense[rows] = P[rows, sm] / P[rows, 0].sum()
         out = dense if out is None else _cover(out, dense)
     return out
 
@@ -388,7 +400,7 @@ def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
     key = tuple((_bonds_arg(g, l.bonds), _source_mask(g, l.sources)) for l in layers)
     if not key:
         raise GraphError("at least one layer required")
-    _check_cap(g.n_bonds, cap, SINGLE_LAYER_CAP if len(key) == 1 else MULTI_LAYER_CAP)
+    _check_cap(g.n_bonds, cap)
     return float(_superposed(g, key)[_indicator(g, event)].sum())
 
 
@@ -477,12 +489,12 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
     """
     o = _origin_label(g, o)
     nb, n = g.n_bonds, g.n_vertices
-    _check_cap(nb, cap, SINGLE_LAYER_CAP)
-    # both (2**nb, n, n) float tables plus one (2**nb, n) column gather at a time
-    if (8 << nb) * n * (2 * n + 1) > _MEM_LIMIT:
-        raise CapExceeded(f"subset tables for {nb} bonds on {n} vertices too large")
+    _check_cap(nb, cap)
+    # both (2**nb, n, n) float tables, the half-size copy numpy takes of the
+    # overlapping zeta-transform operand, and two (2**nb, n) gathers
+    _fits((8 << nb) * n * (3 * n + 2), f"subset tables for {nb} bonds on {n} vertices")
     io = g.index(o)
-    P = _positive_table(g, tuple(range(nb)))
+    P = _positive_table(g)
     comp = _component_table(g)
     linked = comp == comp[:, io:io + 1]          # o <-> y under each mask
     F = np.empty((2, 1 << nb, n, n))
@@ -497,6 +509,6 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
 
 
 def clear_caches() -> None:
-    for cached in (_source_table, _positive_table, _global_mask_map,
+    for cached in (_source_table, _positive_table, _inside,
                    _component_table, _indicator, _superposed):
         cached.cache_clear()

@@ -62,13 +62,15 @@ class DiagramEngine:
 
     ``m`` is a positive integer or None for the infinite depth, in which case
     the inner bubble chains are summed exactly by a linear solve (refused when
-    the bubble matrix does not contract). The private overrides swap the
-    sandwich matrix and triangle tensor; they exist so reduced closed forms
-    can be cross-checked against the generic contraction plumbing.
+    the bubble matrix does not contract). ``E`` (the sandwich matrix, default
+    I + Tau o Tau) and ``T3`` (the triangle tensor, default that of G) may be
+    given instead, and ``gate`` False keeps the endpoint entry that the
+    anchored terminal columns otherwise zero; the reduced closed forms are
+    cross-checked through them.
     """
 
     def __init__(self, fields: GraphFields, m, atol: float = 1e-12,
-                 _e_override=None, _t3_override=None, _terminal_gate=True):
+                 E=None, T3=None, gate=True):
         if m is not None and m < 1:
             raise GraphError("chain depth m must be >= 1 or None")
         if (np.any(fields.G < 0) or np.any(fields.Gt < 0)
@@ -77,7 +79,7 @@ class DiagramEngine:
         self.f = fields
         self.m = m
         self.atol = atol
-        self.gate = _terminal_gate
+        self.gate = gate
         n = fields.n
         I = np.eye(n)
         self.B2 = fields.Gt * fields.Gt
@@ -100,9 +102,9 @@ class DiagramEngine:
                 P = P @ self.B2
                 self.chain_prev = self.chain_prev + P
         self.chain1 = self.chain0 - I
-        self.E = I + fields.Tau * fields.Tau if _e_override is None else _e_override
+        self.E = I + fields.Tau * fields.Tau if E is None else E
         self.psi = self.E @ self.chain0 @ self.E
-        self.T3 = triangle_tensor(fields.G) if _t3_override is None else _t3_override
+        self.T3 = triangle_tensor(fields.G) if T3 is None else T3
         self.EC = self.E @ self.chain_prev
         self._res_cache: dict = {}
 

@@ -157,23 +157,19 @@ def step_distribution(spec: SpreadOut, side: int) -> Field:
 
 def rw_green_proxy(spec: SpreadOut, side: int, p: float) -> tuple:
     """Proxy pair (G, tau): G the random-walk resolvent with killing 1 - p,
-    tau = p D. Solves G = delta + tau * G exactly in Fourier space, so the
-    smeared kernel tau * G equals G - delta on the nose.
+    tau = p D. Solves G = delta + tau * G exactly on the half spectrum, so
+    the smeared kernel tau * G equals G - delta on the nose.
     """
     if not (0 <= p):
         raise GraphError("p must be nonnegative")
     D = step_distribution(spec, side)
-    Dhat = np.fft.fftn(D.data)
+    Dhat = _hat(D.data)
     if np.abs(Dhat.imag).max() > 1e-12:
         raise GraphError("step distribution is not symmetric")
     top = p * Dhat.real.max()
     if top >= 1.0 - 1e-12:
         raise NonContracting(f"proxy series diverges: p * max D-hat = {top}")
-    Shat = 1.0 / (1.0 - p * Dhat)
-    S = np.fft.ifftn(Shat)
-    if np.abs(S.imag).max() > 1e-10:
-        raise GraphError("proxy transform produced a complex field")
-    S = S.real
+    S = _inv(1.0 / (1.0 - p * Dhat.real), D.data.shape)
     neg = S.min()
     if neg < -1e-10 * max(S.max(), 1.0):
         raise GraphError(f"proxy field has a significant negative entry {neg}")
@@ -181,9 +177,9 @@ def rw_green_proxy(spec: SpreadOut, side: int, p: float) -> tuple:
     return Field(spec.d, side, S), Field(spec.d, side, p * D.data)
 
 
-def tilde_g(G: Field, tau: Field, method: str = "fft") -> Field:
+def tilde_g(G: Field, tau: Field) -> Field:
     """Smeared two-point field tau * G, clipped of FFT rounding negatives."""
-    out = convolve(tau, G, method=method)
+    out = convolve(tau, G)
     neg = out.data.min()
     if neg < -1e-10 * max(out.data.max(), 1.0):
         raise GraphError(f"smeared field has a significant negative entry {neg}")
@@ -339,15 +335,6 @@ def hyp3_report(Gt: Field, tau: Field, floor: float = 0.0) -> dict:
 def _key_gap(s: np.ndarray, e: np.ndarray) -> float:
     """Min of s^2 - e, with s = (delta+tau) * f and e = (delta+tau^2) * f^2."""
     return float((s * s - e).min())
-
-
-def key_lemma_gap(tau: Field, f: Field) -> float:
-    """Min of ((delta+tau) * f)^2 - (delta+tau^2) * f^2; nonnegative iff the
-    square-absorption lemma holds pointwise for this pair."""
-    dlt = delta(tau.d, tau.side)
-    e = convolve(dlt + tau * tau, f * f)
-    s = convolve(dlt + tau, f)
-    return _key_gap(s.data, e.data)
 
 
 def key_lemma_gap_matrix(Tau: np.ndarray, F: np.ndarray) -> float:

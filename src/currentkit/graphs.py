@@ -167,8 +167,7 @@ class SpreadOut:
     """Spread-out coupling family on Z^d with range L.
 
     The coupling is J(x) = h(x/L) / sum_{y != 0} h(y/L) on x != 0, where h is a
-    lattice-symmetric compactly supported profile. ``theta`` is the small
-    parameter L**(-2) used by the scaling diagnostics.
+    lattice-symmetric compactly supported profile.
     """
 
     d: int
@@ -182,10 +181,6 @@ class SpreadOut:
             raise GraphError("range L must be >= 1")
         if self.profile not in PROFILES:
             raise GraphError(f"unknown profile {self.profile!r}")
-
-    @property
-    def theta(self) -> float:
-        return float(self.L) ** (-2)
 
 
 def spread_out_coupling(spec: SpreadOut) -> dict:

@@ -13,13 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .graphs import CouplingGraph, GraphError
 from .currents import (
     ZERO, EVEN, ODD,
     class_weights, double_conn, partition_function, pi0,
-    _component_table, _global_mask_map, _indicator, _positive_table,
+    _component_table, _indicator, _inside, _positive_table,
 )
 
 
@@ -279,9 +277,10 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
         w_path = 1.0
         for b in bonds_seq:
             w_path *= class_weights(g, b)[ODD]
-        Wc = _positive_table(g, rest)
-        kvec = np.asarray(Wc[:, 0])
-        gmap = _global_mask_map(rest)
+        rows = _inside(g, rest)
+        kvec = _positive_table(g)[rows, 0]
+        nz = kvec != 0
+        rest_masks = list(zip(rows[nz].tolist(), kvec[nz].tolist()))
         m_pos_base = 0
         for b in bonds_seq:
             m_pos_base |= 1 << b
@@ -296,9 +295,7 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
                     classes[b] = EVEN
                     w_m *= class_weights(g, b)[EVEN]
                     m_pos |= 1 << b
-            for pm_local in np.flatnonzero(kvec):
-                w_k = float(kvec[pm_local])
-                k_mask = int(gmap[pm_local])
+            for k_mask, w_k in rest_masks:
                 full = m_pos | k_mask
                 dbl = bool(doubly[full])
                 if dbl:

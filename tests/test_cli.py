@@ -57,8 +57,8 @@ def test_config_validation(tmp_path):
         RunConfig(rtol=0.0)
     with pytest.raises(TypeError):           # the threads option is gone
         RunConfig(threads=2)
-    with pytest.raises(ValueError):
-        RunConfig(cap=0)
+    with pytest.raises(TypeError):           # and so is the bond-count cap
+        RunConfig(cap=16)
     with pytest.raises(ValueError):
         RunConfig(torus_side=2)
     p = tmp_path / "cfg.json"
@@ -177,10 +177,15 @@ def test_main_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"nonsense": True}))
     assert main(["run", "identities", "--config", str(bad)]) == 2
     assert main(["run", "identities", "--config", str(tmp_path / "nope.json")]) == 2
-    assert main(["run", "identities", "--cap", "0",
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({"cap": 16}))
+    assert main(["run", "identities", "--config", str(capped),
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("config error") == 3
+    assert "cap" in err
+    with pytest.raises(SystemExit):
+        main(["run", "identities", "--cap", "16"])
 
 
 def test_summary_counts_match_report(tmp_path, capsys):

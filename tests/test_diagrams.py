@@ -232,16 +232,12 @@ def test_reduced_kernels_match_overridden_engine():
     f = fields_from_graph(k4(beta=0.4))
     n = f.n
     P = rand_pair(n, seed=5)
-    pre = DiagramEngine(f, 1, _e_override=np.eye(n),
-                        _t3_override=reduced_t3_prefix(f),
-                        _terminal_gate=False)
+    pre = DiagramEngine(f, 1, E=np.eye(n), T3=reduced_t3_prefix(f), gate=False)
     assert np.allclose(pre.apply_kernel(P, ("ddotU", 1)),
                        reduced_ddotu_apply(f, P, 1), rtol=1e-12)
     assert np.allclose(pre.apply_kernel(P, ("dddotU", 0, 3)),
                        reduced_dddotu_apply(f, P, 0, 3), rtol=1e-12)
-    term = DiagramEngine(f, 1, _e_override=np.eye(n),
-                         _t3_override=reduced_t3_terminal(f),
-                         _terminal_gate=False)
+    term = DiagramEngine(f, 1, E=np.eye(n), T3=reduced_t3_terminal(f), gate=False)
     assert term.terminal_value(P, ("ddotV", 1), 2) == pytest.approx(
         reduced_ddotv_value(f, P, 2, 1), rel=1e-12)
     assert term.terminal_value(P, ("dddotV", 0, 3), 2) == pytest.approx(

@@ -6,9 +6,10 @@ weights. The library evaluates an event as one indicator vector over all global
 positive masks and superposes layers with the covering product. The oracles
 here take the direct routes instead: a union-find per positive mask for the
 events, and the outer product of the layers' nonzero weights accumulated with
-``np.add.at`` for the superposition. The all-subsets tables, read from one
-sweep over all bonds, are checked against one ``event_measure`` call per
-bond subset, each on its own sweep of that subset.
+``np.add.at`` for the superposition, each layer on its own sweep of its
+bonds. A layer's rows of the one positive table per graph equal that sweep
+bit for bit, and the all-subsets tables, read from the same table, are
+checked against one ``event_measure`` call per bond subset.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ import pytest
 from currentkit import (
     CapExceeded, Layer, SpreadOut,
     build_graph, conj, conn, double_conn, embed_on_torus, event_measure,
-    partition_function, sst_lhs, through,
+    partition_function, spin_expectation, sst_lhs, sst_switch_rhs, through,
 )
 from currentkit import currents
 from currentkit.cli import (
-    CORPUS_SHAPES, UPWARD, RunConfig, _sampled_layer_pairs, _sst_instance,
+    CORPUS_SHAPES, UPWARD, RunConfig, _lace_instance, _sst_instance, _theorems_instance,
 )
 
 
@@ -83,19 +84,37 @@ def test_positive_sweep_refused_before_allocation(monkeypatch):
     g = spread_torus()
     full = tuple(range(g.n_bonds))
     table = (1 << (g.n_bonds + g.n_vertices)) * 8
-    monkeypatch.setattr(currents, "_MEM_LIMIT", table - 1)
+    # the table plus one half-size product at the last bond
+    work = table + table // 2 + (16 << g.n_vertices) + currents._OVERHEAD
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
             currents._sweep(g, full, with_positive=True)
         assert tracemalloc.get_traced_memory()[1] < table // 16
-        monkeypatch.setattr(currents, "_MEM_LIMIT", table)
+        monkeypatch.setattr(currents, "_MEM_LIMIT", work)
         tracemalloc.reset_peak()
         assert currents._sweep(g, full, with_positive=True).nbytes == table
-        # the table plus one half-size product at the last bond
         assert tracemalloc.get_traced_memory()[1] < 1.55 * table
     finally:
         tracemalloc.stop()
+
+
+def test_positive_table_restricts_to_every_layer_bit_for_bit():
+    """A layer on B reads the rows inside B of the one table over all bonds;
+    those rows are the sweep over B alone, bit for bit."""
+    for g in corpus_graphs():
+        P = currents._positive_table(g)
+        for m in range(1 << g.n_bonds):
+            B = tuple(b for b in range(g.n_bonds) if m >> b & 1)
+            assert np.array_equal(P[currents._inside(g, B)], currents._sweep(g, B, True)), B
+    g = spread_torus()
+    P = currents._positive_table(g)
+    for v in g.labels:
+        for A in ((v,), (g.labels[0], v)):
+            B = currents._outside_bonds(g, A)
+            assert np.array_equal(P[currents._inside(g, B)], currents._sweep(g, B, True)), A
+    currents.clear_caches()
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -215,11 +234,12 @@ def test_component_table_labels_clusters():
                    for v in range(g.n_vertices))
 
 
-def test_global_mask_map_matches_bit_loop():
+def test_inside_matches_bit_loop():
+    ring = build_graph(list(range(10)), [(i, (i + 1) % 10, 1.0) for i in range(10)], beta=0.1)
     for bonds in ((), (3,), (0, 2, 5), tuple(range(9))):
         want = [sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
                 for pm in range(1 << len(bonds))]
-        assert currents._global_mask_map(bonds).tolist() == want
+        assert currents._inside(ring, bonds).tolist() == want
 
 
 # -- outer-product superposition oracle -------------------------------------
@@ -230,7 +250,7 @@ def outer_superposition(g, layers):
     dense = None
     for layer in layers:
         bonds = currents._bonds_arg(g, layer.bonds)
-        W = currents._positive_table(g, bonds)
+        W = currents._sweep(g, bonds, True)
         wv = W[:, currents._source_mask(g, layer.sources)] / W[:, 0].sum()
         gm = np.array([sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
                        for pm in range(1 << len(bonds))], dtype=np.int64)
@@ -327,7 +347,7 @@ def test_subset_tables_other_origin():
 def test_subset_tables_refused_before_allocation(monkeypatch):
     g = corpus_graphs()[-1]
     nb, n = g.n_bonds, g.n_vertices
-    work = (8 << nb) * n * (2 * n + 1)
+    work = (8 << nb) * n * (3 * n + 2) + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
@@ -344,9 +364,9 @@ def test_subset_tables_refused_before_allocation(monkeypatch):
     assert currents.subset_connection_tables(g, cap=nb)[1].shape[0] == 1 << nb
 
 
-def test_sst_suite_sweeps_each_bond_set_once(monkeypatch):
-    """The all-subsets checks read one positive table over all bonds; the
-    other positive sweeps of an instance are the sampled layer pairs' own."""
+def test_instance_suites_sweep_one_positive_table_per_graph(monkeypatch):
+    """The sst, theorems and lace checks of a graph read every layer from one
+    positive table over all its bonds."""
     sweeps = []
     real = currents._sweep
 
@@ -356,23 +376,120 @@ def test_sst_suite_sweeps_each_bond_set_once(monkeypatch):
         return real(g, bonds, with_positive)
 
     monkeypatch.setattr(currents, "_sweep", counted)
+    currents.clear_caches()
     for k, g in enumerate(corpus_graphs()):
-        currents.clear_caches()
         sweeps.clear()
-        _sst_instance(f"g{k}", g, RunConfig())
-        full = tuple(range(g.n_bonds))
-        sampled = {b for pair in _sampled_layer_pairs(g) for b in pair}
-        assert sweeps.count(full) == 1
-        assert len(sweeps) == len(set(sweeps)) == len(sampled | {full})
+        for instance in (_sst_instance, _theorems_instance, _lace_instance):
+            instance(f"g{k}", g, RunConfig())
+        assert sweeps == [tuple(range(g.n_bonds))]
     currents.clear_caches()
 
 
 # -- memory refusals and caches ---------------------------------------------
 
+def _warm(g, *tables):
+    def prepare():
+        currents.clear_caches()
+        for table in tables:
+            table(g)
+    return prepare
+
+
+def _refusal_cases():
+    """(name, what _fits is told, call, cache set-up), one per working-set
+    refusal, each at a size where the counted arrays dominate."""
+    path = build_graph(list(range(16)), [(i, i + 1, 1.0) for i in range(15)], beta=0.1)
+    s6, s8 = (embed_on_torus(SpreadOut(1, 2.0), side, beta=0.4) for side in (6, 8))
+    full = tuple(range(s6.n_bonds))
+    layers = ((full, 0), (full, currents._source_mask(s6, (s6.labels[0], s6.labels[3]))))
+    return [
+        ("source", "source table", lambda: currents._sweep(path, tuple(range(15)), False),
+         currents.clear_caches),
+        ("positive", "positive table", lambda: currents._sweep(s6, full, True),
+         currents.clear_caches),
+        ("component", "component table", lambda: currents._component_table(s8),
+         currents.clear_caches),
+        ("cover", "superposition", lambda: currents._superposed(s6, layers),
+         _warm(s6, currents._positive_table)),
+        ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
+         _warm(s6, currents._positive_table, currents._component_table)),
+        ("spin", "spin sum", lambda: spin_expectation(path, (0, 2)), currents.clear_caches),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[c[0] for c in _refusal_cases()])
+def test_refusal_counts_bound_traced_peak(monkeypatch, case):
+    """The traced peak of the real call is at most the bytes its refusal
+    counts; a limit one byte below the count refuses before allocating, and
+    a limit at the count passes."""
+    _, what, call, prepare = _refusal_cases()[case]
+    counts = []
+    real = currents._fits
+
+    def spy(nbytes, name):
+        if name.startswith(what):
+            counts.append(nbytes + currents._OVERHEAD)
+        real(nbytes, name)
+
+    monkeypatch.setattr(currents, "_fits", spy)
+
+    def run(limit):
+        """(refused, traced peak) of the call under ``limit``."""
+        prepare()
+        monkeypatch.setattr(currents, "_MEM_LIMIT", limit)
+        tracemalloc.start()
+        try:
+            call()
+            refused = False
+        except CapExceeded:
+            refused = True
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return refused, peak
+
+    refused, peak = run(currents._MEM_LIMIT)
+    count = counts[0]
+    assert count > 1 << 20                   # the counted arrays dominate
+    assert not refused and peak <= count
+    refused, peak = run(count - 1)
+    assert refused and peak < count // 16
+    refused, peak = run(count)
+    assert not refused and peak <= count
+    assert counts == [count] * 3
+    currents.clear_caches()
+
+
+def test_side7_two_layer_switch_identity_runs_uncapped():
+    """d=1, L=2 at side 7 has 14 bonds; its two-layer working set is about
+    150 MB, which the bond-count caps used to refuse."""
+    g = embed_on_torus(SpreadOut(1, 2.0), 7, beta=0.4)
+    full = tuple(range(g.n_bonds))
+    far = g.labels[3]
+    for y in (g.labels[0], g.labels[1], far):
+        lhs = sst_lhs(g, far, y, B=full, B_prime=full)
+        assert lhs == pytest.approx(sst_switch_rhs(g, far, y), rel=1e-10, abs=0.0)
+    currents.clear_caches()
+
+
+def test_side8_two_layer_measure_refused_before_allocation():
+    g = embed_on_torus(SpreadOut(1, 2.0), 8, beta=0.4)
+    far = g.labels[4]
+    currents.clear_caches()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            sst_switch_rhs(g, far, g.labels[1])
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert currents._positive_table.cache_info().currsize == 0
+
+
 def test_oversize_superposition_refused_before_allocation(monkeypatch):
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
     two = [Layer(None, ()), Layer(None, (0, 2))]
-    work = 3 ** g.n_bonds * 24
+    work = 3 ** g.n_bonds * 32 + (32 << g.n_bonds) + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
@@ -393,7 +510,8 @@ def test_oversize_superposition_refused_before_allocation(monkeypatch):
 def test_oversize_component_table_refused(monkeypatch):
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)], beta=0.5)
     currents.clear_caches()
-    monkeypatch.setattr(currents, "_MEM_LIMIT", (1 << g.n_bonds) * (g.n_vertices + 16) - 1)
+    monkeypatch.setattr(currents, "_MEM_LIMIT",
+                        (1 << g.n_bonds) * (2 * g.n_vertices + 24) + currents._OVERHEAD - 1)
     with pytest.raises(CapExceeded):
         currents.event_holds(g, conn(0, 2), 0b11)
     monkeypatch.undo()

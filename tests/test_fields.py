@@ -17,7 +17,7 @@ import pytest
 from currentkit import (
     Field, GraphError, NonContracting, SpreadOut,
     convolution_bound_check, convolve, delta, depicted_ratios,
-    hyp1_report, hyp2_report, hyp3_report, key_lemma_gap, key_lemma_gap_matrix,
+    hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
@@ -109,6 +109,36 @@ def test_proxy_degenerate_and_divergent():
     assert tau.l1() == 0.0
     with pytest.raises(NonContracting):
         rw_green_proxy(SpreadOut(1, 1.0), 8, 1.0)
+
+
+def green_reference(spec, side, p):
+    """Proxy G in long double: D's cosine transform and its inverse applied
+    axis by axis, the angles reduced mod side before the cosine."""
+    D = step_distribution(spec, side).data.astype(np.longdouble)
+    k = np.arange(side)
+    pi = 4 * np.arctan(np.longdouble(1))
+    C = np.cos(2 * pi * (np.outer(k, k) % side).astype(np.longdouble) / side)
+
+    def cosine(A):
+        for ax in range(A.ndim):
+            A = np.moveaxis(np.tensordot(C, np.moveaxis(A, ax, 0), axes=(1, 0)), 0, ax)
+        return A
+
+    return cosine(1 / (1 - np.longdouble(p) * cosine(D))) / np.longdouble(side) ** spec.d
+
+
+def test_proxy_matches_long_double_reference(monkeypatch):
+    complex_calls = Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            complex_calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    spec, side, p = SpreadOut(5, 2.0), 16, 0.99
+    G, _ = rw_green_proxy(spec, side, p)
+    assert not complex_calls
+    ref = green_reference(spec, side, p)
+    assert float((np.abs(G.data - ref) / ref).max()) <= 1e-12
 
 
 def test_tilde_g_equals_g_minus_delta_for_proxy():
@@ -298,6 +328,15 @@ def test_transform_counts(transforms):
 
 # -- oracles: the direct routes -------------------------------------------------
 
+def key_lemma_gap(tau, f):
+    """Min of ((delta+tau) * f)^2 - (delta+tau^2) * f^2; nonnegative iff the
+    square-absorption lemma holds pointwise for this pair."""
+    dlt = delta(tau.d, tau.side)
+    e = convolve(dlt + tau * tau, f * f)
+    s = convolve(dlt + tau, f)
+    return float((s.data * s.data - e.data).min())
+
+
 def psi1_oracle(Gt, tau):
     """psi1_report by nested convolutions, one convolve per product."""
     d, side = Gt.d, Gt.side
@@ -317,8 +356,8 @@ def psi1_oracle(Gt, tau):
     return {"identity_residual": resid, "identity_rel": resid / scale,
             "slack_step2": float((rhs2.data - lhs1.data).min()),
             "slack_step3": float((rhs3.data - rhs2.data).min()),
-            "key_lemma_tau": float((s_tau.data ** 2 - convolve(e, t2).data).min()),
-            "key_lemma_gt": float((s_gt.data ** 2 - convolve(e, g2).data).min())}
+            "key_lemma_tau": key_lemma_gap(tau, tau),
+            "key_lemma_gt": key_lemma_gap(tau, Gt)}
 
 
 def hyp3_oracle(Gt, tau):

@@ -93,7 +93,6 @@ def test_spread_out_validation():
         SpreadOut(2, 0.5)
     with pytest.raises(GraphError):
         SpreadOut(2, 1.0, "hexagon")
-    assert SpreadOut(3, 2.0).theta == pytest.approx(0.25)
 
 
 def test_torus_embedding_ring():
