@@ -15,7 +15,7 @@ from .currents import (
     theta_double_prime, theta_prime, through, two_point_matrix,
 )
 from .fields import (
-    Field, NonContracting,
+    Field, NonContracting, SymField,
     convolve, convolution_bound_check, delta, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
@@ -43,6 +43,7 @@ __all__ = [
     "partition_function", "pi0", "pi0_tilde", "psi1_report",
     "rw_green_proxy", "save_graph", "spin_expectation",
     "spread_out_coupling", "sst_lhs", "sst_switch_rhs", "step_distribution",
+    "SymField",
     "theta_double_prime", "theta_prime", "through", "tilde_g",
     "triangle_tensor", "two_point_matrix", "verify_pi0_decomposition",
     "weighted_norm", "wrap_mass",

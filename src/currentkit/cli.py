@@ -26,7 +26,7 @@ from .currents import (
     subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
 )
 from .fields import (
-    Field, convolution_bound_check, convolve, delta,
+    Field, convolution_bound_check, convolve,
     depicted_ratios, hyp1_report, hyp2_report, hyp3_report,
     key_lemma_gap_matrix, psi1_report, rw_green_proxy, tilde_g,
     triangle_tensor,
@@ -678,6 +678,11 @@ SUITES = {
 }
 
 
+# Gate rows whose margin flags an outcome rather than measuring a slack; the
+# summary's worst margin skips them.
+GATE_CHECKS = frozenset({"diagonal_rejected"})
+
+
 def run_suite(suite: str, cfg: RunConfig) -> list:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -702,9 +707,12 @@ def write_report(rows: list, out_dir: str, runtimes: dict) -> tuple:
         for suite in sorted({r.suite for r in rows}):
             sub = [r for r in rows if r.suite == suite]
             bad = [r for r in sub if r.failed]
-            finite = [r.margin for r in sub if math.isfinite(r.margin)]
+            counts = ", ".join(f"{sum(r.status == st for r in sub)} {st}"
+                               for st in ("pass", "trivial", "report", "fail"))
+            finite = [r.margin for r in sub
+                      if math.isfinite(r.margin) and r.check not in GATE_CHECKS]
             worst = min(finite) if finite else math.inf
-            fh.write(f"{suite}: {len(sub)} checks, {len(bad)} failed, "
+            fh.write(f"{suite}: {len(sub)} checks ({counts}), {len(bad)} failed, "
                      f"worst margin {_fmt(worst)}, "
                      f"runtime {runtimes.get(suite, 0.0):.1f}s\n")
             for r in bad[:20]:

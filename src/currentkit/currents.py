@@ -478,6 +478,9 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
     return event_measure(g, [Layer(B_prime, (o, y)), Layer(B, (y, x))], ev, cap=cap)
 
 
+_ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
+
+
 def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -> tuple:
     """Every bond subset's one-layer connection measures from one sweep.
 
@@ -490,9 +493,10 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
     o = _origin_label(g, o)
     nb, n = g.n_bonds, g.n_vertices
     _check_cap(nb, cap)
-    # both (2**nb, n, n) float tables, the half-size copy numpy takes of the
-    # overlapping zeta-transform operand, and two (2**nb, n) gathers
-    _fits((8 << nb) * n * (3 * n + 2), f"subset tables for {nb} bonds on {n} vertices")
+    # both (2**nb, n, n) float tables, two (2**nb, n) gathers and the copy
+    # numpy takes of one zeta-transform chunk
+    _fits((8 << nb) * n * (2 * n + 2) + _ZETA_CHUNK,
+          f"subset tables for {nb} bonds on {n} vertices")
     io = g.index(o)
     P = _positive_table(g)
     comp = _component_table(g)
@@ -501,9 +505,16 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
     np.multiply(P[:, (1 << io) ^ (1 << np.arange(n))][:, :, None], linked[:, None, :],
                 out=F[0])
     np.multiply((P[:, :1] * linked)[:, :, None], linked[:, None, :], out=F[1])
-    for k in range(nb):                          # zeta transform: F[B] = sum over m <= B
-        blk = F.reshape(2, -1, 2, 1 << k, n * n)
-        blk[:, :, 1] += blk[:, :, 0]
+    # zeta transform, F[B] = sum over m <= B, one bond bit at a time. Where
+    # the halves B and B | bit interleave, numpy copies the overlapping
+    # operand of +=, so each table goes in blocks of at most _ZETA_CHUNK bytes.
+    step = max(1, _ZETA_CHUNK // (8 * n * n))
+    for k in range(nb):
+        span = max(2 << k, step - step % (2 << k))
+        for table in F.reshape(2, 1 << nb, n * n):
+            for lo in range(0, 1 << nb, span):
+                blk = table[lo:lo + span].reshape(-1, 2, 1 << k, n * n)
+                blk[:, 1] += blk[:, 0]
     F /= F[1, :, io, io].copy()[:, None, None]
     return F[0], F[1]
 

@@ -18,8 +18,8 @@ from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
     NonContracting,
-    _hat, _inv, delta, hyp1_report, rw_green_proxy, tilde_g,
-    triangle_tensor, weighted_norm, wrap_mass,
+    _dct, _idct, _minus_delta, _mirror, _weights, hyp1_report, rw_green_proxy,
+    tilde_g, triangle_tensor, weighted_norm, wrap_mass,
 )
 
 
@@ -433,7 +433,7 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
     """Fit the decay exponent of the depth-1 chain value along an axis.
 
     The chain head (smeared cube) and the first kernel term are evaluated
-    exactly per probe by FFT contractions; the remaining terms are attached as
+    exactly per probe; the remaining terms are attached as
     a labeled geometric estimate with measured ratio. The k=0 component of
     the smeared field is a flat finite-volume offset (it carries the near
     critical total mass spread uniformly over the torus) and would swamp the
@@ -442,29 +442,39 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
     exponent against the floored distance, the per-probe envelope ratios
     against theta^3 <x>^(-3(d-2)), and the proxy identity and wrap
     diagnostics.
+
+    All fields are reflection-symmetric, and a probe shifts along axis 0
+    only, so the per-probe products are unfolded on axis 0 and stay on the
+    fundamental domain in the others: each probe costs an rfft/irfft pair
+    along axis 0 and cosine transforms along the rest, and its sum weights
+    each point by its multiplicity.
     """
     spec = SpreadOut(d, L, profile)
     G, tau = rw_green_proxy(spec, side, p)
     Gt = tilde_g(G, tau)
-    dlt = delta(d, side)
-    ident_err = float(np.abs(Gt.data - (G.data - dlt.data)).max())
+    ident_err = float(np.abs(Gt.data - _minus_delta(G)).max())
     if Gt.l1() < 1e-14:
         return {"degenerate": True, "reason": "smeared field vanishes"}
     theta = float(L) ** (-2)
     hyp1 = hyp1_report(G, tau, L)
-    flat = float(Gt.data.mean())
-    shape = G.data.shape
+    flat = Gt.total() / side ** d
     g2 = Gt * Gt
     # psi = (d+t2) * (d+g2) * (d+t2) with the delta 1 on the spectrum
-    E = _hat(tau.data * tau.data)
+    E = _dct(tau.data * tau.data, side)
     E += 1.0
-    S = _hat(g2.data)
+    S = _dct(g2.data, side)
     S += 1.0
     S *= E
     S *= E
-    psi = _inv(S, shape)
+    psi = _idct(S, side)
     del S, E
-    Ghat = _hat(G.data)
+    # G's spectrum is real and even, so its cosine transform is also its
+    # half spectrum along axis 0
+    Ghat = _dct(G.data, side)
+    axes = range(1, d)
+    unfold = _mirror(side)
+    psi0, Gt0, g20 = psi[unfold], Gt.data[unfold], g2.data[unfold]
+    W = _weights(d - 1, side)
     if radii is None:
         radii = list(range(1, side // 2 + 1))
     rows = {}
@@ -472,12 +482,14 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
         x = (r,) + (0,) * (d - 1)
         term0 = Gt.value(x) ** 3
         core = Gt.value(x) - flat
-        S = _hat(psi * Gt.shifted(x).data)
+        S = np.fft.rfft(_dct(psi0 * np.roll(Gt0, r, axis=0), side, axes), axis=0)
         S *= Ghat
-        conv = _inv(S, shape)
+        conv = _idct(np.fft.irfft(S, n=side, axis=0), side, axes)
         del S
-        B = Gt.data * g2.shifted(x).data
-        term1 = float((B * conv).sum())
+        B = Gt0 * np.roll(g20, r, axis=0)
+        B *= conv
+        B *= W
+        term1 = float(B.sum())
         rho = term1 / term0 if term0 > 0 else math.inf
         if rho < 1.0:
             est = term0 + term1 / (1.0 - rho)

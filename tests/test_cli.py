@@ -1,6 +1,7 @@
 """Corpus plumbing, report writing, and the command-line entry point."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -196,3 +197,19 @@ def test_summary_counts_match_report(tmp_path, capsys):
     with open(os.path.join(out, "summary.txt")) as fh:
         head = fh.readline()
     assert head == f"checks: {len(body) - 1}  failed: 0\n"
+
+
+def test_summary_counts_statuses_and_skips_gate_margins(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    assert main(["run", "theorems", "--out", out]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(_report_body(out)[1:]))
+    with open(os.path.join(out, "summary.txt")) as fh:
+        line = fh.read().splitlines()[1]
+    counts = ", ".join(f"{sum(r[6] == st for r in rows)} {st}"
+                       for st in ("pass", "trivial", "report", "fail"))
+    assert line.startswith(f"theorems: {len(rows)} checks ({counts}), 0 failed, ")
+    bounds = [float(r[5]) for r in rows if r[2].startswith("thm") and r[5] != "inf"]
+    assert any(r[2] == "diagonal_rejected" and float(r[5]) == 0.0 for r in rows)
+    assert f"worst margin {min(bounds):.12g}," in line
+    assert min(bounds) != 0.0

@@ -347,7 +347,7 @@ def test_subset_tables_other_origin():
 def test_subset_tables_refused_before_allocation(monkeypatch):
     g = corpus_graphs()[-1]
     nb, n = g.n_bonds, g.n_vertices
-    work = (8 << nb) * n * (3 * n + 2) + currents._OVERHEAD
+    work = (8 << nb) * n * (2 * n + 2) + currents._ZETA_CHUNK + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
@@ -434,7 +434,9 @@ def test_refusal_counts_bound_traced_peak(monkeypatch, case):
     monkeypatch.setattr(currents, "_fits", spy)
 
     def run(limit):
-        """(refused, traced peak) of the call under ``limit``."""
+        """(refused, traced peak) of the call under ``limit``; the caches are
+        warmed under the default limit."""
+        monkeypatch.setattr(currents, "_MEM_LIMIT", default)
         prepare()
         monkeypatch.setattr(currents, "_MEM_LIMIT", limit)
         tracemalloc.start()
@@ -448,7 +450,8 @@ def test_refusal_counts_bound_traced_peak(monkeypatch, case):
             tracemalloc.stop()
         return refused, peak
 
-    refused, peak = run(currents._MEM_LIMIT)
+    default = currents._MEM_LIMIT
+    refused, peak = run(default)
     count = counts[0]
     assert count > 1 << 20                   # the counted arrays dominate
     assert not refused and peak <= count

@@ -1,10 +1,13 @@
 """Torus field calculus: convolution, proxy pair, kernels, reports.
 
-The reports transform each operand once and contract four-point sums as dot
-products of pair products. The oracles at the end of this file take the
-direct routes instead: nested ``convolve`` calls for psi1, hyp3 and the decay
-kernel term, and reflected, rolled copies of all four legs for each
-four-point sum.
+The proxy fields live on the fundamental domain of the reflections and the
+reports transform them with per-axis cosine transforms; four-point sums are
+dot products of pair products. The oracles at the end of this file take the
+full-torus routes instead, on ``SymField.full()`` copies: the half-spectrum
+solve for G, ``convolve`` for Gt, nested ``convolve`` calls for psi1 and
+hyp3, rfftn per radius for the decay kernel term, and reflected, rolled
+copies of all four legs for each four-point sum. A long-double cosine
+reference decides which route is closer to the exact values.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from currentkit import (
-    Field, GraphError, NonContracting, SpreadOut,
+    Field, GraphError, NonContracting, SpreadOut, SymField,
     convolution_bound_check, convolve, delta, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
@@ -23,7 +26,7 @@ from currentkit import (
 )
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _probe_pairs, centered_norm_grid, from_offsets,
+    _four_point_sums, _hat, _inv, _probe_pairs, centered_norm_grid,
     triangle_T_field, zeros,
 )
 
@@ -77,7 +80,7 @@ def test_reversed_and_shifted():
 def test_weighted_norm_floor():
     assert weighted_norm((0, 0), 2.0) == 2.0
     assert weighted_norm((3, 4), 2.0) == 5.0
-    grid = centered_norm_grid(2, 6, 1.5, 1.0)
+    grid = centered_norm_grid(2, 6, 1.5, 1.0).full().data
     assert grid[0, 0] == 1.5
     assert grid[3, 0] == pytest.approx(3.0)
     # symmetry under reflection through the origin
@@ -93,7 +96,7 @@ def test_step_distribution_mass():
 def test_proxy_identity_and_mass():
     spec = SpreadOut(2, 1.0)
     p = 0.5
-    G, tau = rw_green_proxy(spec, 9, p)
+    G, tau = (f.full() for f in rw_green_proxy(spec, 9, p))
     dlt = delta(2, 9)
     # exact resolvent identity G = delta + tau * G
     resid = np.max(np.abs(G.data - (dlt + convolve(tau, G)).data))
@@ -105,26 +108,10 @@ def test_proxy_identity_and_mass():
 
 def test_proxy_degenerate_and_divergent():
     G, tau = rw_green_proxy(SpreadOut(1, 1.0), 8, 0.0)
-    assert np.allclose(G.data, delta(1, 8).data)
+    assert np.allclose(G.full().data, delta(1, 8).data)
     assert tau.l1() == 0.0
     with pytest.raises(NonContracting):
         rw_green_proxy(SpreadOut(1, 1.0), 8, 1.0)
-
-
-def green_reference(spec, side, p):
-    """Proxy G in long double: D's cosine transform and its inverse applied
-    axis by axis, the angles reduced mod side before the cosine."""
-    D = step_distribution(spec, side).data.astype(np.longdouble)
-    k = np.arange(side)
-    pi = 4 * np.arctan(np.longdouble(1))
-    C = np.cos(2 * pi * (np.outer(k, k) % side).astype(np.longdouble) / side)
-
-    def cosine(A):
-        for ax in range(A.ndim):
-            A = np.moveaxis(np.tensordot(C, np.moveaxis(A, ax, 0), axes=(1, 0)), 0, ax)
-        return A
-
-    return cosine(1 / (1 - np.longdouble(p) * cosine(D))) / np.longdouble(side) ** spec.d
 
 
 def test_proxy_matches_long_double_reference(monkeypatch):
@@ -137,19 +124,19 @@ def test_proxy_matches_long_double_reference(monkeypatch):
     spec, side, p = SpreadOut(5, 2.0), 16, 0.99
     G, _ = rw_green_proxy(spec, side, p)
     assert not complex_calls
-    ref = green_reference(spec, side, p)
+    ref = LongDoubleProxy(spec, side, p).G
     assert float((np.abs(G.data - ref) / ref).max()) <= 1e-12
 
 
 def test_tilde_g_equals_g_minus_delta_for_proxy():
     G, tau = rw_green_proxy(SpreadOut(2, 1.5), 8, 0.7)
     Gt = tilde_g(G, tau)
-    assert np.max(np.abs(Gt.data - (G.data - delta(2, 8).data))) <= 1e-12
+    assert np.max(np.abs(Gt.full().data - (G.full().data - delta(2, 8).data))) <= 1e-12
 
 
 def test_tilde_g_rejects_significant_negative():
-    tau = from_offsets(1, 6, {(1,): -1.0})
-    G = delta(1, 6)
+    tau = SymField(1, 6, np.array([0.0, -1.0, 0.0, 0.0]))      # -delta_1 - delta_-1
+    G = SymField.fold(delta(1, 6))
     with pytest.raises(GraphError):
         tilde_g(G, tau)
 
@@ -221,12 +208,12 @@ def test_convolution_bound_finite_constant():
 
 
 def test_wrap_mass_extremes():
-    f = delta(2, 8)
+    f = SymField.fold(delta(2, 8))
     assert wrap_mass(f) == 0.0
-    g = zeros(2, 8)
+    g = SymField(2, 8, np.zeros((5, 5)))
+    assert wrap_mass(g) == 0.0
     g.data[4, 4] = 2.0
     assert wrap_mass(g) == 1.0
-    assert wrap_mass(zeros(2, 8)) == 0.0
 
 
 def test_hypothesis_reports_on_proxy():
@@ -247,6 +234,7 @@ def test_hypothesis_reports_on_proxy():
 def test_key_lemma_gaps_nonnegative():
     G, tau = rw_green_proxy(SpreadOut(2, 1.0), 9, 0.55)
     Gt = tilde_g(G, tau)
+    tau, Gt = tau.full(), Gt.full()
     assert key_lemma_gap(tau, tau) >= -1e-14
     assert key_lemma_gap(tau, Gt) >= -1e-14
     rng = np.random.default_rng(5)
@@ -276,25 +264,32 @@ def test_depicted_ratios_positive_finite():
 
 
 def test_depicted_ratios_refuses_asymmetric_field():
+    """depicted_ratios takes SymFields, and folding a field that is not
+    reflection-symmetric to 1e-14 relative raises."""
     G, tau = rw_green_proxy(SpreadOut(3, 1.0), 8, 0.5)
     Gt = tilde_g(G, tau)
     spike = zeros(3, 8)
     spike.data[1, 0, 0] = 1e-9 * G.linf()
     with pytest.raises(GraphError):
-        depicted_ratios(G + spike, Gt)
+        SymField.fold(G.full() + spike)
     with pytest.raises(GraphError):
-        depicted_ratios(G, Gt + spike)
+        SymField.fold(Gt.full() + spike)
+    assert np.array_equal(SymField.fold(G.full()).data, G.data)
+    with pytest.raises(GraphError):
+        G + spike
 
 
 def test_psi1_report_flags_step2_violation():
-    # tau = -delta_1 annihilates constants: (d+tau) * Gt = 0 for constant Gt,
-    # so rhs2 = t2 + ((d+tau) * tau)^2 = 2 delta_1 + delta_2 while
-    # lhs1 = (d+t2) * (d+c^2) * (d+t2) - d = 2 delta_1 + delta_2 + 4 c^2.
+    # tau = -(delta_1 + delta_-1)/2 sums to -1, so (d+tau) * Gt = 0 for a
+    # constant Gt = c, and rhs2 = t2 + ((d+tau) * tau)^2, which is
+    # 2 t2 + t2*t2 away from the origin (t2 = (delta_1 + delta_-1)/4).
+    # lhs1 = (d+t2) * (d+c^2) * (d+t2) - d = 2 t2 + t2*t2 + (1 + sum t2)^2 c^2,
+    # so the slack is -(9/4) c^2 at every x != 0 and 1/8 - (9/4) c^2 at 0.
     c = 0.5
-    tau = from_offsets(1, 6, {(1,): -1.0})
-    Gt = Field(1, 6, np.full(6, c))
+    tau = SymField(1, 6, np.array([0.0, -0.5, 0.0, 0.0]))
+    Gt = SymField(1, 6, np.full(4, c))
     rep = psi1_report(Gt, tau)
-    assert rep["slack_step2"] == pytest.approx(-4.0 * c * c, abs=1e-12)
+    assert rep["slack_step2"] == pytest.approx(-2.25 * c * c, abs=1e-12)
     assert rep["identity_rel"] <= 1e-12
 
 
@@ -303,7 +298,7 @@ def test_psi1_report_flags_step2_violation():
 @pytest.fixture
 def transforms(monkeypatch):
     calls = Counter()
-    for name in ("rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -312,21 +307,36 @@ def transforms(monkeypatch):
 
 
 def test_transform_counts(transforms):
+    """The proxy block runs on cosine transforms alone; decay_trend adds one
+    rfft/irfft pair along the probe axis per radius."""
     G, tau = rw_green_proxy(SpreadOut(2, 1.0), 8, 0.5)
     Gt = tilde_g(G, tau)
-    transforms.clear()
     psi1_report(Gt, tau)
-    assert sum(transforms.values()) <= 11
-    transforms.clear()
+    hyp1_report(G, tau, 1.0)
+    hyp2_report(G, Gt, 1.0)
     hyp3_report(Gt, tau)
-    assert sum(transforms.values()) <= 4
-    transforms.clear()
+    wrap_mass(Gt)
+    assert not transforms
     radii = [1, 2, 3, 4]
     decay_trend(d=2, L=1.0, side=8, p=0.5, radii=radii)
-    assert sum(transforms.values()) <= 2 * len(radii) + 12
+    assert set(transforms) <= {"rfft", "irfft"}
+    assert transforms["rfft"] + transforms["irfft"] <= 2 * len(radii) + 1
 
 
-# -- oracles: the direct routes -------------------------------------------------
+# -- oracles: the full-torus routes ----------------------------------------------
+
+def green_oracle(spec, side, p):
+    """Proxy G solved on the half spectrum of the whole torus."""
+    D = step_distribution(spec, side).full().data
+    S = _inv(1.0 / (1.0 - p * _hat(D).real), D.shape)
+    return Field(spec.d, side, np.where(S < 0, 0.0, S))
+
+
+def tilde_g_oracle(G, tau):
+    out = convolve(tau, G)
+    out.data[out.data < 0] = 0.0
+    return out
+
 
 def key_lemma_gap(tau, f):
     """Min of ((delta+tau) * f)^2 - (delta+tau^2) * f^2; nonnegative iff the
@@ -338,14 +348,17 @@ def key_lemma_gap(tau, f):
 
 
 def psi1_oracle(Gt, tau):
-    """psi1_report by nested convolutions, one convolve per product."""
+    """psi1_report by nested convolutions, one convolve per product. The two
+    sides of the step-1 identity take the unit delta exactly, (d+a) * b =
+    b + a * b, so their residual carries no rounding of the delta itself."""
     d, side = Gt.d, Gt.side
     dlt = delta(d, side)
     t2 = tau * tau
     g2 = Gt * Gt
-    e = dlt + t2
-    lhs1 = convolve(convolve(e, dlt + g2), e) - dlt
-    rhs1 = e + convolve(e, t2) + convolve(convolve(e, e), g2) - dlt
+    a = g2 + t2 + convolve(t2, g2)                      # (d+t2) * (d+g2) - d
+    lhs1 = a + t2 + convolve(a, t2)                     # ... * (d+t2) - d
+    b = t2 + t2 + convolve(t2, t2)                      # (d+t2) * (d+t2) - d
+    rhs1 = b + g2 + convolve(b, g2)                     # (d+t2) + (d+t2) * t2 + ... - d
     resid = float(np.abs(lhs1.data - rhs1.data).max())
     s_tau = convolve(dlt + tau, tau)
     s2_gt = convolve(convolve(dlt + tau, dlt + tau), Gt)
@@ -402,24 +415,85 @@ def depicted_oracle(G, Gt):
     return out
 
 
-def decay_term1_oracle(G, tau, Gt, radii):
-    """The first kernel term of decay_trend per radius, with psi from nested
-    convolutions and one convolve(A, G) per radius."""
-    d, side = G.d, G.side
-    dlt = delta(d, side)
-    t2 = tau * tau
+def decay_oracle(G, tau, Gt, radii):
+    """decay_trend's kernel term and mean-subtracted cube per radius on the
+    whole torus: psi from one spectrum product, then one rfftn/irfftn pair
+    per radius. {r: (term1, decaying)}."""
+    d, shape = G.d, G.data.shape
     g2 = Gt * Gt
-    psi = convolve(convolve(dlt + t2, dlt + g2), dlt + t2)
+    E = _hat(tau.data * tau.data) + 1.0
+    psi = _inv((_hat(g2.data) + 1.0) * E * E, shape)
+    Ghat = _hat(G.data)
+    flat = Gt.data.mean()
     out = {}
     for r in radii:
         x = (r,) + (0,) * (d - 1)
-        A = Field(d, side, psi.data * Gt.shifted(x).data)
-        B = Gt.data * g2.shifted(x).data
-        out[r] = float((B * convolve(A, G).data).sum())
+        conv = _inv(_hat(psi * Gt.shifted(x).data) * Ghat, shape)
+        core = Gt.value(x) - flat
+        out[r] = (float((Gt.data * g2.shifted(x).data * conv).sum()),
+                  core ** 3 if core > 0 else math.nan)
     return out
 
 
-PROXIES = [(2, 1.0, 8, 0.5), (3, 1.0, 8, 0.5), (5, 2.0, 16, 0.99)]
+class LongDoubleProxy:
+    """G, Gt = G - delta and decay_trend's per-radius values in long double on
+    the fundamental domain: cosine transforms with the angles reduced mod
+    side before the cosine, and the probe axis convolved directly."""
+
+    def __init__(self, spec, side, p):
+        self.d, self.side = spec.d, side
+        m = side // 2 + 1
+        k = np.arange(m)
+        pi = 4 * np.arctan(np.longdouble(1))
+        self.w = np.full(m, 2, dtype=np.longdouble)
+        self.w[0] = 1
+        if side % 2 == 0:
+            self.w[-1] = 1
+        self.M = np.cos(2 * pi * (np.outer(k, k) % side).astype(np.longdouble) / side) * self.w
+        D = step_distribution(spec, side).data.astype(np.longdouble)
+        self.tau = np.longdouble(p) * D
+        self.G = self.inv(1 / (1 - self.cos(self.tau)))
+        self.Gt = self.G.copy()
+        self.Gt[(0,) * spec.d] -= 1
+
+    def cos(self, A, axes=None):
+        for ax in range(A.ndim) if axes is None else axes:
+            A = np.moveaxis(np.tensordot(self.M, A, axes=(1, ax)), 0, ax)
+        return A
+
+    def inv(self, S, axes=None):
+        n = S.ndim if axes is None else len(axes)
+        return self.cos(S, axes) / np.longdouble(self.side) ** n
+
+    def weights(self, d):
+        w = np.ones((), dtype=np.longdouble)
+        for _ in range(d):
+            w = np.multiply.outer(w, self.w)
+        return w
+
+    def decay(self, radii):
+        """{r: (term1, decaying)}, as decay_oracle."""
+        d, side, Gt = self.d, self.side, self.Gt
+        g2 = Gt * Gt
+        E = self.cos(self.tau * self.tau) + 1
+        psi = self.inv((self.cos(g2) + 1) * E * E)
+        flat = (self.weights(d) * Gt).sum() / np.longdouble(side) ** d
+        k = np.arange(side)
+        unfold = np.minimum(k, side - k)
+        axes = range(1, d)
+        Gk = self.cos(self.G, axes)[unfold]
+        W = self.weights(d - 1)
+        out = {}
+        for r in radii:
+            A = self.cos(psi[unfold] * np.roll(Gt[unfold], r, axis=0), axes)
+            conv = self.inv(sum(A[z] * np.roll(Gk, z, axis=0) for z in range(side)), axes)
+            core = Gt[(r,) + (0,) * (d - 1)] - flat
+            out[r] = ((Gt[unfold] * np.roll(g2[unfold], r, axis=0) * conv * W).sum(),
+                      core ** 3)
+        return out
+
+
+PROXIES = [(2, 1.0, 8, 0.5), (3, 1.0, 8, 0.5), (2, 1.0, 9, 0.55), (5, 2.0, 16, 0.99)]
 
 
 @pytest.fixture(scope="module", params=PROXIES, ids=lambda c: "d%d_L%g_s%d" % c[:3])
@@ -429,10 +503,62 @@ def proxy(request):
     return request.param, G, tau, tilde_g(G, tau)
 
 
+def test_cosine_route_against_long_double_and_full_torus():
+    """At d=5, side 16, p=0.99, against the long-double reference: the
+    cosine route's largest error of G is at most the full-torus route's, and
+    its largest relative errors of G over the far half (centered sup-norm >
+    side/4) and of decay_trend's term1 and mean-subtracted cube over the
+    radii are within twice the full-torus route's."""
+    spec, side, p = SpreadOut(5, 2.0), 16, 0.99
+    ref = LongDoubleProxy(spec, side, p)
+    G, tau = rw_green_proxy(spec, side, p)
+    old_G = green_oracle(spec, side, p)
+    new_err = np.abs(G.data - ref.G)
+    old_err = np.abs(old_G.data[(slice(0, side // 2 + 1),) * 5] - ref.G)
+    assert new_err.max() <= old_err.max()
+    far = np.zeros((), dtype=bool)
+    for _ in range(5):
+        far = np.logical_or.outer(far, np.arange(side // 2 + 1) > side / 4)
+    assert (new_err / ref.G)[far].max() <= 2 * (old_err / ref.G)[far].max()
+    rep = decay_trend(d=5, L=2.0, side=side, p=p)
+    radii = sorted(rep["rows"])
+    want = ref.decay(radii)
+    old = decay_oracle(old_G, tau.full(), tilde_g_oracle(old_G, tau.full()), radii)
+    for k, key in enumerate(("term1", "decaying")):
+        new_rel = max(abs((rep["rows"][r][key] - want[r][k]) / want[r][k]) for r in radii)
+        old_rel = max(abs((old[r][k] - want[r][k]) / want[r][k]) for r in radii)
+        assert new_rel <= 2 * old_rel, key
+
+
+def test_four_point_sums_against_long_double():
+    """Three G-Gt four-point sums at d=5, side 16 within 1e-15 relative of
+    their long-double values."""
+    G, tau = rw_green_proxy(SpreadOut(5, 2.0), 16, 0.99)
+    Gt = tilde_g(G, tau)
+    G, Gt = G.full(), Gt.full()
+    probes = _probe_pairs(5)
+    z = (0,) * 5
+    quads = [(z, probes[1], z, probes[2]), (z, probes[2], probes[1], probes[3]),
+             (z, probes[1], probes[2], probes[4])]
+    got = _four_point_sums(G, Gt, G, Gt, quads)
+    for s, (u, up, v, vp) in zip(got, quads):
+        want = (G.reversed().shifted(u).data.astype(np.longdouble) * Gt.shifted(up).data
+                * G.reversed().shifted(v).data * Gt.shifted(vp).data).sum()
+        assert abs(s - want) <= 1e-15 * want
+
+
+def test_proxy_and_tilde_g_match_full_torus(proxy):
+    (d, L, side, p), G, tau, Gt = proxy
+    want = green_oracle(SpreadOut(d, L), side, p)
+    assert np.abs(G.full().data - want.data).max() <= 1e-15 * want.linf()
+    want = tilde_g_oracle(G.full(), tau.full())
+    assert np.abs(Gt.full().data - want.data).max() <= 1e-15 * want.linf()
+
+
 def test_psi1_report_matches_nested_convolutions(proxy):
     _, _, tau, Gt = proxy
     got = psi1_report(Gt, tau)
-    want = psi1_oracle(Gt, tau)
+    want = psi1_oracle(Gt.full(), tau.full())
     assert set(got) == set(want)
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-16), key
@@ -441,7 +567,7 @@ def test_psi1_report_matches_nested_convolutions(proxy):
 def test_hyp3_report_matches_nested_convolutions(proxy):
     _, _, tau, Gt = proxy
     got = hyp3_report(Gt, tau)
-    want = hyp3_oracle(Gt, tau)
+    want = hyp3_oracle(Gt.full(), tau.full())
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-12), key
 
@@ -449,7 +575,7 @@ def test_hyp3_report_matches_nested_convolutions(proxy):
 def test_depicted_ratios_match_rolled_four_points(proxy):
     _, G, _, Gt = proxy
     got = depicted_ratios(G, Gt)
-    want = depicted_oracle(G, Gt)
+    want = depicted_oracle(G.full(), Gt.full())
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-12), key
 
@@ -457,8 +583,8 @@ def test_depicted_ratios_match_rolled_four_points(proxy):
 def test_decay_trend_matches_per_radius_convolution(proxy):
     (d, L, side, p), G, tau, Gt = proxy
     rep = decay_trend(d=d, L=L, side=side, p=p)
-    want = decay_term1_oracle(G, tau, Gt, sorted(rep["rows"]))
-    for r, term1 in want.items():
+    want = decay_oracle(G.full(), tau.full(), Gt.full(), sorted(rep["rows"]))
+    for r, (term1, _) in want.items():
         row = rep["rows"][r]
         assert row["term1"] == pytest.approx(term1, rel=1e-12), r
         rho = term1 / row["term0"]
