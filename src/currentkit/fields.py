@@ -18,7 +18,9 @@ is 17^5 entries in place of 32^5. The proxy pair and the reports take
 SymFields, transform each operand once per call and form their convolution
 products on the spectrum, where the delta is 1. Four-point sums over
 reflection-symmetric fields are dot products of two pair products
-x -> A(x-a) B(x-b) on the whole torus.
+x -> A(x-a) B(x-b). The probes move along the leading axes only, so each
+sum runs over those axes in full and over the others on the fundamental
+domain, with their multiplicities (at d = 5, side 32: 32^2 * 17^3 entries).
 """
 from __future__ import annotations
 
@@ -81,16 +83,6 @@ class Field(_Grid):
     def total(self) -> float:
         return float(self.data.sum())
 
-    def reversed(self) -> "Field":
-        """x -> f(-x)."""
-        rev = self.data[(slice(None, None, -1),) * self.d]
-        return Field(self.d, self.side, np.roll(rev, 1, axis=tuple(range(self.d))))
-
-    def shifted(self, x: Sequence[int]) -> "Field":
-        """x0 -> f(x0 - x)."""
-        return Field(self.d, self.side,
-                     np.roll(self.data, tuple(int(c) for c in x), axis=tuple(range(self.d))))
-
 
 @dataclass(frozen=True, eq=False)
 class SymField(_Grid):
@@ -124,7 +116,7 @@ class SymField(_Grid):
 
     def full(self) -> Field:
         """The field on the whole torus."""
-        return Field(self.d, self.side, self.data[np.ix_(*(_mirror(self.side),) * self.d)])
+        return Field(self.d, self.side, _unfold(self, self.d))
 
     @classmethod
     def fold(cls, f: Field) -> "SymField":
@@ -144,6 +136,12 @@ def _mirror(side: int) -> np.ndarray:
     """Fundamental-domain index of each torus coordinate 0..side-1."""
     k = np.arange(side)
     return np.minimum(k, side - k)
+
+
+def _unfold(f: SymField, k: int) -> np.ndarray:
+    """f on the whole torus along axes 0..k-1 and on the fundamental domain
+    along the others."""
+    return f.data[np.ix_(*(_mirror(f.side),) * k)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,39 +332,37 @@ def triangle_tensor(G: np.ndarray) -> np.ndarray:
     return t1 + t2 + t3
 
 
-def triangle_T_field(G: Field, x: Sequence[int], y: Sequence[int]) -> float:
-    """Triangle kernel rooted at the torus origin.
+def triangle_T_field(g: np.ndarray, w: np.ndarray, x: Sequence[int],
+                     y: Sequence[int]) -> float:
+    """Triangle kernel rooted at the torus origin, for a reflection-symmetric G:
+    sum_z G(z) G(x-z) G(z-y) [G(x) G(z-y) + G(y) G(z-x) + G(y-x) G(z)].
 
-    sum_z G(z) G(x-z) G(z-y) [G(x) G(z-y) + G(y) G(z-x) + G(y-x) G(z)], as
-    three sums of A(z) = G(z) Grev(z-x) times a pair product, all pairs in one
-    buffer. Each product is summed pairwise: at side 32 a running dot product
-    (einsum) drifts by 2e-14 relative.
+    With G(x-z) = G(z-x) these are three four-point sums of G that share the
+    pair z -> G(z) G(z-x). g and w are as in ``_four_point_sums``; x and y
+    move along the unfolded axes only.
     """
-    z = (0,) * G.d
-    A = _pair_product(G, z, G.reversed(), x)
-    P = np.empty_like(G.data)
-    total = 0.0
-    for c, a, b in ((G.value(x), y, y), (G.value(y), y, x),
-                    (G.value(tuple(p - q for p, q in zip(y, x))), z, y)):
-        pair = _pair_product(G, a, G, b, out=P)
-        total += c * float(np.multiply(pair, A, out=pair).sum())
-    return total
+    n = g.shape[0]
+
+    def at(q):
+        return float(g[tuple(int(c) % n for c in q)])
+
+    z = (0,) * len(x)
+    s = _four_point_sums(g, g, g, g, w, [(z, x, y, y), (z, x, y, x), (z, x, z, y)])
+    return at(x) * s[0] + at(y) * s[1] + at(tuple(q - p for p, q in zip(x, y))) * s[2]
 
 
 # ---------------------------------------------------------------------------
 # convolution bound check
 # ---------------------------------------------------------------------------
 
-def _box_norm_grids(d: int, R: int, L: float, shift=None) -> np.ndarray:
-    """Weighted norm of (shift - y) over the box {-R..R}^d (shift defaults 0)."""
-    offs = np.arange(-R, R + 1, dtype=float)
-    sq = np.zeros((2 * R + 1,) * d)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = 2 * R + 1
-        c = offs if shift is None else (float(shift[ax]) - offs)
-        sq = sq + (c.reshape(shape) ** 2)
-    return np.maximum(np.sqrt(sq), float(L))
+def _box_sq_norms(R: int, x: Sequence[int]) -> np.ndarray:
+    """Squared Euclidean norm of (x - y) over the box {-R..R}^len(x), as
+    integers."""
+    offs = np.arange(-R, R + 1)
+    sq = np.zeros((), dtype=np.int64)
+    for c in x:
+        sq = np.add.outer(sq, (c - offs) ** 2)
+    return sq
 
 
 def default_probes(d: int, R: int) -> list:
@@ -396,14 +392,19 @@ def convolution_bound_check(d: int, a: float, b: float, L: float, R: int,
         raise GraphError("the marginal case a == d is rejected")
     if probes is None:
         probes = default_probes(d, R)
-    wY = _box_norm_grids(d, R, L) ** (-b)
+    probes = [tuple(int(c) for c in x) for x in probes]
+    # Squared norms on the box are integers, so each power is taken once per
+    # value and gathered: the same floats as raising the whole grid.
+    top = max([d * R * R] + [sum((R + abs(c)) ** 2 for c in x) for x in probes])
+    norm = np.maximum(np.sqrt(np.arange(top + 1, dtype=float)), float(L))
+    powA, powB = norm ** (-a), norm ** (-b)
+    wY = powB[_box_sq_norms(R, (0,) * d)]
     ratios = {}
     for x in probes:
-        wXY = _box_norm_grids(d, R, L, shift=x) ** (-a)
-        lhs = float((wXY * wY).sum())
+        lhs = float((powA[_box_sq_norms(R, x)] * wY).sum())
         nx = weighted_norm(x, L)
         env = (L ** (d - a)) * nx ** (-b) if a > d else nx ** (d - a - b)
-        ratios[tuple(x)] = lhs / env
+        ratios[x] = lhs / env
     return {"ratios": ratios, "constant": max(ratios.values())}
 
 
@@ -556,58 +557,66 @@ def _probe_pairs(d: int) -> list:
     return [z, e1, e2, two, tuple(a + b for a, b in zip(e1, e2))]
 
 
-def _pair_product(F: Field, a, H: Field, b, out: np.ndarray | None = None) -> np.ndarray:
-    """x -> F(x-a) H(x-b), written block by block with no rolled copies
-    (into ``out`` if given): along each axis the cuts at a and b split the
-    index range into runs on which neither shifted index wraps."""
-    n = F.side
+def _pair_product(F: np.ndarray, a, H: np.ndarray, b,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """x -> F(x-a) H(x-b) for shifts a, b along the len(a) leading axes,
+    written block by block with no rolled copies (into ``out`` if given):
+    along each shifted axis the cuts at a and b split the index range into
+    runs on which neither shifted index wraps."""
+    n = F.shape[0]
     runs = []
     for ak, bk in zip(a, b):
         cuts = sorted({0, ak % n, bk % n, n})
         runs.append([(lo, hi, (lo - ak) % n, (lo - bk) % n)
                      for lo, hi in zip(cuts, cuts[1:])])
     if out is None:
-        out = np.empty_like(F.data)
+        out = np.empty_like(F)
     for block in iproduct(*runs):
-        np.multiply(F.data[tuple(slice(f, f + hi - lo) for lo, hi, f, _ in block)],
-                    H.data[tuple(slice(h, h + hi - lo) for lo, hi, _, h in block)],
+        np.multiply(F[tuple(slice(f, f + hi - lo) for lo, hi, f, _ in block)],
+                    H[tuple(slice(h, h + hi - lo) for lo, hi, _, h in block)],
                     out=out[tuple(slice(lo, hi) for lo, hi, _, _ in block)])
-    return out.ravel()
+    return out
 
 
 _DOT_CHUNK = 1 << 16
 
 
 def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    """sum_i a_i b_i: each chunk of len(buf) products is summed pairwise,
-    and so are the chunk sums."""
-    n = len(buf)
+    """sum_i a_i b_i over the flattened arrays: each chunk of len(buf)
+    products is summed pairwise, and so are the chunk sums."""
+    a, b, n = a.ravel(), b.ravel(), len(buf)
     parts = [np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)]).sum()
              for i in range(0, len(a), n)]
     return float(np.sum(parts))
 
 
-def _four_point_sums(A: Field, B: Field, C: Field, D: Field, quads: list) -> list:
+def _four_point_sums(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+                     w: np.ndarray, quads: list) -> list:
     """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each (u, u', v, v') in quads.
 
-    A and C must be reflection-symmetric, so each sum is the dot product of
-    the pairs x -> A(x-u) B(x-u') and x -> C(x-v) D(x-v'). The left pairs of
-    the family are kept and each right pair is built once for all of them.
-    Each dot product is summed pairwise, chunk by chunk through one small
-    buffer: a running dot product (einsum) drifts by 7e-15 relative at side 16.
+    A to D are reflection-symmetric fields unfolded along the leading axes,
+    along which the probes move; w holds the multiplicities of the other
+    axes. Each sum is the dot product of the pairs x -> A(x-u) B(x-u') w(x)
+    and x -> C(x-v) D(x-v'); the weights are powers of 2, so weighting is
+    exact. The left pairs of the family are kept and each right pair is
+    built once for all of them. Each dot product is summed pairwise, chunk
+    by chunk through one small buffer: a running dot product (einsum)
+    drifts by 7e-15 relative at side 16.
     """
+    k = A.ndim - w.ndim
     lefts = {}
     for u, up, _, _ in quads:
         if (u, up) not in lefts:
-            lefts[(u, up)] = _pair_product(A, u, B, up)
-    buf = np.empty(min(A.data.size, _DOT_CHUNK))
+            lefts[(u, up)] = _pair_product(A, u[:k], B, up[:k])
+            lefts[(u, up)] *= w
+    buf = np.empty(min(A.size, _DOT_CHUNK))
+    R = np.empty_like(C)
     sums = {}
     for v, vp in dict.fromkeys((v, vp) for _, _, v, vp in quads):
-        R = _pair_product(C, v, D, vp)
+        _pair_product(C, v[:k], D, vp[:k], out=R)
         for q in quads:
             if q[2:] == (v, vp):
                 sums[q] = _dot(lefts[q[:2]], R, buf)
-        del R
     return [sums[q] for q in quads]
 
 
@@ -624,11 +633,15 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
          target keeps one full-G segment; O(1) expected.
       5: triangle against its three-two-point product envelope; O(1) expected.
     Families 0 to 2 are expected to scale like side-range**(-d).
-    The sums run on the whole torus.
+    The probes move along axes 0 and 1 only, so the sums run over those axes
+    on the whole torus and over the others on the fundamental domain, each
+    point weighted by its multiplicity.
     """
-    G, Gt = G.full(), Gt.full()
     d = G.d
     probes = _probe_pairs(d)
+    k = min(d, 2)
+    Gu, Gtu = _unfold(G, k), _unfold(Gt, k)
+    mult = _weights(d - k, G.side)
 
     def gt(a, b):
         return Gt.value(tuple(q - p for p, q in zip(a, b)))
@@ -637,7 +650,7 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
         return G.value(tuple(q - p for p, q in zip(a, b)))
 
     def worst(A, B, C, D, quads, target):
-        sums = _four_point_sums(A, B, C, D, quads)
+        sums = _four_point_sums(A, B, C, D, mult, quads)
         return max(s / target(*q) for s, q in zip(sums, quads))
 
     def smeared(u, up, v, vp):
@@ -647,19 +660,19 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
     z = (0,) * d
     quads = [(z, p, q, r) for p in probes[1:3] for q in probes[1:3] for r in probes[2:4]]
     # 0: Gt Gt Gt Gt
-    out["ratio0"] = worst(Gt, Gt, Gt, Gt, quads, smeared)
+    out["ratio0"] = worst(Gtu, Gtu, Gtu, Gtu, quads, smeared)
     # 1: G Gt Gt Gt
-    out["ratio1"] = worst(G, Gt, Gt, Gt, quads, smeared)
+    out["ratio1"] = worst(Gu, Gtu, Gtu, Gtu, quads, smeared)
     # 2: G Gt G Gt
-    out["ratio2"] = worst(G, Gt, G, Gt, quads, smeared)
+    out["ratio2"] = worst(Gu, Gtu, Gu, Gtu, quads, smeared)
     # 3: coincident endpoint u' = v', slashed legs into it
     out["ratio3"] = worst(
-        Gt, G, Gt, G,
+        Gtu, Gu, Gtu, Gu,
         [(u, w, v, w) for u in probes[1:3] for v in probes[2:4] for w in probes[:2]],
         smeared)
     # 4: bubble at u = v, target keeps one full segment
     out["ratio4"] = worst(
-        G, Gt, G, Gt,
+        Gu, Gtu, Gu, Gtu,
         [(z, up, z, vp) for up in probes[1:4] for vp in probes[1:4]],
         lambda u, up, v, vp: gfull(u, up) * gt(v, vp) + gt(u, up) * gfull(v, vp))
     # 5: triangle against its product envelope
@@ -668,7 +681,7 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
         for a in probes[1:4]:
             if x == a:
                 continue
-            t5.append(triangle_T_field(G, x, a)
+            t5.append(triangle_T_field(Gu, mult, x, a)
                       / (gfull(z, x) * gfull(z, a) * gfull(x, a)))
     out["ratio5"] = max(t5)
     return out

@@ -2,16 +2,19 @@
 
 The proxy fields live on the fundamental domain of the reflections and the
 reports transform them with per-axis cosine transforms; four-point sums are
-dot products of pair products. The oracles at the end of this file take the
-full-torus routes instead, on ``SymField.full()`` copies: the half-spectrum
-solve for G, ``convolve`` for Gt, nested ``convolve`` calls for psi1 and
-hyp3, rfftn per radius for the decay kernel term, and reflected, rolled
-copies of all four legs for each four-point sum. A long-double cosine
-reference decides which route is closer to the exact values.
+dot products of pair products, summed over the axes the probes move along
+in full and over the others on the fundamental domain. The oracles at the
+end of this file take the full-torus routes instead, on ``SymField.full()``
+copies: the half-spectrum solve for G, ``convolve`` for Gt, nested
+``convolve`` calls for psi1 and hyp3, rfftn per radius for the decay kernel
+term, and reflected, rolled copies of all legs for each four-point sum and
+triangle. A long-double cosine reference decides which route is closer to
+the exact values.
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,14 +29,34 @@ from currentkit import (
 )
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _four_point_sums, _hat, _inv, _probe_pairs, centered_norm_grid,
-    triangle_T_field, zeros,
+    _four_point_sums, _hat, _inv, _probe_pairs, _unfold, _weights,
+    centered_norm_grid, default_probes, triangle_T_field, zeros,
 )
 
 
 def rng_field(d, side, seed):
     rng = np.random.default_rng(seed)
     return Field(d, side, rng.uniform(0.0, 1.0, size=(side,) * d))
+
+
+def sym_field(d, side, seed):
+    """A random field plus its mirror images along each axis, folded."""
+    f = rng_field(d, side, seed).data
+    for ax in range(d):
+        f = f + np.roll(np.flip(f, ax), 1, axis=ax)
+    return SymField.fold(Field(d, side, f))
+
+
+def reversed_field(f):
+    """x -> f(-x)."""
+    rev = f.data[(slice(None, None, -1),) * f.d]
+    return Field(f.d, f.side, np.roll(rev, 1, axis=tuple(range(f.d))))
+
+
+def shifted_field(f, x):
+    """x0 -> f(x0 - x)."""
+    return Field(f.d, f.side,
+                 np.roll(f.data, tuple(int(c) for c in x), axis=tuple(range(f.d))))
 
 
 def test_field_shape_guard():
@@ -71,9 +94,9 @@ def test_fft_matches_direct():
 
 def test_reversed_and_shifted():
     f = rng_field(2, 5, 7)
-    assert np.allclose(f.reversed().reversed().data, f.data)
-    assert f.reversed().value((2, 1)) == pytest.approx(f.value((-2, -1)))
-    s = f.shifted((1, 3))
+    assert np.allclose(reversed_field(reversed_field(f)).data, f.data)
+    assert reversed_field(f).value((2, 1)) == pytest.approx(f.value((-2, -1)))
+    s = shifted_field(f, (1, 3))
     assert s.value((2, 4)) == pytest.approx(f.value((1, 1)))
 
 
@@ -172,21 +195,26 @@ def test_triangle_tensor_matches_scalar():
 
 
 def test_triangle_field_matches_direct_sum():
-    G = rng_field(2, 5, 13)
-    x, y = (1, 2), (3, 0)
+    """The triangle on the domain reduced in axis 2, and its full-torus
+    oracle, against the sum over all 125 points z of a symmetric field."""
+    G = sym_field(3, 5, 13)
+    x, y = (1, 2, 0), (3, 0, 0)
+
+    def g(*q):
+        return G.value(q)
+
     want = 0.0
-    for z0 in range(5):
-        for z1 in range(5):
-            z = (z0, z1)
-            gz = G.value(z)
-            gxz = G.value((x[0] - z0, x[1] - z1))
-            gzy = G.value((z0 - y[0], z1 - y[1]))
-            want += gz * gxz * gzy * (
-                G.value(x) * gzy
-                + G.value(y) * G.value((z0 - x[0], z1 - x[1]))
-                + gz * G.value((y[0] - x[0], y[1] - x[1])))
-    got = triangle_T_field(G, x, y)
+    for z0, z1, z2 in np.ndindex(5, 5, 5):
+        gz = g(z0, z1, z2)
+        gxz = g(x[0] - z0, x[1] - z1, -z2)
+        gzy = g(z0 - y[0], z1 - y[1], z2)
+        want += gz * gxz * gzy * (
+            G.value(x) * gzy
+            + G.value(y) * g(z0 - x[0], z1 - x[1], z2)
+            + gz * g(y[0] - x[0], y[1] - x[1], 0))
+    got = triangle_T_field(_unfold(G, 2), _weights(1, 5), x, y)
     assert got == pytest.approx(want, rel=1e-10)
+    assert triangle_oracle(G.full(), x, y) == pytest.approx(want, rel=1e-10)
 
 
 def test_convolution_bound_validation():
@@ -198,6 +226,33 @@ def test_convolution_bound_validation():
         convolution_bound_check(2, 2.0, 1.0, 1.0, 10)   # marginal a == d
     with pytest.raises(GraphError):
         convolution_bound_check(2, 3.0, -1.0, 1.0, 10)
+
+
+def box_norm_grid(d, R, L, shift):
+    """Weighted norm of (shift - y) over the box {-R..R}^d in floats."""
+    offs = np.arange(-R, R + 1, dtype=float)
+    sq = np.zeros((2 * R + 1,) * d)
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = 2 * R + 1
+        sq = sq + ((float(shift[ax]) - offs).reshape(shape) ** 2)
+    return np.maximum(np.sqrt(sq), float(L))
+
+
+def test_convolution_bound_power_table_matches_grid_powers():
+    """Gathering from the table of powers per squared norm gives the same
+    floats, summed in the same order, as raising each grid to its power."""
+    for d, a, b in ((3, 2.0, 2.0), (5, 6.0, 3.0)):
+        for R in (4, 6):
+            probes = default_probes(d, R) + [(-3, 1) + (0,) * (d - 2), (-R,) * d]
+            for L in (1.0, 2.0, 4.0):
+                got = convolution_bound_check(d, a, b, L, R, probes)
+                wY = box_norm_grid(d, R, L, (0,) * d) ** (-b)
+                for x in probes:
+                    lhs = float((box_norm_grid(d, R, L, x) ** (-a) * wY).sum())
+                    nx = weighted_norm(x, L)
+                    env = (L ** (d - a)) * nx ** (-b) if a > d else nx ** (d - a - b)
+                    assert got["ratios"][x] == lhs / env, (d, R, L, x)
 
 
 def test_convolution_bound_finite_constant():
@@ -277,6 +332,20 @@ def test_depicted_ratios_refuses_asymmetric_field():
     assert np.array_equal(SymField.fold(G.full()).data, G.data)
     with pytest.raises(GraphError):
         G + spike
+
+
+def test_depicted_ratios_traced_peak():
+    """At d=5, side 16, depicted_ratios allocates less than two fields on
+    the whole torus (16 MiB)."""
+    G, tau = rw_green_proxy(SpreadOut(5, 2.0), 16, 0.99)
+    Gt = tilde_g(G, tau)
+    tracemalloc.start()
+    try:
+        depicted_ratios(G, Gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 16 ** 5
 
 
 def test_psi1_report_flags_step2_violation():
@@ -385,12 +454,28 @@ def hyp3_oracle(Gt, tau):
 
 def four_point_oracle(A, B, C, D, u, up, v, vp):
     """sum_x A(u-x) B(x-u') C(v-x) D(x-v') from reflected, rolled copies."""
-    return float((A.reversed().shifted(u).data * B.shifted(up).data
-                  * C.reversed().shifted(v).data * D.shifted(vp).data).sum())
+    return float((shifted_field(reversed_field(A), u).data * shifted_field(B, up).data
+                  * shifted_field(reversed_field(C), v).data
+                  * shifted_field(D, vp).data).sum())
+
+
+def triangle_oracle(G, x, y):
+    """Triangle kernel rooted at the torus origin, on the whole torus:
+    sum_z G(z) G(x-z) G(z-y) [G(x) G(z-y) + G(y) G(z-x) + G(y-x) G(z)], as
+    three sums of A(z) = G(z) G(x-z) times a pair of rolled copies."""
+    z = (0,) * G.d
+    A = G.data * shifted_field(reversed_field(G), x).data
+    total = 0.0
+    for c, a, b in ((G.value(x), y, y), (G.value(y), y, x),
+                    (G.value(tuple(q - p for p, q in zip(x, y))), z, y)):
+        pair = shifted_field(G, a).data * shifted_field(G, b).data
+        total += c * float((pair * A).sum())
+    return total
 
 
 def depicted_oracle(G, Gt):
-    """Families 0 to 4 of depicted_ratios, one four_point_oracle per sum."""
+    """depicted_ratios on the whole torus: one four_point_oracle per sum of
+    families 0 to 4 and one triangle_oracle per triangle of family 5."""
     probes = _probe_pairs(G.d)
     z = (0,) * G.d
 
@@ -412,6 +497,9 @@ def depicted_oracle(G, Gt):
         four_point_oracle(G, Gt, G, Gt, z, up, z, vp)
         / (gfull(z, up) * gt(z, vp) + gt(z, up) * gfull(z, vp))
         for up in probes[1:4] for vp in probes[1:4])
+    out["ratio5"] = max(
+        triangle_oracle(G, x, a) / (gfull(z, x) * gfull(z, a) * gfull(x, a))
+        for x in probes[1:4] for a in probes[1:4] if x != a)
     return out
 
 
@@ -428,9 +516,9 @@ def decay_oracle(G, tau, Gt, radii):
     out = {}
     for r in radii:
         x = (r,) + (0,) * (d - 1)
-        conv = _inv(_hat(psi * Gt.shifted(x).data) * Ghat, shape)
+        conv = _inv(_hat(psi * shifted_field(Gt, x).data) * Ghat, shape)
         core = Gt.value(x) - flat
-        out[r] = (float((Gt.data * g2.shifted(x).data * conv).sum()),
+        out[r] = (float((Gt.data * shifted_field(g2, x).data * conv).sum()),
                   core ** 3 if core > 0 else math.nan)
     return out
 
@@ -531,19 +619,23 @@ def test_cosine_route_against_long_double_and_full_torus():
 
 
 def test_four_point_sums_against_long_double():
-    """Three G-Gt four-point sums at d=5, side 16 within 1e-15 relative of
-    their long-double values."""
+    """Three G-Gt four-point sums at d=5, side 16, on the domain reduced in
+    axes 2 to 4, within 1e-15 relative of their long-double values on the
+    whole torus."""
     G, tau = rw_green_proxy(SpreadOut(5, 2.0), 16, 0.99)
     Gt = tilde_g(G, tau)
-    G, Gt = G.full(), Gt.full()
     probes = _probe_pairs(5)
     z = (0,) * 5
     quads = [(z, probes[1], z, probes[2]), (z, probes[2], probes[1], probes[3]),
              (z, probes[1], probes[2], probes[4])]
-    got = _four_point_sums(G, Gt, G, Gt, quads)
+    Gu, Gtu = _unfold(G, 2), _unfold(Gt, 2)
+    got = _four_point_sums(Gu, Gtu, Gu, Gtu, _weights(3, 16), quads)
+    G, Gt = G.full(), Gt.full()
     for s, (u, up, v, vp) in zip(got, quads):
-        want = (G.reversed().shifted(u).data.astype(np.longdouble) * Gt.shifted(up).data
-                * G.reversed().shifted(v).data * Gt.shifted(vp).data).sum()
+        want = (shifted_field(reversed_field(G), u).data.astype(np.longdouble)
+                * shifted_field(Gt, up).data
+                * shifted_field(reversed_field(G), v).data
+                * shifted_field(Gt, vp).data).sum()
         assert abs(s - want) <= 1e-15 * want
 
 
