@@ -8,6 +8,7 @@ comment headers so two runs with the same config produce identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import itertools
 import json
@@ -41,24 +42,21 @@ from .diagrams import (
 CSV_COLUMNS = ("suite", "instance", "check", "lhs", "rhs", "margin", "status", "note")
 
 
+# The reference run. Identities hold to RTOL. The proxy torus sits above the
+# critical dimension d_c = 4; the decay suite fits it and the reductions
+# suite gates it. The depicted-ratio scaling block compares two ranges on a
+# side wide enough that even the larger range wraps negligibly.
+RTOL = 1e-10
+TORUS_D, TORUS_L, TORUS_SIDE, TORUS_P = 5, 2.0, 16, 0.99
+DEPICTED_L = (2.0, 4.0)
+DEPICTED_SIDE = 32
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    rtol: float = 1e-10
     seed: int = 7
     out: str = "reports"
     corpus_dir: str | None = None
-    torus_d: int = 5
-    torus_L: float = 2.0
-    torus_side: int = 16
-    torus_p: float = 0.99
-    depicted_L: tuple = (2.0, 4.0)
-    depicted_side: int = 32
-
-    def __post_init__(self):
-        if self.rtol <= 0:
-            raise ValueError("rtol must be positive")
-        if self.depicted_side < 4 or self.torus_side < 4:
-            raise ValueError("torus sides must be >= 4")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -68,8 +66,6 @@ class RunConfig:
         bad = set(raw) - known
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
-        if "depicted_L" in raw:
-            raw["depicted_L"] = tuple(raw["depicted_L"])
         return cls(**raw)
 
 
@@ -122,10 +118,10 @@ def _ineq_row(suite, instance, check, lhs, rhs, note="") -> Row:
                "pass" if lhs <= rhs * UPWARD else "fail", note)
 
 
-def _ident_row(suite, instance, check, lhs, rhs, rtol, note="") -> Row:
+def _ident_row(suite, instance, check, lhs, rhs, note="") -> Row:
     rel = _rel(lhs, rhs)
     return Row(suite, instance, check, lhs, rhs, rel,
-               "pass" if rel <= rtol else "fail", note)
+               "pass" if rel <= RTOL else "fail", note)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +192,24 @@ def emit_corpus(out_dir: str) -> list:
 
 def _identities_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows = []
-    rt = cfg.rtol
     rows.append(_ident_row("identities", iid, "partition_function",
                            partition_function(g),
-                           spin_expectation(g), rt))
+                           spin_expectation(g)))
     labs = g.labels
     for x, y in itertools.combinations(labs, 2):
         rows.append(_ident_row("identities", iid, f"two_point[{x},{y}]",
                                correlation(g, x, y),
-                               spin_expectation(g, (x, y)), rt))
+                               spin_expectation(g, (x, y))))
     for quad in itertools.combinations(labs, 4):
         rows.append(_ident_row("identities", iid, f"four_point[{','.join(map(str, quad))}]",
                                four_point(g, *quad),
-                               spin_expectation(g, quad), rt))
+                               spin_expectation(g, quad)))
     g0 = g.with_beta(0.0)
-    far = labs[-1]
     rows.append(_ident_row("identities", iid, "beta0_partition",
-                           partition_function(g0), 1.0, rt))
-    rows.append(Row("identities", iid, "beta0_two_point",
-                    correlation(g0, labs[0], far), 0.0,
-                    abs(correlation(g0, labs[0], far)),
-                    "pass" if abs(correlation(g0, labs[0], far)) <= rt else "fail"))
+                           partition_function(g0), 1.0))
+    c0 = correlation(g0, labs[0], labs[-1])
+    rows.append(Row("identities", iid, "beta0_two_point", c0, 0.0, abs(c0),
+                    "pass" if abs(c0) <= RTOL else "fail"))
     worst = math.inf
     note = ""
     for x, y in itertools.combinations(labs, 2):
@@ -297,7 +290,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
             sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp)
             worst_sw = max(worst_sw, _rel(float(lhs[k, j]), sw))
     rows.append(Row("sst", iid, "switch_identity", worst_sw, 0.0, worst_sw,
-                    "pass" if worst_sw <= cfg.rtol else "fail",
+                    "pass" if worst_sw <= RTOL else "fail",
                     "max rel err over sampled nested layer pairs"))
 
     fb = fields_from_graph(g)
@@ -337,8 +330,6 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
 
 def _lace_targets(g: CouplingGraph) -> list:
     """The origin's farthest vertex plus one of its neighbours."""
-    import collections
-    o = 0
     dist = {0: 0}
     q = collections.deque([0])
     while q:
@@ -362,7 +353,7 @@ def _lace_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
               ("reversed", tuple(range(g.n_bonds - 1, -1, -1)))]
     for x in _lace_targets(g):
         for oname, order in orders:
-            rep = verify_pi0_decomposition(g, x, order=order, rtol=cfg.rtol)
+            rep = verify_pi0_decomposition(g, x, order=order, rtol=RTOL)
             ok = rep["passed"]
             rows.append(Row("lace", iid, f"pi0_reconstruction[x={x},order={oname}]",
                             rep["split"], rep["direct"],
@@ -459,7 +450,7 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         worst = max(worst, float(np.max(np.abs(fast - slow))
                                  / max(np.max(np.abs(slow)), 1e-300)))
     rows.append(Row("reductions", iid, "kernel_factorization", worst, 0.0, worst,
-                    "pass" if worst <= cfg.rtol else "fail",
+                    "pass" if worst <= RTOL else "fail",
                     "max rel gap, factorized vs quadruple sum"))
 
     I = np.eye(n)
@@ -479,7 +470,7 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     for name, err in checks:
         err = float(err)
         rows.append(Row("reductions", iid, name, err, 0.0, err,
-                        "pass" if err <= cfg.rtol else "fail"))
+                        "pass" if err <= RTOL else "fail"))
 
     gap = key_lemma_gap_matrix(fb.Tau, fb.Gt)
     rows.append(Row("reductions", iid, "key_lemma_matrix", 0.0, gap, gap,
@@ -489,7 +480,7 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     v1 = eng.terminal_value(eng._delta_pair(0), ("V",), x)
     gt3 = float(fb.Gt[0, x] ** 3)
     rows.append(_ident_row("reductions", iid, "V1_terminal_cube", v1, gt3,
-                           cfg.rtol, "V1(o,o;x) against Gt(x)^3"))
+                           "V1(o,o;x) against Gt(x)^3"))
 
     vals = []
     for m in (1, 2, 3):
@@ -501,30 +492,33 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     return rows
 
 
+def _hyp1_row(iid: str, G, tau, L: float) -> Row:
+    h1 = hyp1_report(G, tau, L)
+    return Row("reductions", iid, "hyp1_threshold", h1["value"], 2.0,
+               2.0 - h1["value"], "pass" if h1["passed"] else "fail",
+               f"tau_l1={h1['tau_l1']:.4g} sup={h1['sup_ratio']:.4g}")
+
+
 def _reductions_torus_rows(cfg: RunConfig) -> list:
     rows = []
-    d, p = cfg.torus_d, cfg.torus_p
+    d, p = TORUS_D, TORUS_P
 
     # Gate block: the reference torus pins down the psi identity and the
     # hypothesis reports at the size used by the decay suite.
-    iid = f"torus_d{d}L{cfg.torus_L:g}s{cfg.torus_side}"
-    spec = SpreadOut(d, cfg.torus_L)
-    G, tau = rw_green_proxy(spec, cfg.torus_side, p)
+    iid = f"torus_d{d}L{TORUS_L:g}s{TORUS_SIDE}"
+    G, tau = rw_green_proxy(SpreadOut(d, TORUS_L), TORUS_SIDE, p)
     Gt = tilde_g(G, tau)
 
     rep = psi1_report(Gt, tau)
     rows.append(Row("reductions", iid, "psi1_identity",
-                    rep["identity_rel"], cfg.rtol, rep["identity_rel"],
-                    "pass" if rep["identity_rel"] <= cfg.rtol else "fail"))
+                    rep["identity_rel"], RTOL, rep["identity_rel"],
+                    "pass" if rep["identity_rel"] <= RTOL else "fail"))
     for nm in ("slack_step2", "slack_step3", "key_lemma_tau", "key_lemma_gt"):
         rows.append(Row("reductions", iid, f"psi1_{nm}", 0.0, rep[nm], rep[nm],
                         "pass" if rep[nm] >= -1e-14 else "fail"))
 
-    h1 = hyp1_report(G, tau, cfg.torus_L)
-    rows.append(Row("reductions", iid, "hyp1_threshold", h1["value"], 2.0,
-                    2.0 - h1["value"], "pass" if h1["passed"] else "fail",
-                    f"tau_l1={h1['tau_l1']:.4g} sup={h1['sup_ratio']:.4g}"))
-    h2 = hyp2_report(G, Gt, cfg.torus_L)
+    rows.append(_hyp1_row(iid, G, tau, TORUS_L))
+    h2 = hyp2_report(G, Gt, TORUS_L)
     rows.append(Row("reductions", iid, "hyp2_lower", 0.0, h2["min_gap"],
                     h2["min_gap"],
                     "pass" if h2["dominates"] else "fail",
@@ -538,33 +532,28 @@ def _reductions_torus_rows(cfg: RunConfig) -> list:
                         h3[f"ratio_{j}"], math.inf, math.inf, "report",
                         "sup tau^*j * Gt / Gt"))
 
-    # Scaling block: comparing ranges needs a torus wide enough that even the
-    # largest range wraps negligibly, so these fields get their own side.
-    sside = cfg.depicted_side
+    # Scaling block, on its own wider side.
+    sside = DEPICTED_SIDE
     ratios = {}
-    for L in cfg.depicted_L:
+    for L in DEPICTED_L:
         iid = f"torus_d{d}L{L:g}s{sside}"
         G, tau = rw_green_proxy(SpreadOut(d, L), sside, p)
         Gt = tilde_g(G, tau)
-        h1 = hyp1_report(G, tau, L)
-        rows.append(Row("reductions", iid, "hyp1_threshold", h1["value"], 2.0,
-                        2.0 - h1["value"], "pass" if h1["passed"] else "fail",
-                        f"tau_l1={h1['tau_l1']:.4g} sup={h1['sup_ratio']:.4g}"))
+        rows.append(_hyp1_row(iid, G, tau, L))
         r = depicted_ratios(G, Gt)
         ratios[L] = r
         for k in sorted(r):
             rows.append(Row("reductions", iid, f"depicted_{k}", r[k], math.inf,
                             math.inf, "report"))
-    if len(cfg.depicted_L) >= 2:
-        L1, L2 = cfg.depicted_L[0], cfg.depicted_L[1]
-        scale = (L2 / L1) ** d
-        for k in ("ratio0", "ratio1", "ratio2"):
-            q = ratios[L1][k] / ratios[L2][k]
-            ok = scale / 4.0 <= q <= scale * 4.0
-            rows.append(Row("reductions", f"torus_d{d}s{sside}",
-                            f"depicted_scaling_{k}", q, scale,
-                            q / scale, "pass" if ok else "fail",
-                            f"L={L1:g} over L={L2:g}, factor-4 window"))
+    L1, L2 = DEPICTED_L
+    scale = (L2 / L1) ** d
+    for k in ("ratio0", "ratio1", "ratio2"):
+        q = ratios[L1][k] / ratios[L2][k]
+        ok = scale / 4.0 <= q <= scale * 4.0
+        rows.append(Row("reductions", f"torus_d{d}s{sside}",
+                        f"depicted_scaling_{k}", q, scale,
+                        q / scale, "pass" if ok else "fail",
+                        f"L={L1:g} over L={L2:g}, factor-4 window"))
 
     for (dd, a, b, R) in ((1, 2.0, 1.0, 100), (3, 2.0, 2.0, 50), (5, 6.0, 3.0, 10)):
         consts = {}
@@ -598,9 +587,9 @@ def _reductions_torus_rows(cfg: RunConfig) -> list:
 # suite: decay
 # ---------------------------------------------------------------------------
 
-def _decay_rows(cfg: RunConfig) -> list:
+def _decay_rows() -> list:
     rows = []
-    d, L, side, p = cfg.torus_d, cfg.torus_L, cfg.torus_side, cfg.torus_p
+    d, L, side, p = TORUS_D, TORUS_L, TORUS_SIDE, TORUS_P
     iid = f"proxy_d{d}L{L:g}s{side}p{p:g}"
 
     rep = decay_trend(d=d, L=L, side=side, p=p)
@@ -674,7 +663,7 @@ SUITES = {
     "theorems": lambda cfg: _run_over_instances(_theorems_instance, load_corpus(cfg), cfg),
     "reductions": lambda cfg: (_run_over_instances(_reductions_graph_rows, corpus_by_graph(), cfg)
                                + _reductions_torus_rows(cfg)),
-    "decay": _decay_rows,
+    "decay": lambda cfg: _decay_rows(),
 }
 
 
@@ -740,11 +729,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        overrides = {}
         if args.out is not None:
-            overrides["out"] = args.out
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, out=args.out)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

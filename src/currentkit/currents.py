@@ -144,46 +144,34 @@ def _inside(g: CouplingGraph, bonds: tuple) -> np.ndarray:
     return m[(m & ~_bonds_mask(g, bonds)) == 0]
 
 
-def _check_cap(bonds_total: int, cap: int | None) -> None:
-    if cap is not None and bonds_total > cap:
-        raise CapExceeded(f"{bonds_total} bonds exceeds cap {cap}")
-
-
 # ---------------------------------------------------------------------------
 # partition function and correlations
 # ---------------------------------------------------------------------------
 
-def partition_function(g: CouplingGraph, restriction=None, cap: int | None = None) -> float:
-    """Total even-source weight on the restricted bond set.
+def partition_function(g: CouplingGraph) -> float:
+    """Total even-source weight on all bonds.
 
-    Equals 2**(-n) times the spin sum of exp(-beta H) restricted to those bonds.
+    Equals 2**(-n) times the spin sum of exp(-beta H).
     """
-    bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap)
-    return float(_source_table(g, bonds)[0])
+    return float(_source_table(g, _bonds_arg(g, None))[0])
 
 
-def correlation(g: CouplingGraph, x, y, restriction=None, cap: int | None = None) -> float:
-    bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap)
-    st = _source_table(g, bonds)
+def correlation(g: CouplingGraph, x, y, restriction=None) -> float:
+    """<phi_x phi_y> on the bonds ``restriction`` (default all)."""
+    st = _source_table(g, _bonds_arg(g, restriction))
     sm = _source_mask(g, (x, y))
     return float(st[sm] / st[0])
 
 
-def four_point(g: CouplingGraph, x, y, u, v, restriction=None, cap: int | None = None) -> float:
-    bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap)
-    st = _source_table(g, bonds)
+def four_point(g: CouplingGraph, x, y, u, v) -> float:
+    st = _source_table(g, _bonds_arg(g, None))
     sm = _source_mask(g, (x, y, u, v))
     return float(st[sm] / st[0])
 
 
-def two_point_matrix(g: CouplingGraph, restriction=None, cap: int | None = None) -> np.ndarray:
+def two_point_matrix(g: CouplingGraph) -> np.ndarray:
     """Symmetric matrix of pair correlations over all vertex index pairs."""
-    bonds = _bonds_arg(g, restriction)
-    _check_cap(len(bonds), cap)
-    st = _source_table(g, bonds)
+    st = _source_table(g, _bonds_arg(g, None))
     n = g.n_vertices
     M = np.empty((n, n), dtype=float)
     for i in range(n):
@@ -203,14 +191,12 @@ def _spin_matrix(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def spin_expectation(g: CouplingGraph, vertices: Iterable = (), restriction=None) -> float:
+def spin_expectation(g: CouplingGraph, vertices: Iterable = ()) -> float:
     """<prod phi_v> by direct spin summation; empty product gives the
     normalised partition sum 2**(-n) * sum exp(-beta H)."""
-    bonds = _bonds_arg(g, restriction)
     s = _spin_matrix(g.n_vertices)
     energy = np.zeros(s.shape[0])
-    for b in bonds:
-        i, j = g.bonds[b]
+    for b, (i, j) in enumerate(g.bonds):
         energy += g.beta * g.couplings[b] * s[:, i] * s[:, j]
     boltz = np.exp(energy)
     obs = np.ones(s.shape[0])
@@ -229,8 +215,8 @@ def spin_expectation(g: CouplingGraph, vertices: Iterable = (), restriction=None
 
 @dataclass(frozen=True)
 class Event:
-    """Positive-mask event. ``bonds`` restricts which bonds may carry the
-    connection (None means all bonds of the graph)."""
+    """Positive-mask event. ``bonds`` restricts which bonds may carry a
+    ``conn`` connection (None means all bonds of the graph)."""
 
     kind: str
     u: object = None
@@ -244,13 +230,12 @@ def conn(u, v, bonds=None) -> Event:
     return Event("conn", u, v, bonds=None if bonds is None else tuple(sorted(bonds)))
 
 
-def double_conn(u, v, bonds=None) -> Event:
-    return Event("double", u, v, bonds=None if bonds is None else tuple(sorted(bonds)))
+def double_conn(u, v) -> Event:
+    return Event("double", u, v)
 
 
-def through(u, v, A, bonds=None) -> Event:
-    return Event("through", u, v, frozenset(A),
-                 bonds=None if bonds is None else tuple(sorted(bonds)))
+def through(u, v, A) -> Event:
+    return Event("through", u, v, frozenset(A))
 
 
 def conj(*events: Event) -> Event:
@@ -324,11 +309,11 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
         return linked()
     if ev.kind == "double":
         out = linked()
-        for b in range(g.n_bonds) if ev.bonds is None else ev.bonds:
+        for b in range(g.n_bonds):
             out &= linked(1 << b)
         return out
     if ev.kind == "through":
-        out = _indicator(g, double_conn(ev.u, ev.v, ev.bonds))
+        out = _indicator(g, double_conn(ev.u, ev.v))
         A_idx = {g.index(a) for a in ev.A}
         if iu in A_idx or iv in A_idx:
             return out
@@ -400,7 +385,8 @@ def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
     key = tuple((_bonds_arg(g, l.bonds), _source_mask(g, l.sources)) for l in layers)
     if not key:
         raise GraphError("at least one layer required")
-    _check_cap(g.n_bonds, cap)
+    if cap is not None and g.n_bonds > cap:
+        raise CapExceeded(f"{g.n_bonds} bonds exceeds cap {cap}")
     return float(_superposed(g, key)[_indicator(g, event)].sum())
 
 
@@ -412,19 +398,19 @@ def _origin_label(g: CouplingGraph, o):
     return g.labels[0] if o is None else o
 
 
-def pi0(g: CouplingGraph, x, o=None, cap: int | None = None) -> float:
+def pi0(g: CouplingGraph, x, o=None) -> float:
     """Sourced weight of double connection between the origin and x.
 
     Diagonal x == o gives exactly 1 (the sourceless sum is the partition sum).
     """
     o = _origin_label(g, o)
-    return event_measure(g, [Layer(None, (o, x))], double_conn(o, x), cap=cap)
+    return event_measure(g, [Layer(None, (o, x))], double_conn(o, x))
 
 
-def pi0_tilde(g: CouplingGraph, x, y, o=None, cap: int | None = None) -> float:
+def pi0_tilde(g: CouplingGraph, x, y, o=None) -> float:
     o = _origin_label(g, o)
     ev = conj(double_conn(o, x), conn(o, y))
-    return event_measure(g, [Layer(None, (o, x))], ev, cap=cap)
+    return event_measure(g, [Layer(None, (o, x))], ev)
 
 
 def _outside_bonds(g: CouplingGraph, A_labels) -> tuple:
@@ -432,7 +418,7 @@ def _outside_bonds(g: CouplingGraph, A_labels) -> tuple:
     return tuple(b for b, (i, j) in enumerate(g.bonds) if i not in A_idx and j not in A_idx)
 
 
-def theta_prime(g: CouplingGraph, x, A, o=None, cap: int | None = None) -> float:
+def theta_prime(g: CouplingGraph, x, A, o=None) -> float:
     """Two-layer through-set measure.
 
     Outer sourceless layer on the bonds avoiding A, inner layer sourced at
@@ -442,16 +428,16 @@ def theta_prime(g: CouplingGraph, x, A, o=None, cap: int | None = None) -> float
     """
     o = _origin_label(g, o)
     layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
-    return event_measure(g, layers, through(o, x, A), cap=cap)
+    return event_measure(g, layers, through(o, x, A))
 
 
-def theta_double_prime(g: CouplingGraph, x, y, A, o=None, cap: int | None = None) -> float:
+def theta_double_prime(g: CouplingGraph, x, y, A, o=None) -> float:
     """Through-set measure with the extra demand that o reaches y in the
     superposition."""
     o = _origin_label(g, o)
     layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
     ev = conj(through(o, x, A), conn(o, y))
-    return event_measure(g, layers, ev, cap=cap)
+    return event_measure(g, layers, ev)
 
 
 def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
@@ -481,7 +467,7 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
 _ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
 
 
-def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -> tuple:
+def subset_connection_tables(g: CouplingGraph, o=None) -> tuple:
     """Every bond subset's one-layer connection measures from one sweep.
 
     Returns (S, T), each of shape (2**n_bonds, n, n) over subset masks B and
@@ -492,7 +478,6 @@ def subset_connection_tables(g: CouplingGraph, o=None, cap: int | None = None) -
     """
     o = _origin_label(g, o)
     nb, n = g.n_bonds, g.n_vertices
-    _check_cap(nb, cap)
     # both (2**nb, n, n) float tables, two (2**nb, n) gathers and the copy
     # numpy takes of one zeta-transform chunk
     _fits((8 << nb) * n * (2 * n + 2) + _ZETA_CHUNK,

@@ -53,6 +53,10 @@ def fields_from_graph(g: CouplingGraph) -> GraphFields:
     return GraphFields(G=G, Gt=Gt, Tau=Tau)
 
 
+# Mass below which the plain-chain resolvent stops adding kernel terms.
+CHAIN_ATOL = 1e-12
+
+
 def _spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
@@ -69,8 +73,7 @@ class DiagramEngine:
     cross-checked through them.
     """
 
-    def __init__(self, fields: GraphFields, m, atol: float = 1e-12,
-                 E=None, T3=None, gate=True):
+    def __init__(self, fields: GraphFields, m, E=None, T3=None, gate=True):
         if m is not None and m < 1:
             raise GraphError("chain depth m must be >= 1 or None")
         if (np.any(fields.G < 0) or np.any(fields.Gt < 0)
@@ -78,7 +81,6 @@ class DiagramEngine:
             raise GraphError("field matrices must be entrywise nonnegative")
         self.f = fields
         self.m = m
-        self.atol = atol
         self.gate = gate
         n = fields.n
         I = np.eye(n)
@@ -91,16 +93,12 @@ class DiagramEngine:
             self.chain0 = inv
             self.chain_prev = inv
         else:
-            self.chain0 = I.copy()
-            P = I.copy()
-            for _ in range(m):
-                P = P @ self.B2
-                self.chain0 = self.chain0 + P
             self.chain_prev = I.copy()
             P = I.copy()
             for _ in range(m - 1):
                 P = P @ self.B2
                 self.chain_prev = self.chain_prev + P
+            self.chain0 = self.chain_prev + P @ self.B2
         self.chain1 = self.chain0 - I
         self.E = I + fields.Tau * fields.Tau if E is None else E
         self.psi = self.E @ self.chain0 @ self.E
@@ -112,9 +110,7 @@ class DiagramEngine:
 
     def _mid_matrix(self, spec) -> np.ndarray:
         kind = spec[0]
-        if kind == "U":
-            return self.psi
-        if kind == "dotU":
+        if kind in ("U", "dotU"):
             return self.psi
         if kind in ("ddotU", "dddotU"):
             anchor = spec[-1]
@@ -176,7 +172,7 @@ class DiagramEngine:
         """Sum of repeated plain-kernel applications, certified upward.
 
         Iterates until the increment's total mass is below
-        atol * (1 - rho) / rho with rho the largest observed step contraction;
+        CHAIN_ATOL * (1 - rho) / rho with rho the largest observed step contraction;
         the residual tail mass is then added to every entry, which dominates
         the missing terms entrywise. Refuses when a step fails to contract.
         """
@@ -196,7 +192,7 @@ class DiagramEngine:
             iters += 1
             total = total + nxt
             cur = nxt
-            if self._l1(cur) < self.atol * (1.0 - rho) / max(rho, 1e-300):
+            if self._l1(cur) < CHAIN_ATOL * (1.0 - rho) / max(rho, 1e-300):
                 break
         tail = self._l1(cur) * rho / (1.0 - rho)
         return total + tail, {"iterations": iters, "rho": rho, "tail": tail}
@@ -333,19 +329,27 @@ class TheoremEvaluator:
     """Right-hand sides of the four diagrammatic bound theorems on a graph.
 
     Depth-1 engines serve the zeroth-order bounds, infinite-depth engines the
-    through-set bounds. Chain values are memoised per endpoint and anchors.
+    through-set bounds. Chain values are memoised per endpoint and anchors,
+    engines per depth; a depth whose build was refused raises its refusal
+    again without a rebuild.
     """
 
-    def __init__(self, g: CouplingGraph, atol: float = 1e-12):
+    def __init__(self, g: CouplingGraph):
         self.g = g
         self.fields = fields_from_graph(g)
-        self.atol = atol
         self._engines: dict = {}
+        self._refused: dict = {}
         self._values: dict = {}
 
     def engine(self, m) -> DiagramEngine:
+        if m in self._refused:
+            raise NonContracting(self._refused[m])
         if m not in self._engines:
-            self._engines[m] = DiagramEngine(self.fields, m, atol=self.atol)
+            try:
+                self._engines[m] = DiagramEngine(self.fields, m)
+            except NonContracting as exc:
+                self._refused[m] = str(exc)
+                raise
         return self._engines[m]
 
     def _chain(self, m, o: int, x: int, kind: str, anchors: tuple) -> float:
@@ -427,8 +431,7 @@ class TheoremEvaluator:
 # decay trend on the large torus
 # ---------------------------------------------------------------------------
 
-def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
-                profile: str = "box", p: float = 0.99,
+def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
                 radii=None, fit_radii=None) -> dict:
     """Fit the decay exponent of the depth-1 chain value along an axis.
 
@@ -449,8 +452,7 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16,
     along axis 0 and cosine transforms along the rest, and its sum weights
     each point by its multiplicity.
     """
-    spec = SpreadOut(d, L, profile)
-    G, tau = rw_green_proxy(spec, side, p)
+    G, tau = rw_green_proxy(SpreadOut(d, L), side, p)
     Gt = tilde_g(G, tau)
     ident_err = float(np.abs(Gt.data - _minus_delta(G)).max())
     if Gt.l1() < 1e-14:

@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -375,10 +375,9 @@ def default_probes(d: int, R: int) -> list:
     return probes
 
 
-def convolution_bound_check(d: int, a: float, b: float, L: float, R: int,
-                            probes: Iterable | None = None) -> dict:
+def convolution_bound_check(d: int, a: float, b: float, L: float, R: int) -> dict:
     """Measure sum_y <x-y>^-a <y>^-b over the box {-R..R}^d against its
-    asserted envelope, for a family of probe points x.
+    asserted envelope, at the probe points x of ``default_probes``.
 
     Requires a >= b > 0, a + b > d and a != d. The envelope is
     L^(d-a) <x>^-b for a > d and <x>^(d-a-b) for a < d. Returns the per-probe
@@ -390,9 +389,7 @@ def convolution_bound_check(d: int, a: float, b: float, L: float, R: int,
         raise GraphError("need a + b > d")
     if a == d:
         raise GraphError("the marginal case a == d is rejected")
-    if probes is None:
-        probes = default_probes(d, R)
-    probes = [tuple(int(c) for c in x) for x in probes]
+    probes = default_probes(d, R)
     # Squared norms on the box are integers, so each power is taken once per
     # value and gathered: the same floats as raising the whole grid.
     top = max([d * R * R] + [sum((R + abs(c)) ** 2 for c in x) for x in probes])
@@ -448,11 +445,11 @@ def hyp2_report(G: SymField, Gt: SymField, L: float) -> dict:
     return {"min_gap": gap, "dominates": gap >= -1e-12, "scale": scale}
 
 
-def hyp3_report(Gt: SymField, tau: SymField, floor: float = 0.0) -> dict:
+def hyp3_report(Gt: SymField, tau: SymField) -> dict:
     """Stability of Gt under one and two tau-smearing steps: the sup of
-    (tau^{*j} * Gt) / Gt over entries with Gt above the floor."""
+    (tau^{*j} * Gt) / Gt over entries with Gt above 1e-300."""
     out = {}
-    mask = Gt.data > max(floor, 1e-300)
+    mask = Gt.data > 1e-300
     base = Gt.data[mask]
     T = _dct(tau.data, Gt.side)
     S = _dct(Gt.data, Gt.side)

@@ -9,6 +9,7 @@ existence reconstructs the double-connection weight exactly.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -187,10 +188,18 @@ def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
     for b in path.explored():
         if k_mask & (1 << b):
             raise GraphError("rest mask overlaps the explored bonds")
-    V = tilde_v_sets(g, path, classes)
+    return _lace_from_ids(_rest_ids(g, tilde_v_sets(g, path, classes), k_mask))
+
+
+def _rest_ids(g: CouplingGraph, V: tuple, k_mask: int) -> list:
+    """Per attachment set, the ids of the rest components it meets."""
     comp = _component_table(g)[k_mask].tolist()
-    ids = [frozenset(comp[u] for u in s) for s in V]
-    size = path.length
+    return [frozenset(comp[u] for u in s) for s in V]
+
+
+def _lace_from_ids(ids: list):
+    """``build_lace`` on the rest-component ids of the attachment sets."""
+    size = len(ids) - 1
 
     def linked(i, j):
         return bool(ids[i] & ids[j])
@@ -232,15 +241,6 @@ def is_valid_lace(edges, length: int) -> bool:
     if any(s[i + 2] <= t[i] for i in range(N - 2)):
         return False
     return True
-
-
-def lace_arc_components(g: CouplingGraph, path: ExploredPath,
-                        classes: Sequence[int], k_mask: int, edges) -> list:
-    """Witness component ids per arc (rest components linking the arc ends)."""
-    V = tilde_v_sets(g, path, classes)
-    comp = _component_table(g)[k_mask].tolist()
-    ids = [frozenset(comp[u] for u in s) for s in V]
-    return [ids[s] & ids[t] for s, t in edges]
 
 
 def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
@@ -295,19 +295,21 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
                     classes[b] = EVEN
                     w_m *= class_weights(g, b)[EVEN]
                     m_pos |= 1 << b
+            V = tilde_v_sets(g, path, classes)
             for k_mask, w_k in rest_masks:
                 full = m_pos | k_mask
                 dbl = bool(doubly[full])
                 if dbl:
                     split_total += w_m * w_k
-                lace = build_lace(g, path, classes, k_mask)
+                ids = _rest_ids(g, V, k_mask)
+                lace = _lace_from_ids(ids)
                 if lace is not None:
                     recon_total += w_m * w_k
                     hist[len(lace)] += 1
                     if not is_valid_lace(lace, path.length):
                         invalid_laces += 1
                     if len(lace) >= 2:
-                        wit = lace_arc_components(g, path, classes, k_mask, lace)
+                        wit = [ids[s] & ids[t] for s, t in lace]
                         for a in range(len(wit)):
                             for b2 in range(a + 1, len(wit)):
                                 if wit[a] & wit[b2]:
@@ -379,6 +381,5 @@ def check_partition_of_unity(g: CouplingGraph, x, o=None, order=None) -> dict:
 
 def extraction_gap(a: float) -> float:
     """tanh(a)^2 minus (cosh(a)-1)/cosh(a); nonnegative for all real a."""
-    import math
     c = math.cosh(a)
     return math.tanh(a) ** 2 - (c - 1.0) / c

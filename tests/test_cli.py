@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from currentkit import cli
 from currentkit.cli import (
     CORPUS_SHAPES, SUITES, Row, RunConfig, UPWARD,
     _bound_row, _ineq_row, corpus_by_graph, default_corpus, emit_corpus, load_corpus, main,
@@ -53,22 +55,23 @@ def test_load_corpus_rejects_empty_dir(tmp_path):
         load_corpus(RunConfig(corpus_dir=str(tmp_path)))
 
 
+# RunConfig fields of earlier versions; the reference run fixes their values.
+REMOVED_KEYS = ("rtol", "torus_d", "torus_L", "torus_side", "torus_p",
+                "depicted_L", "depicted_side")
+
+
 def test_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig(rtol=0.0)
+    assert tuple(f.name for f in dataclasses.fields(RunConfig)) == ("seed", "out", "corpus_dir")
     with pytest.raises(TypeError):           # the threads option is gone
         RunConfig(threads=2)
     with pytest.raises(TypeError):           # and so is the bond-count cap
         RunConfig(cap=16)
-    with pytest.raises(ValueError):
-        RunConfig(torus_side=2)
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"rtol": 1e-8, "bogus": 3}))
+    p.write_text(json.dumps({"seed": 3, "bogus": 3}))
     with pytest.raises(ValueError, match="bogus"):
         RunConfig.from_file(str(p))
-    p.write_text(json.dumps({"depicted_L": [2.0, 4.0], "seed": 1}))
+    p.write_text(json.dumps({"seed": 1}))
     cfg = RunConfig.from_file(str(p))
-    assert cfg.depicted_L == (2.0, 4.0)
     assert cfg.seed == 1
 
 
@@ -165,10 +168,9 @@ def test_main_run_is_deterministic(tmp_path, capsys):
     assert len(b1) > 200
 
 
-def test_main_reports_honest_failures(tmp_path, capsys):
-    cfg = tmp_path / "strict.json"
-    cfg.write_text(json.dumps({"rtol": 1e-30, "out": str(tmp_path / "r")}))
-    assert main(["run", "identities", "--config", str(cfg)]) == 1
+def test_main_reports_honest_failures(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "RTOL", 1e-30)
+    assert main(["run", "identities", "--out", str(tmp_path / "r")]) == 1
     out = capsys.readouterr().out
     assert "failed: 0" not in out
 
@@ -187,6 +189,17 @@ def test_main_config_errors(tmp_path, capsys):
     assert "cap" in err
     with pytest.raises(SystemExit):
         main(["run", "identities", "--cap", "16"])
+
+
+def test_removed_config_keys_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for key in REMOVED_KEYS:
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["run", "identities", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_summary_counts_match_report(tmp_path, capsys):

@@ -212,8 +212,6 @@ def test_beta_zero_degenerates():
 def test_caps_are_enforced():
     g = triangle(0.5)
     with pytest.raises(CapExceeded):
-        partition_function(g, cap=2)
-    with pytest.raises(CapExceeded):
         event_measure(g, [Layer(None, ()), Layer(None, ())], conn(0, 1), cap=2)
 
 

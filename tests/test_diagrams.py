@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from currentkit import GraphError, build_graph
+from currentkit import GraphError, build_graph, diagrams
 from currentkit.diagrams import (
     DiagramEngine, GraphFields, TheoremEvaluator, decay_trend,
     fields_from_graph,
@@ -226,6 +226,34 @@ def test_noncontracting_surfaces_and_relaxes():
     assert ev.theorem_rhs(2, 1, A=(1,), strict=False) == math.inf
     # depth one diverges here too: the plain chain steps fail to contract
     assert ev.theorem_rhs(1, 1, strict=False) == math.inf
+
+
+def test_refused_engine_is_built_once(monkeypatch):
+    """A refused infinite-depth build is remembered: every later bound that
+    needs it raises again (or gives inf) without another build."""
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                    beta=1.0)
+    builds = []
+
+    class Counted(DiagramEngine):
+        def __init__(self, fields, m):
+            builds.append(m)
+            super().__init__(fields, m)
+
+    monkeypatch.setattr(diagrams, "DiagramEngine", Counted)
+    ev = TheoremEvaluator(g)
+    for _ in range(3):
+        with pytest.raises(NonContracting):
+            ev.theorem_rhs(2, 1, A=(1,))
+        with pytest.raises(NonContracting):
+            ev.theorem_rhs(4, 2, A=(0, 2), y=1)
+    for x in (1, 2):
+        for A in ((0,), (x,), (0, 1, 2)):
+            assert ev.theorem_rhs(2, x, A=A, strict=False) == math.inf
+            assert ev.theorem_rhs(4, x, A=A, y=0, strict=False) == math.inf
+        assert ev.theorem_rhs(1, x, strict=False) == math.inf
+        assert ev.theorem_rhs(3, x, y=0, strict=False) == math.inf
+    assert sorted(builds, key=str) == [1, None]
 
 
 def test_reduced_kernels_match_overridden_engine():

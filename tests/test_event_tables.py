@@ -356,12 +356,6 @@ def test_subset_tables_refused_before_allocation(monkeypatch):
     assert currents._component_table.cache_info().currsize == 0
     monkeypatch.setattr(currents, "_MEM_LIMIT", work)
     assert currents.subset_connection_tables(g)[0].shape[0] == 1 << nb
-    monkeypatch.undo()
-    currents.clear_caches()
-    with pytest.raises(CapExceeded):
-        currents.subset_connection_tables(g, cap=nb - 1)
-    assert currents._positive_table.cache_info().currsize == 0
-    assert currents.subset_connection_tables(g, cap=nb)[1].shape[0] == 1 << nb
 
 
 def test_instance_suites_sweep_one_positive_table_per_graph(monkeypatch):

@@ -244,11 +244,10 @@ def test_convolution_bound_power_table_matches_grid_powers():
     floats, summed in the same order, as raising each grid to its power."""
     for d, a, b in ((3, 2.0, 2.0), (5, 6.0, 3.0)):
         for R in (4, 6):
-            probes = default_probes(d, R) + [(-3, 1) + (0,) * (d - 2), (-R,) * d]
             for L in (1.0, 2.0, 4.0):
-                got = convolution_bound_check(d, a, b, L, R, probes)
+                got = convolution_bound_check(d, a, b, L, R)
                 wY = box_norm_grid(d, R, L, (0,) * d) ** (-b)
-                for x in probes:
+                for x in default_probes(d, R):
                     lhs = float((box_norm_grid(d, R, L, x) ** (-a) * wY).sum())
                     nx = weighted_norm(x, L)
                     env = (L ** (d - a)) * nx ** (-b) if a > d else nx ** (d - a - b)

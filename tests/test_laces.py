@@ -19,7 +19,7 @@ from currentkit import (
 from currentkit.cli import CORPUS_SHAPES
 from currentkit.currents import ZERO, EVEN, ODD
 from currentkit.laces import (
-    _masks_from_classes, lace_arc_components, path_indicator,
+    _masks_from_classes, _rest_ids, path_indicator,
     tilde_v_sets,
 )
 
@@ -86,7 +86,8 @@ def test_lace_three_arcs():
     lace = build_lace(g, path, classes, outer_mask(g))
     assert lace == ((0, 1), (1, 2), (2, 3))
     assert is_valid_lace(lace, path.length)
-    wit = lace_arc_components(g, path, classes, outer_mask(g), lace)
+    ids = _rest_ids(g, tilde_v_sets(g, path, classes), outer_mask(g))
+    wit = [ids[s] & ids[t] for s, t in lace]      # rest components linking each arc's ends
     assert all(wit[i] for i in range(3))
     assert not (wit[0] & wit[1]) and not (wit[1] & wit[2]) and not (wit[0] & wit[2])
 
