@@ -268,7 +268,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     o = labs[0]
     io = g.index(o)
     subsets = _bond_subsets(g)
-    S, T = subset_connection_tables(g, o=o)
+    S, T = subset_connection_tables(g)
 
     xs = [ix for ix in range(g.n_vertices) if ix != io]
     rhs = G[io] * G[:, xs].T                      # G(o,y) G(y,x), x != o
@@ -477,7 +477,7 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
                     "pass" if gap >= -1e-14 else "fail"))
 
     x = n - 1
-    v1 = eng.terminal_value(eng._delta_pair(0), ("V",), x)
+    v1 = eng.terminal_value(eng._delta_pair(), ("V",), x)
     gt3 = float(fb.Gt[0, x] ** 3)
     rows.append(_ident_row("reductions", iid, "V1_terminal_cube", v1, gt3,
                            "V1(o,o;x) against Gt(x)^3"))
@@ -485,7 +485,7 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     vals = []
     for m in (1, 2, 3):
         e = DiagramEngine(fb, m)
-        vals.append(e.terminal_value(e._delta_pair(0), ("V",), x))
+        vals.append(e.terminal_value(e._delta_pair(), ("V",), x))
     mono = min(vals[1] - vals[0], vals[2] - vals[1])
     rows.append(Row("reductions", iid, "chain_monotone_in_m", 0.0, mono, mono,
                     "pass" if mono >= -1e-14 else "fail"))

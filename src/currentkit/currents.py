@@ -394,21 +394,20 @@ def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
 # double-connection weights and through-set measures
 # ---------------------------------------------------------------------------
 
-def _origin_label(g: CouplingGraph, o):
-    return g.labels[0] if o is None else o
+def pi0(g: CouplingGraph, x) -> float:
+    """Sourced weight of double connection between the origin o and x.
 
-
-def pi0(g: CouplingGraph, x, o=None) -> float:
-    """Sourced weight of double connection between the origin and x.
-
-    Diagonal x == o gives exactly 1 (the sourceless sum is the partition sum).
+    The origin is ``g.labels[0]`` here and in every origin-based measure
+    below; another vertex is the origin of the graph relabelled so that it
+    sorts first. Diagonal x == o gives exactly 1 (the sourceless sum is the
+    partition sum).
     """
-    o = _origin_label(g, o)
+    o = g.labels[0]
     return event_measure(g, [Layer(None, (o, x))], double_conn(o, x))
 
 
-def pi0_tilde(g: CouplingGraph, x, y, o=None) -> float:
-    o = _origin_label(g, o)
+def pi0_tilde(g: CouplingGraph, x, y) -> float:
+    o = g.labels[0]
     ev = conj(double_conn(o, x), conn(o, y))
     return event_measure(g, [Layer(None, (o, x))], ev)
 
@@ -418,7 +417,7 @@ def _outside_bonds(g: CouplingGraph, A_labels) -> tuple:
     return tuple(b for b, (i, j) in enumerate(g.bonds) if i not in A_idx and j not in A_idx)
 
 
-def theta_prime(g: CouplingGraph, x, A, o=None) -> float:
+def theta_prime(g: CouplingGraph, x, A) -> float:
     """Two-layer through-set measure.
 
     Outer sourceless layer on the bonds avoiding A, inner layer sourced at
@@ -426,25 +425,25 @@ def theta_prime(g: CouplingGraph, x, A, o=None) -> float:
     superposition with every positive path from o to x meeting A. With A empty
     this is 0 for x != o; on the diagonal it degenerates to 1{o in A}.
     """
-    o = _origin_label(g, o)
+    o = g.labels[0]
     layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
     return event_measure(g, layers, through(o, x, A))
 
 
-def theta_double_prime(g: CouplingGraph, x, y, A, o=None) -> float:
+def theta_double_prime(g: CouplingGraph, x, y, A) -> float:
     """Through-set measure with the extra demand that o reaches y in the
     superposition."""
-    o = _origin_label(g, o)
+    o = g.labels[0]
     layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
     ev = conj(through(o, x, A), conn(o, y))
     return event_measure(g, layers, ev)
 
 
-def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
+def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
             cap: int | None = None) -> float:
     """Sourced weight on B of {o connected to y}, optionally with a second
     sourceless layer on B_prime; the connection only uses positive bonds of B."""
-    o = _origin_label(g, o)
+    o = g.labels[0]
     B = _bonds_arg(g, B)
     ev = conn(o, y, bonds=B)
     if B_prime is None:
@@ -453,11 +452,11 @@ def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
     return event_measure(g, [Layer(B_prime, ()), Layer(B, (o, x))], ev, cap=cap)
 
 
-def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
+def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
                    cap: int | None = None) -> float:
     """Partner expression of the source-switching identity: sources moved to
     {o, y} on B_prime and {y, x} on B, same superposed connection event."""
-    o = _origin_label(g, o)
+    o = g.labels[0]
     B = _bonds_arg(g, B)
     B_prime = _bonds_arg(g, B_prime)
     ev = conn(o, y, bonds=B)
@@ -467,7 +466,7 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None, o=None,
 _ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
 
 
-def subset_connection_tables(g: CouplingGraph, o=None) -> tuple:
+def subset_connection_tables(g: CouplingGraph) -> tuple:
     """Every bond subset's one-layer connection measures from one sweep.
 
     Returns (S, T), each of shape (2**n_bonds, n, n) over subset masks B and
@@ -476,18 +475,16 @@ def subset_connection_tables(g: CouplingGraph, o=None) -> tuple:
     full positive table times the connection indicators give the unnormalised
     measures; T[B, o, o] is then Z_B, the divisor of every entry.
     """
-    o = _origin_label(g, o)
     nb, n = g.n_bonds, g.n_vertices
     # both (2**nb, n, n) float tables, two (2**nb, n) gathers and the copy
     # numpy takes of one zeta-transform chunk
     _fits((8 << nb) * n * (2 * n + 2) + _ZETA_CHUNK,
           f"subset tables for {nb} bonds on {n} vertices")
-    io = g.index(o)
     P = _positive_table(g)
     comp = _component_table(g)
-    linked = comp == comp[:, io:io + 1]          # o <-> y under each mask
+    linked = comp == comp[:, :1]                 # o <-> y under each mask
     F = np.empty((2, 1 << nb, n, n))
-    np.multiply(P[:, (1 << io) ^ (1 << np.arange(n))][:, :, None], linked[:, None, :],
+    np.multiply(P[:, 1 ^ (1 << np.arange(n))][:, :, None], linked[:, None, :],
                 out=F[0])
     np.multiply((P[:, :1] * linked)[:, :, None], linked[:, None, :], out=F[1])
     # zeta transform, F[B] = sum over m <= B, one bond bit at a time. Where
@@ -500,7 +497,7 @@ def subset_connection_tables(g: CouplingGraph, o=None) -> tuple:
             for lo in range(0, 1 << nb, span):
                 blk = table[lo:lo + span].reshape(-1, 2, 1 << k, n * n)
                 blk[:, 1] += blk[:, 0]
-    F /= F[1, :, io, io].copy()[:, None, None]
+    F /= F[1, :, 0, 0].copy()[:, None, None]
     return F[0], F[1]
 
 

@@ -177,24 +177,23 @@ class DiagramEngine:
         the missing terms entrywise. Refuses when a step fails to contract.
         """
         total = P.copy()
+        mass = self._l1(P)
+        if mass == 0.0:
+            return total, {"iterations": 0, "rho": 0.0, "tail": 0.0}
         cur = P
         rho = 0.0
         iters = 0
         while True:
-            mass = self._l1(cur)
-            if mass == 0.0:
-                return total, {"iterations": iters, "rho": rho, "tail": 0.0}
-            nxt = self.apply_kernel(cur, ("U",))
-            r = self._l1(nxt) / mass
-            rho = max(rho, r)
+            cur = self.apply_kernel(cur, ("U",))
+            prev, mass = mass, self._l1(cur)
+            rho = max(rho, mass / prev)
             if rho >= 1.0:
                 raise NonContracting(f"chain step contraction {rho} >= 1")
             iters += 1
-            total = total + nxt
-            cur = nxt
-            if self._l1(cur) < CHAIN_ATOL * (1.0 - rho) / max(rho, 1e-300):
+            total = total + cur
+            if mass < CHAIN_ATOL * (1.0 - rho) / max(rho, 1e-300):
                 break
-        tail = self._l1(cur) * rho / (1.0 - rho)
+        tail = mass * rho / (1.0 - rho)
         return total + tail, {"iterations": iters, "rho": rho, "tail": tail}
 
     def resolvent_exact(self, P: np.ndarray) -> np.ndarray:
@@ -211,24 +210,23 @@ class DiagramEngine:
             raise NonContracting(f"chain operator spectral radius {rho} >= 1")
         return np.linalg.solve(op, P.ravel()).reshape(n, n)
 
-    def _delta_pair(self, o: int) -> np.ndarray:
+    def _delta_pair(self) -> np.ndarray:
+        """The pair field 1 at (o, o), o the origin vertex 0."""
         P = np.zeros((self.f.n, self.f.n))
-        P[o, o] = 1.0
+        P[0, 0] = 1.0
         return P
 
-    def _resolved(self, o: int, mids: tuple) -> np.ndarray:
-        key = (o, mids)
-        if key not in self._res_cache:
+    def _resolved(self, mids: tuple) -> np.ndarray:
+        if mids not in self._res_cache:
             if mids:
-                prev = self._resolved(o, mids[:-1])
-                seed = self.apply_kernel(prev, mids[-1])
+                seed = self.apply_kernel(self._resolved(mids[:-1]), mids[-1])
             else:
-                seed = self._delta_pair(o)
-            self._res_cache[key], _ = self.resolvent(seed)
-        return self._res_cache[key]
+                seed = self._delta_pair()
+            self._res_cache[mids], _ = self.resolvent(seed)
+        return self._res_cache[mids]
 
-    def chain_sum_X(self, o: int, x: int, placements) -> float:
-        """Value of a sum of placed chains.
+    def chain_sum_X(self, x: int, placements) -> float:
+        """Value of a sum of placed chains from the origin, vertex 0, to x.
 
         Each placement is (mids, terminal, coefficient): a tuple of middle
         kernel specs, one terminal spec, and a scalar weight. Every gap
@@ -236,7 +234,7 @@ class DiagramEngine:
         """
         total = 0.0
         for mids, term, coeff in placements:
-            P = self._resolved(o, tuple(mids))
+            P = self._resolved(tuple(mids))
             total += coeff * self.terminal_value(P, term, x)
         return total
 
@@ -328,8 +326,9 @@ def reduced_dddotv_value(fields: GraphFields, P: np.ndarray, x: int,
 class TheoremEvaluator:
     """Right-hand sides of the four diagrammatic bound theorems on a graph.
 
-    Depth-1 engines serve the zeroth-order bounds, infinite-depth engines the
-    through-set bounds. Chain values are memoised per endpoint and anchors,
+    Every bound is from the origin ``g.labels[0]`` to x. Depth-1 engines serve
+    the zeroth-order bounds, infinite-depth engines the through-set bounds.
+    Chain values are memoised per depth, endpoint and placement list,
     engines per depth; a depth whose build was refused raises its refusal
     again without a rebuild.
     """
@@ -352,43 +351,30 @@ class TheoremEvaluator:
                 raise
         return self._engines[m]
 
-    def _chain(self, m, o: int, x: int, kind: str, anchors: tuple) -> float:
-        key = (m, o, x, kind, anchors)
+    def _chain(self, m, x: int, placements: list) -> float:
+        key = (m, x, tuple(placements))
         if key not in self._values:
-            if kind == "x":
-                pl = placements_x()
-            elif kind == "dotx":
-                pl = placements_dotx(*anchors)
-            elif kind == "ddotx":
-                pl = placements_ddotx(*anchors)
-            else:
-                pl = placements_dddotx(*anchors)
-            self._values[key] = self.engine(m).chain_sum_X(o, x, pl)
+            self._values[key] = self.engine(m).chain_sum_X(x, placements)
         return self._values[key]
 
-    def _indices(self, x, o):
-        o = self.g.labels[0] if o is None else o
-        io, ix = self.g.index(o), self.g.index(x)
-        if io == ix:
-            raise GraphError("theorem bounds exclude the diagonal x == o")
-        return io, ix
-
-    def theorem_rhs(self, theorem: int, x, A=None, y=None, o=None,
+    def theorem_rhs(self, theorem: int, x, A=None, y=None,
                     strict: bool = True) -> float:
         """Evaluate one theorem's bound; +inf when a needed infinite chain
         diverges and strict is off."""
         try:
-            return self._theorem_rhs(theorem, x, A=A, y=y, o=o)
+            return self._theorem_rhs(theorem, x, A=A, y=y)
         except NonContracting:
             if strict:
                 raise
             return math.inf
 
-    def _theorem_rhs(self, theorem: int, x, A=None, y=None, o=None) -> float:
-        io, ix = self._indices(x, o)
+    def _theorem_rhs(self, theorem: int, x, A=None, y=None) -> float:
         g = self.g
+        ix = g.index(x)
+        if ix == 0:
+            raise GraphError("theorem bounds exclude the diagonal x == o")
         if theorem == 1:
-            return 2.0 * self._chain(1, io, ix, "x", ())
+            return 2.0 * self._chain(1, ix, placements_x())
         if theorem == 2:
             if A is None:
                 raise GraphError("theorem 2 needs the through set A")
@@ -396,17 +382,17 @@ class TheoremEvaluator:
             for a in A:
                 ia = g.index(a)
                 if ia == ix:
-                    tot += self._chain(None, io, ix, "x", ())
-                tot += self._chain(None, io, ix, "dotx", (ia,))
+                    tot += self._chain(None, ix, placements_x())
+                tot += self._chain(None, ix, placements_dotx(ia))
             return 2.0 * tot
         if theorem == 3:
             if y is None:
                 raise GraphError("theorem 3 needs the extra endpoint y")
             iy = g.index(y)
-            tot = self._chain(1, io, ix, "dotx", (iy,))
-            tot += self._chain(1, io, ix, "ddotx", (iy,))
+            tot = self._chain(1, ix, placements_dotx(iy))
+            tot += self._chain(1, ix, placements_ddotx(iy))
             if iy == ix:
-                tot += self._chain(1, io, ix, "x", ())
+                tot += self._chain(1, ix, placements_x())
             return 2.0 * tot
         if theorem == 4:
             if A is None or y is None:
@@ -417,11 +403,11 @@ class TheoremEvaluator:
             for a in A:
                 ia = g.index(a)
                 if ia == ix:
-                    tot += self._chain(None, io, ix, "ddotx", (iy,))
-                tot += self._chain(None, io, ix, "dddotx", (ia, iy))
-                tot += self._chain(None, io, ix, "ddotx", (ia,)) * chain0[ix, iy]
+                    tot += self._chain(None, ix, placements_ddotx(iy))
+                tot += self._chain(None, ix, placements_dddotx(ia, iy))
+                tot += self._chain(None, ix, placements_ddotx(ia)) * chain0[ix, iy]
                 for iyp in range(g.n_vertices):
-                    tot += (self._chain(None, io, ix, "dddotx", (iyp, ia))
+                    tot += (self._chain(None, ix, placements_dddotx(iyp, ia))
                             * chain0[iyp, iy])
             return 2.0 * tot
         raise GraphError(f"unknown theorem {theorem}")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import GraphError, SpreadOut, spread_out_coupling
+from .graphs import GraphError, SpreadOut
 
 
 class NonContracting(RuntimeError):
@@ -276,15 +276,15 @@ def centered_norm_grid(d: int, side: int, L: float, power: float) -> SymField:
 def step_distribution(spec: SpreadOut, side: int) -> SymField:
     """One-step distribution D of the spread-out walk, wrapped on the torus.
 
-    The profile is lattice-symmetric and side > 2L keeps the wrapped offsets
-    apart, so D is read off the offsets with nonnegative coordinates.
+    side > 2L keeps the wrapped offsets apart, so on the fundamental domain
+    D is the box's coupling on [0, R]^d minus the origin.
     """
     if side <= 2 * spec.L:
         raise GraphError(f"side {side} must exceed 2L = {2 * spec.L}")
+    R, J = spec.box
     D = np.zeros((side // 2 + 1,) * spec.d)
-    for off, val in spread_out_coupling(spec).items():
-        if min(off) >= 0:
-            D[off] = val
+    D[(slice(R + 1),) * spec.d] = J
+    D[(0,) * spec.d] = 0.0
     return SymField(spec.d, side, D)
 
 

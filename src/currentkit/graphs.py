@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -148,59 +148,34 @@ def build_graph(vertices: Iterable, weighted_bonds: Iterable, beta: float = 1.0)
 # spread-out couplings
 # ---------------------------------------------------------------------------
 
-def _profile_box(y: Sequence[float]) -> float:
-    return 1.0 if max(abs(c) for c in y) <= 1.0 else 0.0
-
-
-def _profile_ball(y: Sequence[float]) -> float:
-    return 1.0 if math.sqrt(sum(c * c for c in y)) <= 1.0 else 0.0
-
-
-PROFILES: dict[str, Callable[[Sequence[float]], float]] = {
-    "box": _profile_box,
-    "ball": _profile_ball,
-}
-
-
 @dataclass(frozen=True)
 class SpreadOut:
-    """Spread-out coupling family on Z^d with range L.
+    """Spread-out coupling family on Z^d with range L: the box profile.
 
-    The coupling is J(x) = h(x/L) / sum_{y != 0} h(y/L) on x != 0, where h is a
-    lattice-symmetric compactly supported profile.
+    The coupling is J(x) = 1 / ((2R+1)^d - 1) on the nonzero x with every
+    |x_k| <= R = floor(L), and 0 elsewhere.
     """
 
     d: int
     L: float
-    profile: str = "box"
 
     def __post_init__(self):
         if self.d < 1:
             raise GraphError("dimension must be >= 1")
         if not (self.L >= 1):
             raise GraphError("range L must be >= 1")
-        if self.profile not in PROFILES:
-            raise GraphError(f"unknown profile {self.profile!r}")
+
+    @property
+    def box(self) -> tuple:
+        """(R, J): the box half-width and the coupling on each of its offsets."""
+        R = int(math.floor(self.L))
+        return R, 1.0 / ((2 * R + 1) ** self.d - 1)
 
 
 def spread_out_coupling(spec: SpreadOut) -> dict:
-    """Map x -> J(x) over the support of the profile, origin excluded.
-
-    Values sum to exactly 1 up to rounding; the map covers both x and -x.
-    """
-    h = PROFILES[spec.profile]
-    R = int(math.floor(spec.L))
-    support = {}
-    for x in iproduct(range(-R, R + 1), repeat=spec.d):
-        if all(c == 0 for c in x):
-            continue
-        v = h([c / spec.L for c in x])
-        if v > 0:
-            support[x] = v
-    if not support:
-        raise GraphError("profile support is empty away from the origin")
-    total = sum(support.values())
-    return {x: v / total for x, v in support.items()}
+    """Map x -> J(x) over the box, origin excluded; covers both x and -x."""
+    R, J = spec.box
+    return {x: J for x in iproduct(range(-R, R + 1), repeat=spec.d) if any(x)}
 
 
 def embed_on_torus(spec: SpreadOut, side: int, beta: float = 1.0) -> CouplingGraph:

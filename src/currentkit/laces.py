@@ -1,6 +1,7 @@
 """Earliest-exploration paths and lace reconstruction.
 
-Given a current configuration with sources {o, x}, an injectable bond order
+Given a current configuration with sources {o, x}, o the origin
+``g.labels[0]`` (vertex index 0), an injectable bond order
 defines a unique earliest odd self-avoiding-in-bonds walk from o to x together
 with the explored bond layers. Splitting the configuration into the explored
 part and the rest, connectivity of the rest induces a lace (a minimal set of
@@ -70,7 +71,7 @@ class ExploredPath:
         return frozenset(out)
 
 
-def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x, o=None,
+def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
                       order=None) -> ExploredPath:
     """Trace the earliest odd walk from o to x through ``classes``.
 
@@ -81,19 +82,18 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x, o=None,
     unexplored bond at the frontier) cannot happen for such sources and raises
     if the precondition was violated.
     """
-    o = g.labels[0] if o is None else o
-    io, ix = g.index(o), g.index(x)
-    if io == ix:
+    ix = g.index(x)
+    if ix == 0:
         raise GraphError("endpoints must differ")
     sm, _, _ = _masks_from_classes(g, classes)
-    if sm != (1 << io) ^ (1 << ix):
+    if sm != 1 ^ (1 << ix):
         raise GraphError("classes do not have sources {o, x}")
     rank = _rank_array(g, order)
     explored: set = set()
-    omega = [io]
+    omega = [0]
     path_bonds = []
     layers = []
-    w = io
+    w = 0
     while w != ix:
         layer = []
         chosen = None
@@ -113,7 +113,7 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x, o=None,
     return ExploredPath(tuple(omega), tuple(path_bonds), tuple(layers))
 
 
-def enumerate_explorations(g: CouplingGraph, x, o=None, order=None) -> list:
+def enumerate_explorations(g: CouplingGraph, x, order=None) -> list:
     """All walks o -> x that some class configuration's earliest odd
     exploration could trace, together with their layers.
 
@@ -121,9 +121,8 @@ def enumerate_explorations(g: CouplingGraph, x, o=None, order=None) -> list:
     layer can never be walked later, since the greedy tracer only scans fresh
     bonds); its layer is forced by the rank rule. Walks reaching x stop there.
     """
-    o = g.labels[0] if o is None else o
-    io, ix = g.index(o), g.index(x)
-    if io == ix:
+    ix = g.index(x)
+    if ix == 0:
         raise GraphError("endpoints must differ")
     rank = _rank_array(g, order)
     out = []
@@ -140,7 +139,7 @@ def enumerate_explorations(g: CouplingGraph, x, o=None, order=None) -> list:
             rec(v, explored | set(layer), omega + [v],
                 pbonds + [pb], layers + [layer])
 
-    rec(io, set(), [io], [], [])
+    rec(0, set(), [0], [], [])
     return out
 
 
@@ -188,12 +187,13 @@ def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
     for b in path.explored():
         if k_mask & (1 << b):
             raise GraphError("rest mask overlaps the explored bonds")
-    return _lace_from_ids(_rest_ids(g, tilde_v_sets(g, path, classes), k_mask))
-
-
-def _rest_ids(g: CouplingGraph, V: tuple, k_mask: int) -> list:
-    """Per attachment set, the ids of the rest components it meets."""
     comp = _component_table(g)[k_mask].tolist()
+    return _lace_from_ids(_rest_ids(tilde_v_sets(g, path, classes), comp))
+
+
+def _rest_ids(V: tuple, comp: list) -> list:
+    """Per attachment set, the ids of the rest components it meets, given
+    the component label of every vertex under the rest mask."""
     return [frozenset(comp[u] for u in s) for s in V]
 
 
@@ -243,7 +243,7 @@ def is_valid_lace(edges, length: int) -> bool:
     return True
 
 
-def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
+def verify_pi0_decomposition(g: CouplingGraph, x, order=None,
                              rtol: float = 1e-10) -> dict:
     """Reconstruct the double-connection weight through the earliest-walk split.
 
@@ -256,20 +256,18 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
     lace exists iff the superposition doubly connects, that every built lace
     is pattern-valid, and that distinct arcs use disjoint rest components.
     """
-    o = g.labels[0] if o is None else o
-    io, ix = g.index(o), g.index(x)
-    if io == ix:
+    if g.index(x) == 0:
         raise GraphError("endpoints must differ")
     Z = partition_function(g)
-    direct = pi0(g, x, o=o)
-    doubly = _indicator(g, double_conn(o, x))
+    direct = pi0(g, x)
+    doubly = _indicator(g, double_conn(g.labels[0], x))
     split_total = 0.0
     recon_total = 0.0
     hist: Counter = Counter()
     indicator_mismatches = 0
     invalid_laces = 0
     overlap_violations = 0
-    for path in enumerate_explorations(g, x, o=o, order=order):
+    for path in enumerate_explorations(g, x, order=order):
         bonds_seq = path.bonds
         explored = sorted(path.explored())
         skip = [b for b in explored if b not in set(bonds_seq)]
@@ -280,7 +278,8 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
         rows = _inside(g, rest)
         kvec = _positive_table(g)[rows, 0]
         nz = kvec != 0
-        rest_masks = list(zip(rows[nz].tolist(), kvec[nz].tolist()))
+        rest_masks = list(zip(rows[nz].tolist(), kvec[nz].tolist(),
+                              _component_table(g)[rows[nz]].tolist()))
         m_pos_base = 0
         for b in bonds_seq:
             m_pos_base |= 1 << b
@@ -296,12 +295,12 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
                     w_m *= class_weights(g, b)[EVEN]
                     m_pos |= 1 << b
             V = tilde_v_sets(g, path, classes)
-            for k_mask, w_k in rest_masks:
+            for k_mask, w_k, comp in rest_masks:
                 full = m_pos | k_mask
                 dbl = bool(doubly[full])
                 if dbl:
                     split_total += w_m * w_k
-                ids = _rest_ids(g, V, k_mask)
+                ids = _rest_ids(V, comp)
                 lace = _lace_from_ids(ids)
                 if lace is not None:
                     recon_total += w_m * w_k
@@ -337,18 +336,20 @@ def verify_pi0_decomposition(g: CouplingGraph, x, o=None, order=None,
     }
 
 
-def check_partition_of_unity(g: CouplingGraph, x, o=None, order=None) -> dict:
+def check_partition_of_unity(g: CouplingGraph, x, order=None) -> dict:
     """For every class vector with sources {o, x}: exactly one fresh walk's
     odd-and-earliest indicator fires, and it is the greedily traced walk.
 
     The sources are the boundary of the odd bonds, so the class vectors are
     enumerated as the odd masks with boundary {o, x}, each with every
-    zero/even split of the remaining bonds.
+    zero/even split of the remaining bonds. The tracer, like
+    ``path_indicator``, reads only which bonds are odd, so each odd mask is
+    traced once, on its all-zero split, and a mismatch counts for all of its
+    splits. ``partition_of_unity_oracle`` in the tests traces every class
+    vector and guards that argument.
     """
-    o = g.labels[0] if o is None else o
-    io, ix = g.index(o), g.index(x)
-    target = (1 << io) ^ (1 << ix)
-    paths = enumerate_explorations(g, x, o=o, order=order)
+    target = 1 ^ (1 << g.index(x))
+    paths = enumerate_explorations(g, x, order=order)
     nb = g.n_bonds
     boundary = [0]                      # boundary[m]: sources of odd mask m
     for i, j in g.bonds:
@@ -359,21 +360,15 @@ def check_partition_of_unity(g: CouplingGraph, x, o=None, order=None) -> dict:
     for odd, sm in enumerate(boundary):
         if sm != target:
             continue
-        rest = [b for b in range(nb) if not odd >> b & 1]
-        n_split = 1 << len(rest)
+        n_split = 1 << (nb - bin(odd).count("1"))
         checked += n_split
         flagged = [p for p in paths if path_indicator(g, p, odd)]
         if len(flagged) != 1:
             bad_count += n_split
             continue
-        for bits in range(n_split):
-            classes = [ODD if odd >> b & 1 else ZERO for b in range(nb)]
-            for k, b in enumerate(rest):
-                if bits >> k & 1:
-                    classes[b] = EVEN
-            traced = earliest_odd_path(g, classes, x, o=o, order=order)
-            if traced.bonds != flagged[0].bonds:
-                greedy_mismatch += 1
+        classes = [ODD if odd >> b & 1 else ZERO for b in range(nb)]
+        if earliest_odd_path(g, classes, x, order=order).bonds != flagged[0].bonds:
+            greedy_mismatch += n_split
     return {"checked": checked, "not_exactly_one": bad_count,
             "greedy_mismatch": greedy_mismatch,
             "passed": bad_count == 0 and greedy_mismatch == 0 and checked > 0}

@@ -169,8 +169,8 @@ def test_chain0_monotone_in_depth():
 def test_chain_sum_monotone_in_fields():
     f = fields_from_graph(k4(beta=0.1))
     fup = GraphFields(G=f.G * 1.1, Gt=f.Gt * 1.1, Tau=f.Tau)
-    lo = DiagramEngine(f, 1).chain_sum_X(0, 2, placements_x())
-    hi = DiagramEngine(fup, 1).chain_sum_X(0, 2, placements_x())
+    lo = DiagramEngine(f, 1).chain_sum_X(2, placements_x())
+    hi = DiagramEngine(fup, 1).chain_sum_X(2, placements_x())
     assert hi >= lo > 0.0
 
 
@@ -178,7 +178,7 @@ def test_theorem2_dominates_plain_chain():
     g = k4(beta=0.15)
     ev = TheoremEvaluator(g)
     rhs = ev.theorem_rhs(2, 2, A=(2,))
-    plain = ev.engine(None).chain_sum_X(0, 2, placements_x())
+    plain = ev.engine(None).chain_sum_X(2, placements_x())
     assert rhs >= 2.0 * plain - 1e-15
 
 
@@ -187,13 +187,13 @@ def test_theorem3_assembly():
     ev = TheoremEvaluator(g)
     eng = ev.engine(1)
     ix, iy = 2, 3
-    want = 2.0 * (eng.chain_sum_X(0, ix, placements_dotx(iy))
-                  + eng.chain_sum_X(0, ix, placements_ddotx(iy)))
+    want = 2.0 * (eng.chain_sum_X(ix, placements_dotx(iy))
+                  + eng.chain_sum_X(ix, placements_ddotx(iy)))
     assert ev.theorem_rhs(3, 2, y=3) == pytest.approx(want, rel=1e-12)
     # y == x picks up the plain chain as well
-    want_eq = 2.0 * (eng.chain_sum_X(0, ix, placements_dotx(ix))
-                     + eng.chain_sum_X(0, ix, placements_ddotx(ix))
-                     + eng.chain_sum_X(0, ix, placements_x()))
+    want_eq = 2.0 * (eng.chain_sum_X(ix, placements_dotx(ix))
+                     + eng.chain_sum_X(ix, placements_ddotx(ix))
+                     + eng.chain_sum_X(ix, placements_x()))
     assert ev.theorem_rhs(3, 2, y=2) == pytest.approx(want_eq, rel=1e-12)
 
 

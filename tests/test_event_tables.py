@@ -332,18 +332,6 @@ def test_subset_tables_match_per_subset_measures(g):
                 assert T[m, ix, iy] == pytest.approx(want_t, rel=1e-12, abs=0.0)
 
 
-def test_subset_tables_other_origin():
-    g = corpus_graphs()[-1]
-    o = g.labels[2]
-    S, T = currents.subset_connection_tables(g, o=o)
-    m = 0b10110
-    B = tuple(b for b in range(g.n_bonds) if m >> b & 1)
-    for ix, x in enumerate(g.labels):
-        for iy, y in enumerate(g.labels):
-            assert S[m, ix, iy] == pytest.approx(sst_lhs(g, x, y, B=B, o=o), rel=1e-12)
-    assert np.all(T[:, 2, 2] == 1.0)
-
-
 def test_subset_tables_refused_before_allocation(monkeypatch):
     g = corpus_graphs()[-1]
     nb, n = g.n_bonds, g.n_vertices

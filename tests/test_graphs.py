@@ -1,15 +1,20 @@
 """Coupling graph construction, spread-out families, torus embeddings."""
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 
 from currentkit import (
     CouplingGraph, GraphError, SpreadOut,
     build_graph, embed_on_torus, graph_from_dict, graph_to_dict,
-    load_graph, save_graph, spread_out_coupling,
+    load_graph, save_graph, spread_out_coupling, step_distribution,
 )
+from currentkit import currents, diagrams, laces
 
 
 def triangle(beta=1.0):
@@ -74,16 +79,45 @@ def test_spread_out_box_weights():
     assert len(J) == 24
     assert all(v == pytest.approx(1.0 / 24.0) for v in J.values())
     assert sum(J.values()) == pytest.approx(1.0)
+    # bit for bit the per-point box sum, on Z^d and wrapped on the torus
+    for d, L in ((1, 2.0), (5, 2.0), (5, 4.0)):
+        want = box_oracle(d, L)
+        J = spread_out_coupling(SpreadOut(d, L))
+        assert list(J) == list(want) and all(J[x] == want[x] for x in want)
+        D = np.zeros((17,) * d)
+        for off, val in want.items():
+            if min(off) >= 0:
+                D[off] = val
+        assert np.array_equal(step_distribution(SpreadOut(d, L), 32).data, D)
 
 
-def test_spread_out_ball_weights():
-    J = spread_out_coupling(SpreadOut(2, 1.0, "ball"))
-    assert sorted(J) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    assert all(v == pytest.approx(0.25) for v in J.values())
-    # radius 2 ball in d=2: 12 lattice points
-    J = spread_out_coupling(SpreadOut(2, 2.0, "ball"))
-    assert len(J) == 12
-    assert all(v == pytest.approx(1.0 / 12.0) for v in J.values())
+def box_oracle(d, L):
+    """The box coupling summed point by point: profile 1 on each nonzero
+    offset within sup distance L, normalised by the support's total."""
+    R = int(math.floor(L))
+    support = {x: 1.0 for x in product(range(-R, R + 1), repeat=d)
+               if any(x) and max(abs(c / L) for c in x) <= 1.0}
+    total = sum(support.values())
+    return {x: v / total for x, v in support.items()}
+
+
+def test_one_origin_one_profile():
+    """The origin is always g.labels[0] and the profile always the box: no
+    public function or method of the measure modules takes an origin ``o``,
+    and a spread-out family is fixed by (d, L)."""
+    public = []
+    for mod in (currents, laces, diagrams):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                public += [f for k, f in vars(obj).items()
+                           if inspect.isfunction(f) and not k.startswith("_")]
+            elif inspect.isfunction(obj):
+                public.append(obj)
+    assert currents.pi0 in public and diagrams.TheoremEvaluator.theorem_rhs in public
+    assert [f.__qualname__ for f in public if "o" in inspect.signature(f).parameters] == []
+    assert [f.name for f in dataclasses.fields(SpreadOut)] == ["d", "L"]
 
 
 def test_spread_out_validation():
@@ -91,8 +125,6 @@ def test_spread_out_validation():
         SpreadOut(0, 1.0)
     with pytest.raises(GraphError):
         SpreadOut(2, 0.5)
-    with pytest.raises(GraphError):
-        SpreadOut(2, 1.0, "hexagon")
 
 
 def test_torus_embedding_ring():
@@ -111,12 +143,6 @@ def test_torus_embedding_dense_box():
     assert all(J == pytest.approx(0.125) for J in g.couplings)
 
 
-def test_torus_embedding_ball_nn():
-    g = embed_on_torus(SpreadOut(2, 1.0, "ball"), 3)
-    assert g.n_bonds == 18
-    assert all(J == pytest.approx(0.25) for J in g.couplings)
-
-
 def test_torus_side_guard():
     with pytest.raises(GraphError):
         embed_on_torus(SpreadOut(1, 1.0), 2)
@@ -125,7 +151,7 @@ def test_torus_side_guard():
 
 
 def test_serialization_roundtrip(tmp_path):
-    g = embed_on_torus(SpreadOut(2, 1.0, "ball"), 3, beta=0.7)
+    g = embed_on_torus(SpreadOut(2, 1.0), 3, beta=0.7)
     path = tmp_path / "torus.json"
     save_graph(g, str(path))
     h = load_graph(str(path))

@@ -17,7 +17,7 @@ from currentkit import (
     verify_pi0_decomposition,
 )
 from currentkit.cli import CORPUS_SHAPES
-from currentkit.currents import ZERO, EVEN, ODD
+from currentkit.currents import ZERO, EVEN, ODD, _component_table
 from currentkit.laces import (
     _masks_from_classes, _rest_ids, path_indicator,
     tilde_v_sets,
@@ -86,7 +86,8 @@ def test_lace_three_arcs():
     lace = build_lace(g, path, classes, outer_mask(g))
     assert lace == ((0, 1), (1, 2), (2, 3))
     assert is_valid_lace(lace, path.length)
-    ids = _rest_ids(g, tilde_v_sets(g, path, classes), outer_mask(g))
+    ids = _rest_ids(tilde_v_sets(g, path, classes),
+                    _component_table(g)[outer_mask(g)].tolist())
     wit = [ids[s] & ids[t] for s, t in lace]      # rest components linking each arc's ends
     assert all(wit[i] for i in range(3))
     assert not (wit[0] & wit[1]) and not (wit[1] & wit[2]) and not (wit[0] & wit[2])
@@ -198,12 +199,11 @@ def test_partition_of_unity_triangle():
     assert rep["greedy_mismatch"] == 0
 
 
-def partition_of_unity_oracle(g, x, o=None, order=None):
+def partition_of_unity_oracle(g, x, order=None):
     """check_partition_of_unity by walking all 3^nb class vectors and keeping
     those whose sources are {o, x}."""
-    o = g.labels[0] if o is None else o
-    target = (1 << g.index(o)) ^ (1 << g.index(x))
-    paths = enumerate_explorations(g, x, o=o, order=order)
+    target = 1 ^ (1 << g.index(x))
+    paths = enumerate_explorations(g, x, order=order)
     checked = bad = mismatch = 0
     for idx in range(3 ** g.n_bonds):
         classes = [idx // 3 ** b % 3 for b in range(g.n_bonds)]
@@ -214,7 +214,7 @@ def partition_of_unity_oracle(g, x, o=None, order=None):
         flagged = [p for p in paths if path_indicator(g, p, odd)]
         if len(flagged) != 1:
             bad += 1
-        elif earliest_odd_path(g, classes, x, o=o, order=order).bonds != flagged[0].bonds:
+        elif earliest_odd_path(g, classes, x, order=order).bonds != flagged[0].bonds:
             mismatch += 1
     return {"checked": checked, "not_exactly_one": bad, "greedy_mismatch": mismatch}
 
