@@ -69,6 +69,20 @@ class RunConfig:
         return cls(**raw)
 
 
+# Row kinds: how a row's status follows from its numbers, and what the
+# summary reads from it.
+#   identity    lhs = rhs up to an error (the margin) of at most RTOL
+#   inequality  lhs <= rhs with margin rhs - lhs; trivial when the bound
+#               diverges, vacuous when it passes with lhs = 0
+#   floor       a slack v printed as (0, v, v): a difference held above a
+#               small floor, or the worst rhs - lhs of a bound over arrays
+#   gate        an outcome decided by a rule of its own (a flag, a window, a
+#               chosen threshold); its margin is not a bound's slack
+#   report      a measured number with no pass or fail
+KINDS = ("identity", "inequality", "floor", "gate", "report")
+SLACK_KINDS = ("inequality", "floor")   # the summary's worst margin reads these
+
+
 @dataclass
 class Row:
     suite: str
@@ -76,9 +90,10 @@ class Row:
     check: str
     lhs: float
     rhs: float
-    margin: float
-    status: str   # pass / fail / trivial / report / error
+    margin: float        # the error, the slack or a flag, as the kind says
+    status: str          # pass / fail / trivial (bound diverges) / report / error
     note: str = ""
+    kind: str = "gate"   # one of KINDS; a row built by hand decides its own status
 
     @property
     def failed(self) -> bool:
@@ -108,20 +123,46 @@ def _rel(a: float, b: float) -> float:
 UPWARD = 1.0 + 2.0 ** -46
 
 
+def _row(kind, suite, instance, check, lhs, rhs, margin, ok, note="") -> Row:
+    """The one place a status follows from an outcome: a report row reads
+    ``report`` and any other row ``pass`` while ``ok`` holds; both fail when
+    it does not."""
+    status = ("report" if kind == "report" else "pass") if ok else "fail"
+    return Row(suite, instance, check, lhs, rhs, margin, status, note, kind)
+
+
 def _ineq_row(suite, instance, check, lhs, rhs, note="") -> Row:
     """Inequality row, zero mathematical slack; infinite bounds pass trivially."""
     if math.isinf(rhs):
         return Row(suite, instance, check, lhs, rhs, math.inf, "trivial",
-                   note or "bound diverges")
-    margin = rhs - lhs
-    return Row(suite, instance, check, lhs, rhs, margin,
-               "pass" if lhs <= rhs * UPWARD else "fail", note)
+                   note or "bound diverges", "inequality")
+    return _row("inequality", suite, instance, check, lhs, rhs, rhs - lhs,
+                lhs <= rhs * UPWARD, note)
 
 
-def _ident_row(suite, instance, check, lhs, rhs, note="") -> Row:
-    rel = _rel(lhs, rhs)
-    return Row(suite, instance, check, lhs, rhs, rel,
-               "pass" if rel <= RTOL else "fail", note)
+def _ident_row(suite, instance, check, lhs, rhs, note="", err=None) -> Row:
+    """Identity row; the error defaults to the relative gap of lhs and rhs."""
+    if err is None:
+        err = _rel(lhs, rhs)
+    return _row("identity", suite, instance, check, lhs, rhs, err, err <= RTOL, note)
+
+
+def _err_row(suite, instance, check, err, note="") -> Row:
+    """Identity row of a precomputed error, printed as (err, 0, err)."""
+    return _ident_row(suite, instance, check, err, 0.0, note, err=err)
+
+
+def _floor_row(suite, instance, check, v, ok, note="") -> Row:
+    return _row("floor", suite, instance, check, 0.0, v, v, ok, note)
+
+
+def _gate_row(suite, instance, check, lhs, rhs, margin, ok, note="") -> Row:
+    return _row("gate", suite, instance, check, lhs, rhs, margin, ok, note)
+
+
+def _report_row(suite, instance, check, value, rhs=math.inf, margin=math.inf,
+                note="", ok=True) -> Row:
+    return _row("report", suite, instance, check, value, rhs, margin, ok, note)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +249,7 @@ def _identities_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows.append(_ident_row("identities", iid, "beta0_partition",
                            partition_function(g0), 1.0))
     c0 = correlation(g0, labs[0], labs[-1])
-    rows.append(Row("identities", iid, "beta0_two_point", c0, 0.0, abs(c0),
-                    "pass" if abs(c0) <= RTOL else "fail"))
+    rows.append(_ident_row("identities", iid, "beta0_two_point", c0, 0.0, err=abs(c0)))
     worst = math.inf
     note = ""
     for x, y in itertools.combinations(labs, 2):
@@ -219,8 +259,8 @@ def _identities_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
             gap = full - correlation(g, x, y, restriction=sub)
             if gap < worst:
                 worst, note = gap, f"pair=({x},{y}) dropped_bond={b}"
-    rows.append(Row("identities", iid, "volume_monotonicity", 0.0, worst, worst,
-                    "pass" if worst >= -1e-14 else "fail", note))
+    rows.append(_floor_row("identities", iid, "volume_monotonicity", worst,
+                           worst >= -1e-14, note))
     return rows
 
 
@@ -246,9 +286,9 @@ def _sampled_layer_pairs(g: CouplingGraph) -> list:
 
 
 def _bound_row(iid: str, check: str, lhs, rhs, note) -> Row:
-    """Worst-margin sst row of the bound lhs <= rhs over broadcast arrays.
+    """Worst-margin sst floor row of the bound lhs <= rhs over broadcast arrays.
 
-    The margin is the smallest rhs - lhs, taken at its first entry in C order,
+    The slack is the smallest rhs - lhs, taken at its first entry in C order,
     whose index ``note`` turns into the row's note; the row fails if any
     lhs > rhs * UPWARD.
     """
@@ -257,8 +297,7 @@ def _bound_row(iid: str, check: str, lhs, rhs, note) -> Row:
     gap = rhs - lhs
     at = np.unravel_index(int(np.argmin(gap)), gap.shape)
     viol = int(np.count_nonzero(lhs > rhs * UPWARD))
-    return Row("sst", iid, check, 0.0, float(gap[at]), float(gap[at]),
-               "pass" if viol == 0 else "fail", note(*at))
+    return _floor_row("sst", iid, check, float(gap[at]), viol == 0, note(*at))
 
 
 def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
@@ -283,15 +322,11 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     nested = [k for k, (B, Bp) in enumerate(pairs) if set(B) <= set(Bp)]
     rows.append(_bound_row(iid, "two_layer_bound", lhs[nested], rhs.ravel(),
                            lambda k, j: pair_note(nested[k], j)))
-    worst_sw = 0.0
-    for k in nested:
-        B, Bp = pairs[k]
-        for j, (x, y) in enumerate(xy):
-            sw = sst_switch_rhs(g, x, y, B=B, B_prime=Bp)
-            worst_sw = max(worst_sw, _rel(float(lhs[k, j]), sw))
-    rows.append(Row("sst", iid, "switch_identity", worst_sw, 0.0, worst_sw,
-                    "pass" if worst_sw <= RTOL else "fail",
-                    "max rel err over sampled nested layer pairs"))
+    worst_sw = max(_rel(float(lhs[k, j]),
+                        sst_switch_rhs(g, x, y, B=pairs[k][0], B_prime=pairs[k][1]))
+                   for k in nested for j, (x, y) in enumerate(xy))
+    rows.append(_err_row("sst", iid, "switch_identity", worst_sw,
+                         "max rel err over sampled nested layer pairs"))
 
     fb = fields_from_graph(g)
     B2 = fb.Gt * fb.Gt
@@ -301,9 +336,8 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         rhs = [float((G[io] * G[:, g.index(x)] * C[:, g.index(y)]).sum()) for x, y in xy]
         rows.append(_bound_row(iid, "bubble_chain_bound", lhs, rhs, pair_note))
     else:
-        rows.append(Row("sst", iid, "bubble_chain_bound", 0.0, math.inf,
-                        math.inf, "trivial",
-                        f"bubble matrix spectral radius {spec_rad:.3g} >= 1"))
+        rows.append(_ineq_row("sst", iid, "bubble_chain_bound", 0.0, math.inf,
+                              f"bubble matrix spectral radius {spec_rad:.3g} >= 1"))
 
     rows.append(_bound_row(iid, "lmm2_all_subsets", T, triangle_tensor(G)[io],
                            lambda m, x, y: f"B={subsets[m]} x={labs[x]} y={labs[y]}"))
@@ -319,8 +353,7 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
                                lambda k: f"quad={quads[k]}"))
 
     gap = min(extraction_gap(g.beta * g.couplings[b]) for b in range(g.n_bonds))
-    rows.append(Row("sst", iid, "tanh_extraction_gap", 0.0, gap, gap,
-                    "pass" if gap >= 0 else "fail"))
+    rows.append(_floor_row("sst", iid, "tanh_extraction_gap", gap, gap >= 0))
     return rows
 
 
@@ -354,20 +387,15 @@ def _lace_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     for x in _lace_targets(g):
         for oname, order in orders:
             rep = verify_pi0_decomposition(g, x, order=order, rtol=RTOL)
-            ok = rep["passed"]
-            rows.append(Row("lace", iid, f"pi0_reconstruction[x={x},order={oname}]",
-                            rep["split"], rep["direct"],
-                            rep["reconstruction_rel_err"],
-                            "pass" if ok else "fail",
-                            f"laces={sorted(rep['n_histogram'].items())}"))
+            rows.append(_gate_row("lace", iid, f"pi0_reconstruction[x={x},order={oname}]",
+                                  rep["split"], rep["direct"],
+                                  rep["reconstruction_rel_err"], rep["passed"],
+                                  f"laces={sorted(rep['n_histogram'].items())}"))
             pou = check_partition_of_unity(g, x, order=order)
-            rows.append(Row("lace", iid, f"partition_of_unity[x={x},order={oname}]",
-                            float(pou["checked"] - pou["not_exactly_one"]
-                                  - pou["greedy_mismatch"]),
-                            float(pou["checked"]),
-                            -float(pou["not_exactly_one"] + pou["greedy_mismatch"]),
-                            "pass" if pou["passed"] else "fail",
-                            f"classes={pou['checked']}"))
+            bad = pou["not_exactly_one"] + pou["greedy_mismatch"]
+            rows.append(_gate_row("lace", iid, f"partition_of_unity[x={x},order={oname}]",
+                                  float(pou["checked"] - bad), float(pou["checked"]),
+                                  -float(bad), pou["passed"], f"classes={pou['checked']}"))
     return rows
 
 
@@ -384,10 +412,10 @@ def _theorems_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
 
     try:
         ev.theorem_rhs(1, o)
-        rows.append(Row("theorems", iid, "diagonal_rejected", 0.0, 1.0, -1.0,
-                        "fail", "diagonal request was not refused"))
+        rows.append(_gate_row("theorems", iid, "diagonal_rejected", 0.0, 1.0, -1.0,
+                              False, "diagonal request was not refused"))
     except GraphError:
-        rows.append(Row("theorems", iid, "diagonal_rejected", 1.0, 1.0, 0.0, "pass"))
+        rows.append(_gate_row("theorems", iid, "diagonal_rejected", 1.0, 1.0, 0.0, True))
 
     for x in labs[1:]:
         lhs = pi0(g, x)
@@ -430,16 +458,11 @@ def _naive_apply(eng: DiagramEngine, P: np.ndarray, spec) -> np.ndarray:
     return np.einsum("yz,yzvw->vw", P, K)
 
 
-def _seed_pair(n: int, rng) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=(n, n))
-
-
 def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows = []
     fb = fields_from_graph(g)
     n = fb.n
-    rng = np.random.default_rng(cfg.seed)
-    P = _seed_pair(n, rng)
+    P = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, size=(n, n))
     eng = DiagramEngine(fb, 1)
 
     worst = 0.0
@@ -449,9 +472,8 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         slow = _naive_apply(eng, P, spec)
         worst = max(worst, float(np.max(np.abs(fast - slow))
                                  / max(np.max(np.abs(slow)), 1e-300)))
-    rows.append(Row("reductions", iid, "kernel_factorization", worst, 0.0, worst,
-                    "pass" if worst <= RTOL else "fail",
-                    "max rel gap, factorized vs quadruple sum"))
+    rows.append(_err_row("reductions", iid, "kernel_factorization", worst,
+                         "max rel gap, factorized vs quadruple sum"))
 
     I = np.eye(n)
     eng_u = DiagramEngine(fb, 1, E=I, T3=reduced_t3_prefix(fb))
@@ -467,14 +489,10 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         ("reduced_dddotV0", abs(eng_v.terminal_value(P, ("dddotV", a, v), x)
                                 - reduced_dddotv_value(fb, P, x, a, v))),
     ]
-    for name, err in checks:
-        err = float(err)
-        rows.append(Row("reductions", iid, name, err, 0.0, err,
-                        "pass" if err <= RTOL else "fail"))
+    rows += [_err_row("reductions", iid, name, float(err)) for name, err in checks]
 
     gap = key_lemma_gap_matrix(fb.Tau, fb.Gt)
-    rows.append(Row("reductions", iid, "key_lemma_matrix", 0.0, gap, gap,
-                    "pass" if gap >= -1e-14 else "fail"))
+    rows.append(_floor_row("reductions", iid, "key_lemma_matrix", gap, gap >= -1e-14))
 
     x = n - 1
     v1 = eng.terminal_value(eng._delta_pair(), ("V",), x)
@@ -487,16 +505,15 @@ def _reductions_graph_rows(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         e = DiagramEngine(fb, m)
         vals.append(e.terminal_value(e._delta_pair(), ("V",), x))
     mono = min(vals[1] - vals[0], vals[2] - vals[1])
-    rows.append(Row("reductions", iid, "chain_monotone_in_m", 0.0, mono, mono,
-                    "pass" if mono >= -1e-14 else "fail"))
+    rows.append(_floor_row("reductions", iid, "chain_monotone_in_m", mono, mono >= -1e-14))
     return rows
 
 
 def _hyp1_row(iid: str, G, tau, L: float) -> Row:
     h1 = hyp1_report(G, tau, L)
-    return Row("reductions", iid, "hyp1_threshold", h1["value"], 2.0,
-               2.0 - h1["value"], "pass" if h1["passed"] else "fail",
-               f"tau_l1={h1['tau_l1']:.4g} sup={h1['sup_ratio']:.4g}")
+    return _gate_row("reductions", iid, "hyp1_threshold", h1["value"], 2.0,
+                     2.0 - h1["value"], h1["passed"],
+                     f"tau_l1={h1['tau_l1']:.4g} sup={h1['sup_ratio']:.4g}")
 
 
 def _reductions_torus_rows(cfg: RunConfig) -> list:
@@ -510,27 +527,21 @@ def _reductions_torus_rows(cfg: RunConfig) -> list:
     Gt = tilde_g(G, tau)
 
     rep = psi1_report(Gt, tau)
-    rows.append(Row("reductions", iid, "psi1_identity",
-                    rep["identity_rel"], RTOL, rep["identity_rel"],
-                    "pass" if rep["identity_rel"] <= RTOL else "fail"))
+    rows.append(_ident_row("reductions", iid, "psi1_identity",
+                           rep["identity_rel"], RTOL, err=rep["identity_rel"]))
     for nm in ("slack_step2", "slack_step3", "key_lemma_tau", "key_lemma_gt"):
-        rows.append(Row("reductions", iid, f"psi1_{nm}", 0.0, rep[nm], rep[nm],
-                        "pass" if rep[nm] >= -1e-14 else "fail"))
+        rows.append(_floor_row("reductions", iid, f"psi1_{nm}", rep[nm], rep[nm] >= -1e-14))
 
     rows.append(_hyp1_row(iid, G, tau, TORUS_L))
     h2 = hyp2_report(G, Gt, TORUS_L)
-    rows.append(Row("reductions", iid, "hyp2_lower", 0.0, h2["min_gap"],
-                    h2["min_gap"],
-                    "pass" if h2["dominates"] else "fail",
-                    "Gt dominates G minus delta"))
-    rows.append(Row("reductions", iid, "hyp2_upper_constant",
-                    h2["scale"], math.inf, math.inf, "report",
-                    "sup Gt / (theta <x>^(2-d))"))
+    rows.append(_floor_row("reductions", iid, "hyp2_lower", h2["min_gap"],
+                           h2["dominates"], "Gt dominates G minus delta"))
+    rows.append(_report_row("reductions", iid, "hyp2_upper_constant", h2["scale"],
+                            note="sup Gt / (theta <x>^(2-d))"))
     h3 = hyp3_report(Gt, tau)
     for j in (1, 2):
-        rows.append(Row("reductions", iid, f"hyp3_ratio_j{j}",
-                        h3[f"ratio_{j}"], math.inf, math.inf, "report",
-                        "sup tau^*j * Gt / Gt"))
+        rows.append(_report_row("reductions", iid, f"hyp3_ratio_j{j}", h3[f"ratio_{j}"],
+                                note="sup tau^*j * Gt / Gt"))
 
     # Scaling block, on its own wider side.
     sside = DEPICTED_SIDE
@@ -543,32 +554,28 @@ def _reductions_torus_rows(cfg: RunConfig) -> list:
         r = depicted_ratios(G, Gt)
         ratios[L] = r
         for k in sorted(r):
-            rows.append(Row("reductions", iid, f"depicted_{k}", r[k], math.inf,
-                            math.inf, "report"))
+            rows.append(_report_row("reductions", iid, f"depicted_{k}", r[k]))
     L1, L2 = DEPICTED_L
     scale = (L2 / L1) ** d
     for k in ("ratio0", "ratio1", "ratio2"):
         q = ratios[L1][k] / ratios[L2][k]
-        ok = scale / 4.0 <= q <= scale * 4.0
-        rows.append(Row("reductions", f"torus_d{d}s{sside}",
-                        f"depicted_scaling_{k}", q, scale,
-                        q / scale, "pass" if ok else "fail",
-                        f"L={L1:g} over L={L2:g}, factor-4 window"))
+        rows.append(_gate_row("reductions", f"torus_d{d}s{sside}",
+                              f"depicted_scaling_{k}", q, scale, q / scale,
+                              scale / 4.0 <= q <= scale * 4.0,
+                              f"L={L1:g} over L={L2:g}, factor-4 window"))
 
     for (dd, a, b, R) in ((1, 2.0, 1.0, 100), (3, 2.0, 2.0, 50), (5, 6.0, 3.0, 10)):
         consts = {}
         for L in (1.0, 2.0, 4.0):
             rep = convolution_bound_check(dd, a, b, L, R)
             consts[L] = rep["constant"]
-            rows.append(Row("reductions", f"convbd_d{dd}a{a:g}b{b:g}",
-                            f"constant[L={L:g}]", rep["constant"], math.inf,
-                            math.inf,
-                            "report" if math.isfinite(rep["constant"]) else "fail"))
+            rows.append(_report_row("reductions", f"convbd_d{dd}a{a:g}b{b:g}",
+                                    f"constant[L={L:g}]", rep["constant"],
+                                    ok=math.isfinite(rep["constant"])))
         spread = max(consts.values()) / min(consts.values())
-        rows.append(Row("reductions", f"convbd_d{dd}a{a:g}b{b:g}",
-                        "constant_spread", spread, 4.0, 4.0 - spread,
-                        "pass" if spread <= 4.0 else "fail",
-                        f"R={R}"))
+        rows.append(_gate_row("reductions", f"convbd_d{dd}a{a:g}b{b:g}",
+                              "constant_spread", spread, 4.0, 4.0 - spread,
+                              spread <= 4.0, f"R={R}"))
 
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -578,8 +585,8 @@ def _reductions_torus_rows(cfg: RunConfig) -> list:
         a = convolve(f, h, method="fft")
         bb = convolve(f, h, method="direct")
         worst = max(worst, float(np.max(np.abs(a.data - bb.data))))
-    rows.append(Row("reductions", "conv_battery", "fft_vs_direct", worst, 1e-12,
-                    1e-12 - worst, "pass" if worst <= 1e-12 else "fail"))
+    rows.append(_gate_row("reductions", "conv_battery", "fft_vs_direct", worst, 1e-12,
+                          1e-12 - worst, worst <= 1e-12))
     return rows
 
 
@@ -594,35 +601,30 @@ def _decay_rows() -> list:
 
     rep = decay_trend(d=d, L=L, side=side, p=p)
     if rep.get("degenerate"):
-        rows.append(Row("decay", iid, "fit", 0.0, 0.0, 0.0, "fail",
-                        "unexpected degenerate proxy"))
+        rows.append(_gate_row("decay", iid, "fit", 0.0, 0.0, 0.0, False,
+                              "unexpected degenerate proxy"))
         return rows
     h1 = rep["hyp1"]
-    rows.append(Row("decay", iid, "hyp1_gate", h1["value"], 2.0,
-                    2.0 - h1["value"], "pass" if h1["passed"] else "fail"))
+    rows.append(_gate_row("decay", iid, "hyp1_gate", h1["value"], 2.0,
+                          2.0 - h1["value"], h1["passed"]))
     target = 3.0 * (d - 2)
     e = rep["exponent"]
-    rows.append(Row("decay", iid, "fitted_exponent", e, target,
-                    1.5 - abs(e - target),
-                    "pass" if abs(e - target) <= 1.5 else "fail",
-                    f"fit radii {rep['fit_radii']}, flat mode removed"))
-    rows.append(Row("decay", iid, "fitted_exponent_raw", rep["exponent_raw"],
-                    target, math.inf, "report",
-                    f"flat mode {rep['flat_mode']:.3g} left in"))
+    rows.append(_gate_row("decay", iid, "fitted_exponent", e, target,
+                          1.5 - abs(e - target), abs(e - target) <= 1.5,
+                          f"fit radii {rep['fit_radii']}, flat mode removed"))
+    rows.append(_report_row("decay", iid, "fitted_exponent_raw", rep["exponent_raw"],
+                            target, note=f"flat mode {rep['flat_mode']:.3g} left in"))
     for r in sorted(rep["rows"]):
         rr = rep["rows"][r]
-        rows.append(Row("decay", iid, f"envelope_ratio[r={r}]",
-                        rr["envelope_ratio"], math.inf, math.inf, "report",
-                        rr["flag"] or f"rho={rr['rho']:.3g}"))
-    rows.append(Row("decay", iid, "wrap_mass", rep["wrap_mass"], math.inf,
-                    math.inf, "report"))
+        rows.append(_report_row("decay", iid, f"envelope_ratio[r={r}]", rr["envelope_ratio"],
+                                note=rr["flag"] or f"rho={rr['rho']:.3g}"))
+    rows.append(_report_row("decay", iid, "wrap_mass", rep["wrap_mass"]))
 
     deg = decay_trend(d=d, L=L, side=8, p=0.0)
-    rows.append(Row("decay", f"proxy_d{d}L{L:g}s8p0", "degenerate_flagged",
-                    1.0 if deg.get("degenerate") else 0.0, 1.0,
-                    0.0 if deg.get("degenerate") else -1.0,
-                    "pass" if deg.get("degenerate") else "fail",
-                    deg.get("reason", "")))
+    flagged = bool(deg.get("degenerate"))
+    rows.append(_gate_row("decay", f"proxy_d{d}L{L:g}s8p0", "degenerate_flagged",
+                          float(flagged), 1.0, float(flagged) - 1.0, flagged,
+                          deg.get("reason", "")))
 
     # Doubled-side fit over the same probe window: the exponent should hold
     # its band or move toward the target as wrap shrinks.
@@ -631,19 +633,18 @@ def _decay_rows() -> list:
                       fit_radii=rep["fit_radii"])
     if not big.get("degenerate"):
         eb = big["exponent"]
-        toward = abs(eb - target) <= abs(e - target) + 0.25
-        rows.append(Row("decay", f"proxy_d{d}L{L:g}s{2*side}p{p:g}",
-                        "fitted_exponent_doubled_side", eb, target,
-                        abs(e - target) + 0.25 - abs(eb - target),
-                        "pass" if toward else "fail",
-                        "toward target or stable versus base side"))
+        rows.append(_gate_row("decay", f"proxy_d{d}L{L:g}s{2*side}p{p:g}",
+                              "fitted_exponent_doubled_side", eb, target,
+                              abs(e - target) + 0.25 - abs(eb - target),
+                              abs(eb - target) <= abs(e - target) + 0.25,
+                              "toward target or stable versus base side"))
 
     small = decay_trend(d=d, L=L, side=12, p=p)
     if not small.get("degenerate"):
-        rows.append(Row("decay", f"proxy_d{d}L{L:g}s12p{p:g}",
-                        "fitted_exponent_smaller_box", small["exponent"], target,
-                        abs(e - target) - abs(small["exponent"] - target),
-                        "report", "side 12 versus side 16 drift"))
+        rows.append(_report_row("decay", f"proxy_d{d}L{L:g}s12p{p:g}",
+                                "fitted_exponent_smaller_box", small["exponent"], target,
+                                abs(e - target) - abs(small["exponent"] - target),
+                                "side 12 versus side 16 drift"))
     return rows
 
 
@@ -665,11 +666,6 @@ SUITES = {
                                + _reductions_torus_rows(cfg)),
     "decay": lambda cfg: _decay_rows(),
 }
-
-
-# Gate rows whose margin flags an outcome rather than measuring a slack; the
-# summary's worst margin skips them.
-GATE_CHECKS = frozenset({"diagonal_rejected"})
 
 
 def run_suite(suite: str, cfg: RunConfig) -> list:
@@ -698,11 +694,13 @@ def write_report(rows: list, out_dir: str, runtimes: dict) -> tuple:
             bad = [r for r in sub if r.failed]
             counts = ", ".join(f"{sum(r.status == st for r in sub)} {st}"
                                for st in ("pass", "trivial", "report", "fail"))
-            finite = [r.margin for r in sub
-                      if math.isfinite(r.margin) and r.check not in GATE_CHECKS]
-            worst = min(finite) if finite else math.inf
+            vacuous = sum(r.kind == "inequality" and r.status == "pass" and r.lhs == 0
+                          for r in sub)
+            slacks = [r.margin for r in sub
+                      if r.kind in SLACK_KINDS and math.isfinite(r.margin)]
+            worst = min(slacks) if slacks else math.inf
             fh.write(f"{suite}: {len(sub)} checks ({counts}), {len(bad)} failed, "
-                     f"worst margin {_fmt(worst)}, "
+                     f"{vacuous} vacuous, worst margin {_fmt(worst)}, "
                      f"runtime {runtimes.get(suite, 0.0):.1f}s\n")
             for r in bad[:20]:
                 fh.write(f"  FAIL {r.instance} {r.check} margin={_fmt(r.margin)} {r.note}\n")

@@ -13,8 +13,8 @@ import pytest
 from currentkit import cli
 from currentkit.cli import (
     CORPUS_SHAPES, SUITES, Row, RunConfig, UPWARD,
-    _bound_row, _ineq_row, corpus_by_graph, default_corpus, emit_corpus, load_corpus, main,
-    run_suite,
+    _bound_row, _floor_row, _gate_row, _ineq_row, _report_row, corpus_by_graph,
+    default_corpus, emit_corpus, load_corpus, main, run_suite, write_report,
 )
 
 
@@ -222,7 +222,28 @@ def test_summary_counts_statuses_and_skips_gate_margins(tmp_path, capsys):
     counts = ", ".join(f"{sum(r[6] == st for r in rows)} {st}"
                        for st in ("pass", "trivial", "report", "fail"))
     assert line.startswith(f"theorems: {len(rows)} checks ({counts}), 0 failed, ")
+    vacuous = sum(r[2].startswith("thm") and r[6] == "pass" and float(r[3]) == 0.0
+                  for r in rows)
+    assert vacuous == 374
+    assert f", 0 failed, {vacuous} vacuous, worst margin " in line
     bounds = [float(r[5]) for r in rows if r[2].startswith("thm") and r[5] != "inf"]
     assert any(r[2] == "diagonal_rejected" and float(r[5]) == 0.0 for r in rows)
     assert f"worst margin {min(bounds):.12g}," in line
     assert min(bounds) != 0.0
+
+
+def test_summary_worst_margin_reads_slack_kinds_only(tmp_path):
+    rows = [_report_row("s", "i", "report", 1.0, 2.0, -5.0),
+            _gate_row("s", "i", "gate", 0.0, 1.0, -1.0, True),
+            Row("s", "i", "by_hand", 0.0, 1.0, -3.0, "pass"),      # kind defaults to gate
+            _floor_row("s", "i", "floor", -1e-17, True),           # prints lhs 0, not vacuous
+            _ineq_row("s", "i", "vacuous", 0.0, 1.0),
+            _ineq_row("s", "i", "real", 0.5, 1.0),
+            _ineq_row("s", "i", "trivial", 0.0, math.inf)]
+    assert rows[2].kind == "gate"
+    _, summary_path, n_fail = write_report(rows, str(tmp_path), {"s": 0.25})
+    with open(summary_path) as fh:
+        lines = fh.read().splitlines()
+    assert n_fail == 0
+    assert lines[1] == ("s: 7 checks (5 pass, 1 trivial, 1 report, 0 fail), 0 failed, "
+                        "1 vacuous, worst margin -1e-17, runtime 0.2s")
