@@ -22,8 +22,11 @@ Event measures are tables over all 2**n_bonds global positive masks. A
 per-graph component table labels every vertex's cluster under every mask, so
 an event becomes a boolean indicator vector made of table gathers. The layers
 of a measure superpose into one weight per mask through the covering (union)
-product in its subtraction-free 3**n_bonds form, and the measure is the sum of
-those weights over the indicator.
+product in its subtraction-free form, and the measure is the sum of those
+weights over the indicator. The product splits only the bonds its factors
+use: 3**|both| * 2**|one| branches, where |both| counts the bonds of both
+factors and |one| those of exactly one. A two-layer through-set measure, with
+its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
 
 A layer on a bond subset B is the full positive table restricted to the masks
 inside B, bit for bit: bonds outside B sit in the zero class, with weight 1
@@ -40,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -334,47 +339,81 @@ class Layer:
     sources: tuple = ()
 
 
-def _cover(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Covering product r[S] = sum over A | B == S of f[A] * h[B].
+def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
+    """Covering product r[S] = sum over A | B == S of f[A] * h[B], for f zero
+    off the masks inside the bond mask ``fb`` and h zero off those inside ``hb``.
 
     Splitting every mask on its top bit gives r0 = f0*h0 and
     r1 = f0*h1 + f1*(h0 + h1): three half-size products and no subtraction,
-    so nonnegative inputs lose nothing to cancellation. The recursion runs
-    batched, one level per bond, over all 3**nb branches.
+    so nonnegative inputs lose nothing to cancellation. A bit in one support
+    only drops the other factor's zero half: r1 = f1*h0 or f0*h1, two
+    products. A bit in neither support is not expanded, and r1 = 0. The terms
+    dropped are exact zeros, so the result is bit for bit that of the full
+    split. The recursion runs batched, one level per bond, over
+    3**|fb & hb| * 2**|fb ^ hb| branches.
     """
     nb = f.size.bit_length() - 1
     f, h = f.reshape(1, -1), h.reshape(1, -1)
-    for _ in range(nb):
+    ways = []
+    for k in reversed(range(nb)):
         f, h = f.reshape(len(f), 2, -1), h.reshape(len(h), 2, -1)
-        f = np.concatenate((f[:, :1], f), axis=1).reshape(3 * len(f), -1)
-        h = np.concatenate((h, h[:, :1] + h[:, 1:]), axis=1).reshape(3 * len(h), -1)
+        in_f, in_h = fb >> k & 1, hb >> k & 1
+        if in_f and in_h:
+            f = np.concatenate((f[:, :1], f), axis=1)
+            h = np.concatenate((h, h[:, :1] + h[:, 1:]), axis=1)
+        elif in_f:
+            h = h[:, (0, 0)]
+        elif in_h:
+            f = f[:, (0, 0)]
+        else:
+            f, h = f[:, :1], h[:, :1]
+        ways.append(f.shape[1])
+        f, h = f.reshape(-1, f.shape[2]), h.reshape(-1, h.shape[2])
     r = f * h
-    for _ in range(nb):
-        r = r.reshape(-1, 3, r.shape[1])
-        r = np.concatenate((r[:, 0], r[:, 1] + r[:, 2]), axis=1)
+    del f, h
+    for w in reversed(ways):
+        r = r.reshape(-1, w, r.shape[1])
+        hi = r[:, 1] + r[:, 2] if w == 3 else r[:, 1] if w == 2 else np.zeros_like(r[:, 0])
+        r = np.concatenate((r[:, 0], hi), axis=1)
     return r.reshape(-1)
 
 
-@lru_cache(maxsize=16)
+def _cover_batch(nb: int, fb: int, hb: int) -> int:
+    """Entries in ``_cover``'s largest batch: a level multiplies the batch by
+    3/2, 1 or 1/2 as its bit lies in both supports, one or neither."""
+    size = peak = 1 << nb
+    for k in reversed(range(nb)):
+        size = size * (1 + (fb >> k & 1) + (hb >> k & 1)) // 2
+        peak = max(peak, size)
+    return peak
+
+
+@lru_cache(maxsize=64)
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     """Normalised superposed weight of every global positive mask.
 
     ``layers`` holds (bond tuple, source mask) pairs. A layer's weights are
     the positive table's rows inside its bonds, left in place among all
-    global masks; successive layers combine by the covering product.
+    global masks; successive layers combine by the covering product, whose
+    supports are the union of the bonds combined so far and the new layer's
+    bonds.
     """
     nb = g.n_bonds
+    masks = [_bonds_mask(g, bonds) for bonds, _ in layers]
+    seen = [0, *accumulate(masks, or_)]    # bonds of the layers before each
     if len(layers) > 1:
-        # _cover peaks at four vectors of 3**nb doubles; four mask vectors
-        # (the product so far, the layer, its gather and the result) beside
-        _fits(32 * 3 ** nb + (32 << nb), f"superposition of {len(layers)} layers on {nb} bonds")
+        # _cover peaks at three vectors of its largest batch (the expanded
+        # factors and the product), counted as four; four mask vectors (the
+        # product so far, the layer and its two gathers) beside
+        batch = max(_cover_batch(nb, s, m) for s, m in zip(seen[1:], masks[1:]))
+        _fits(32 * batch + (32 << nb), f"superposition of {len(layers)} layers on {nb} bonds")
     P = _positive_table(g)
     out = None
-    for bonds, sm in layers:
+    for (bonds, sm), s, m in zip(layers, seen, masks):
         rows = _inside(g, bonds)
         dense = np.zeros(1 << nb)
         dense[rows] = P[rows, sm] / P[rows, 0].sum()
-        out = dense if out is None else _cover(out, dense)
+        out = dense if out is None else _cover(out, s, dense, m)
     return out
 
 

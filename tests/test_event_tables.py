@@ -296,6 +296,30 @@ def test_covering_product_matches_outer_product(g):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def _masked(rng, nb, mask):
+    """Random weights on the masks inside the bond mask ``mask``, zero elsewhere."""
+    w = rng.random(1 << nb)
+    w[(np.arange(1 << nb) & ~mask) != 0] = 0.0
+    return w
+
+
+def test_support_aware_cover_is_bitwise_the_full_cover():
+    """Splitting only the bonds in the factors' supports drops exact zeros:
+    the result equals the cover told both supports are every bond, bit for
+    bit, on empty, disjoint, nested, equal and random supports."""
+    rng = np.random.default_rng(12)
+    for nb in range(9):
+        full = (1 << nb) - 1
+        odd, low = full & 0xAA, full >> (nb // 2)
+        pairs = [(0, 0), (0, full), (full, 0), (odd, full ^ odd), (low, full & ~low),
+                 (odd, full), (full, low), (low & odd, low), (odd, odd), (full, full)]
+        pairs += [tuple(int(b) for b in rng.integers(0, 1 << nb, size=2)) for _ in range(30)]
+        for fb, hb in pairs:
+            f, h = _masked(rng, nb, fb), _masked(rng, nb, hb)
+            got = currents._cover(f, fb, h, hb)
+            assert np.array_equal(got, currents._cover(f, full, h, full)), (nb, fb, hb)
+
+
 def test_event_measure_matches_per_mask_route():
     g = spread_torus()
     o, x, y = g.labels[0], g.labels[2], g.labels[3]
@@ -369,6 +393,27 @@ def test_instance_suites_sweep_one_positive_table_per_graph(monkeypatch):
 
 # -- memory refusals and caches ---------------------------------------------
 
+def test_theorems_instance_builds_each_superposition_once(monkeypatch):
+    """The superposition cache holds every layer key of a corpus theorems
+    instance, so the thm4 loop reuses what the thm2 loop built: one miss per
+    distinct key."""
+    g = max(corpus_graphs(), key=lambda g: g.n_vertices)
+    real = currents._superposed
+    keys = []
+
+    def spy(graph, layers):
+        keys.append(layers)
+        return real(graph, layers)
+
+    currents.clear_caches()
+    monkeypatch.setattr(currents, "_superposed", spy)
+    _theorems_instance("grid", g, RunConfig())
+    monkeypatch.undo()
+    assert len(set(keys)) > 16 and len(keys) > len(set(keys))
+    assert real.cache_info().misses == len(set(keys))
+    currents.clear_caches()
+
+
 def _warm(g, *tables):
     def prepare():
         currents.clear_caches()
@@ -384,6 +429,7 @@ def _refusal_cases():
     s6, s8 = (embed_on_torus(SpreadOut(1, 2.0), side, beta=0.4) for side in (6, 8))
     full = tuple(range(s6.n_bonds))
     layers = ((full, 0), (full, currents._source_mask(s6, (s6.labels[0], s6.labels[3]))))
+    theta = ((currents._outside_bonds(s6, s6.labels[2:3]), 0), layers[1])
     return [
         ("source", "source table", lambda: currents._sweep(path, tuple(range(15)), False),
          currents.clear_caches),
@@ -393,13 +439,18 @@ def _refusal_cases():
          currents.clear_caches),
         ("cover", "superposition", lambda: currents._superposed(s6, layers),
          _warm(s6, currents._positive_table)),
+        ("theta_cover", "superposition", lambda: currents._superposed(s6, theta),
+         _warm(s6, currents._positive_table)),
         ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
          _warm(s6, currents._positive_table, currents._component_table)),
         ("spin", "spin sum", lambda: spin_expectation(path, (0, 2)), currents.clear_caches),
     ]
 
 
-@pytest.mark.parametrize("case", range(6), ids=[c[0] for c in _refusal_cases()])
+_REFUSAL_IDS = [c[0] for c in _refusal_cases()]
+
+
+@pytest.mark.parametrize("case", range(len(_REFUSAL_IDS)), ids=_REFUSAL_IDS)
 def test_refusal_counts_bound_traced_peak(monkeypatch, case):
     """The traced peak of the real call is at most the bytes its refusal
     counts; a limit one byte below the count refuses before allocating, and
