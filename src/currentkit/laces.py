@@ -15,11 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .graphs import CouplingGraph, GraphError
 from .currents import (
     ZERO, EVEN, ODD,
     class_weights, double_conn, partition_function, pi0,
-    _component_table, _indicator, _inside, _positive_table,
+    _component_table, _fits, _indicator, _inside, _positive_table,
 )
 
 
@@ -157,68 +159,85 @@ def path_indicator(g: CouplingGraph, path: ExploredPath, odd_mask: int) -> bool:
     return (odd_mask & pmask) == pmask and (odd_mask & smask) == 0
 
 
-def tilde_v_sets(g: CouplingGraph, path: ExploredPath,
-                 classes: Sequence[int]) -> tuple:
-    """Attachment sets along the walk: the j-th set is the j-th walk vertex
-    together with its positive-even neighbours inside the next layer; the
-    final set is the terminal vertex alone."""
-    out = []
-    for j in range(path.length):
+def _component_bits(g: CouplingGraph, masks) -> np.ndarray:
+    """``bits[k, u]``: the bit of vertex u's component under rest mask
+    ``masks[k]``, in the narrowest unsigned type with a bit per vertex."""
+    labels = _component_table(g)[masks]
+    return np.left_shift(1, labels.astype(np.min_scalar_type((1 << g.n_vertices) - 1)))
+
+
+def _attachment_masks(g: CouplingGraph, path: ExploredPath, even: np.ndarray,
+                      bits: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (len(even), len(bits), length + 1) the rest
+    components that the walk's attachment sets meet, as bitmasks.
+
+    The j-th attachment set is the j-th walk vertex together with the far
+    ends of its layer's positive-even bonds; the final set is the terminal
+    vertex alone. ``even`` holds one mask of positive-even bonds per
+    explored split, and ``bits[k, u]`` is the bit of vertex u's component
+    under the k-th rest mask.
+    """
+    for j, layer in enumerate(path.layers):
         vj = path.omega[j]
-        s = {vj}
-        for b in path.layers[j]:
-            if classes[b] == EVEN:
-                s.add(g.other_end(b, vj))
-        out.append(frozenset(s))
-    out.append(frozenset({path.omega[-1]}))
-    return tuple(out)
+        col = out[:, :, j]
+        col[...] = bits[:, vj]
+        for b in layer[:-1]:            # the walked bond closes the layer
+            col |= np.where(even[:, None] >> b & 1, bits[:, g.other_end(b, vj)], 0)
+    out[:, :, -1] = bits[:, path.omega[-1]]
+
+
+def _greedy_laces(M: np.ndarray, size: np.ndarray) -> tuple:
+    """The greedy lace rule on every row of ``M`` at once.
+
+    ``M[r, j]`` is the mask of rest components that attachment set j of row
+    r meets, 0 past ``size[r]``; two sets are linked when their masks share
+    a bit. Each arc ends at the furthest set linked to anything at or before
+    the previous arc's end (0 at first) and starts at the first set linked to
+    that end. A row whose arcs stall before ``size[r]`` has no lace, which
+    happens exactly when o and x are not doubly connected in the
+    superposition. Returns ``(found, S, T, n_arcs)``: row r's lace is
+    ``(S[r, a], T[r, a])`` for a < ``n_arcs[r]`` when ``found[r]``.
+    """
+    n_rows, width = M.shape
+    upto = np.bitwise_or.accumulate(M, axis=1)     # components of sets 0..t
+    S = np.zeros((n_rows, width), np.int8)
+    T = np.zeros((n_rows, width), np.int8)
+    n_arcs = np.zeros(n_rows, np.int8)
+    rows = np.arange(n_rows)
+    t = np.zeros(n_rows, np.int64)
+    live = np.ones(n_rows, bool)
+    for a in range(width - 1):
+        live &= t < size
+        if not live.any():
+            break
+        hit = (M & upto[rows, t][:, None]) != 0
+        tn = width - 1 - hit[:, ::-1].argmax(axis=1)
+        live &= tn > t
+        sn = ((M & M[rows, tn][:, None]) != 0).argmax(axis=1)
+        S[live, a] = sn[live]
+        T[live, a] = tn[live]
+        n_arcs += live
+        t = np.where(live, tn, t)
+    return t == size, S, T, n_arcs
 
 
 def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
                k_mask: int):
-    """Lace induced by the rest-of-volume positive bonds ``k_mask``.
-
-    Arcs greedily extend the furthest walk index reachable from anything at or
-    before the previous arc's end, where "reachable" means the attachment sets
-    intersect or are joined by positive rest bonds. Returns the arc tuple, or
-    None when progress stalls before the terminal index (no lace exists, which
-    happens exactly when o and x are not doubly connected in the superposition).
-    """
-    for b in path.explored():
-        if k_mask & (1 << b):
-            raise GraphError("rest mask overlaps the explored bonds")
-    comp = _component_table(g)[k_mask].tolist()
-    return _lace_from_ids(_rest_ids(tilde_v_sets(g, path, classes), comp))
-
-
-def _rest_ids(V: tuple, comp: list) -> list:
-    """Per attachment set, the ids of the rest components it meets, given
-    the component label of every vertex under the rest mask."""
-    return [frozenset(comp[u] for u in s) for s in V]
-
-
-def _lace_from_ids(ids: list):
-    """``build_lace`` on the rest-component ids of the attachment sets."""
-    size = len(ids) - 1
-
-    def linked(i, j):
-        return bool(ids[i] & ids[j])
-
-    t = max(j for j in range(size + 1) if linked(0, j))
-    if t == 0:
+    """Lace induced by the rest-of-volume positive bonds ``k_mask``: the
+    greedy rule of ``_greedy_laces`` on the attachment sets of ``classes``,
+    linked when they meet a common component of the rest. Returns the arc
+    tuple, or None when no lace exists."""
+    explored = path.explored()
+    if any(k_mask >> b & 1 for b in explored):
+        raise GraphError("rest mask overlaps the explored bonds")
+    even = np.array([sum(1 << b for b in explored if classes[b] == EVEN)])
+    bits = _component_bits(g, [k_mask])
+    M = np.empty((1, 1, path.length + 1), bits.dtype)
+    _attachment_masks(g, path, even, bits, M)
+    found, S, T, n_arcs = _greedy_laces(M[0], np.array([path.length]))
+    if not found[0]:
         return None
-    edges = [(0, t)]
-    while t < size:
-        tn = t
-        for j in range(size + 1):
-            if j > tn and any(linked(ip, j) for ip in range(t + 1)):
-                tn = j
-        if tn == t:
-            return None
-        sn = min(ip for ip in range(size + 1) if linked(ip, tn))
-        edges.append((sn, tn))
-        t = tn
-    return tuple(edges)
+    return tuple(zip(S[0, :n_arcs[0]].tolist(), T[0, :n_arcs[0]].tolist()))
 
 
 def is_valid_lace(edges, length: int) -> bool:
@@ -255,68 +274,86 @@ def verify_pi0_decomposition(g: CouplingGraph, x, order=None,
     swept value. Also cross-checks, configuration by configuration, that a
     lace exists iff the superposition doubly connects, that every built lace
     is pattern-valid, and that distinct arcs use disjoint rest components.
+
+    Every (walk, explored split, rest mask) is one row of a single batch,
+    in that nesting order; the weights are added left to right in row order,
+    as a loop over the rows would add them.
     """
     if g.index(x) == 0:
         raise GraphError("endpoints must differ")
     Z = partition_function(g)
     direct = pi0(g, x)
     doubly = _indicator(g, double_conn(g.labels[0], x))
-    split_total = 0.0
-    recon_total = 0.0
-    hist: Counter = Counter()
-    indicator_mismatches = 0
-    invalid_laces = 0
-    overlap_violations = 0
+    P = _positive_table(g)
+    walks = []
+    n_rows = 0
     for path in enumerate_explorations(g, x, order=order):
-        bonds_seq = path.bonds
-        explored = sorted(path.explored())
-        skip = [b for b in explored if b not in set(bonds_seq)]
-        rest = tuple(b for b in range(g.n_bonds) if b not in set(explored))
-        w_path = 1.0
-        for b in bonds_seq:
-            w_path *= class_weights(g, b)[ODD]
-        rows = _inside(g, rest)
-        kvec = _positive_table(g)[rows, 0]
+        walked = set(path.bonds)
+        explored = path.explored()
+        skip = [b for b in sorted(explored) if b not in walked]
+        masks = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        kvec = P[masks, 0]
         nz = kvec != 0
-        rest_masks = list(zip(rows[nz].tolist(), kvec[nz].tolist(),
-                              _component_table(g)[rows[nz]].tolist()))
-        m_pos_base = 0
-        for b in bonds_seq:
-            m_pos_base |= 1 << b
-        for bits in range(1 << len(skip)):
-            classes = [ZERO] * g.n_bonds
-            for b in bonds_seq:
-                classes[b] = ODD
-            w_m = w_path
-            m_pos = m_pos_base
-            for i, b in enumerate(skip):
-                if bits >> i & 1:
-                    classes[b] = EVEN
-                    w_m *= class_weights(g, b)[EVEN]
-                    m_pos |= 1 << b
-            V = tilde_v_sets(g, path, classes)
-            for k_mask, w_k, comp in rest_masks:
-                full = m_pos | k_mask
-                dbl = bool(doubly[full])
-                if dbl:
-                    split_total += w_m * w_k
-                ids = _rest_ids(V, comp)
-                lace = _lace_from_ids(ids)
-                if lace is not None:
-                    recon_total += w_m * w_k
-                    hist[len(lace)] += 1
-                    if not is_valid_lace(lace, path.length):
-                        invalid_laces += 1
-                    if len(lace) >= 2:
-                        wit = [ids[s] & ids[t] for s, t in lace]
-                        for a in range(len(wit)):
-                            for b2 in range(a + 1, len(wit)):
-                                if wit[a] & wit[b2]:
-                                    overlap_violations += 1
-                if (lace is not None) != dbl:
-                    indicator_mismatches += 1
-    split_total /= Z
-    recon_total /= Z
+        walks.append((path, skip, masks[nz], kvec[nz], _component_bits(g, masks[nz])))
+        n_rows += int(nz.sum()) << len(skip)
+    width = 1 + max(path.length for path, *_ in walks)
+    dtype = walks[0][-1].dtype
+    # M and its prefix ORs, one temporary of their type and two bool ones per
+    # entry, and the int8 arcs; plus the per-row vectors of the greedy rule
+    _fits(n_rows * ((3 * dtype.itemsize + 4) * width + 128),
+          f"lace batch of {n_rows} rows over {width} attachment sets")
+    M = np.zeros((n_rows, width), dtype)
+    size = np.empty(n_rows, np.int8)
+    terms = np.empty(n_rows)
+    dbl = np.empty(n_rows, bool)
+    r = 0
+    for path, skip, ks, w_k, bits in walks:
+        w_path = 1.0
+        for b in path.bonds:
+            w_path *= class_weights(g, b)[ODD]
+        # split i sets skip bond j even when bit j of i is set; doubling over
+        # the bits multiplies each split's weight bit by bit, lowest first
+        w_m, even = [w_path], [0]
+        for b in skip:
+            w_even = class_weights(g, b)[EVEN]
+            w_m += [w * w_even for w in w_m]
+            even += [e | 1 << b for e in even]
+        even = np.array(even)
+        end = r + len(even) * ks.size
+        L = path.length + 1
+        _attachment_masks(g, path, even, bits, M[r:end, :L].reshape(len(even), ks.size, L))
+        size[r:end] = path.length
+        terms[r:end] = np.multiply.outer(w_m, w_k).ravel()
+        m_pos = even | sum(1 << b for b in path.bonds)
+        dbl[r:end] = doubly[m_pos[:, None] | ks].ravel()
+        r = end
+    found, S, T, n_arcs = _greedy_laces(M, size)
+    # cumsum adds left to right; np.sum would add pairwise
+    split_total = float(np.cumsum(np.concatenate(([0.0], terms[dbl])))[-1]) / Z
+    recon_total = float(np.cumsum(np.concatenate(([0.0], terms[found])))[-1]) / Z
+    # each arc's witnesses, the rest components its two ends share, must be
+    # disjoint from every other arc's
+    multi = np.flatnonzero(found & (n_arcs >= 2))
+    most = int(n_arcs[multi].max(initial=0))
+    W = np.zeros((multi.size, most), dtype)
+    for a in range(most):
+        used = a < n_arcs[multi]
+        W[used, a] = M[multi, S[multi, a]][used] & M[multi, T[multi, a]][used]
+    overlap_violations = sum(int(np.count_nonzero(W[:, a, None] & W[:, a + 1:]))
+                             for a in range(most - 1))
+    hist: Counter = Counter()
+    invalid_laces = 0
+    # distinct (length, arcs) rows, each compared as one opaque byte string
+    keys = np.column_stack((size, n_arcs, S, T))[found]
+    _, first, counts = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                 return_index=True, return_counts=True)
+    for key, count in zip(keys[first].tolist(), counts.tolist()):
+        length, n = key[:2]
+        hist[n] += count
+        lace = tuple(zip(key[2:2 + n], key[2 + width:2 + width + n]))
+        if not is_valid_lace(lace, length):
+            invalid_laces += count
+    indicator_mismatches = int(np.count_nonzero(found != dbl))
     scale = max(abs(direct), 1e-300)
     return {
         "direct": direct,

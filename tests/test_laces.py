@@ -7,20 +7,27 @@ forming three rest components that straddle consecutive attachment sets.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from currentkit import (
-    GraphError, SpreadOut,
+    CapExceeded, GraphError, SpreadOut,
     build_graph, embed_on_torus, build_lace, check_partition_of_unity, earliest_odd_path,
     enumerate_explorations, extraction_gap, is_valid_lace,
     verify_pi0_decomposition,
 )
-from currentkit.cli import CORPUS_SHAPES
-from currentkit.currents import ZERO, EVEN, ODD, _component_table
+from currentkit import currents, laces
+from currentkit.cli import CORPUS_SHAPES, _lace_targets, default_corpus
+from currentkit.currents import (
+    ZERO, EVEN, ODD,
+    class_weights, double_conn, partition_function, pi0,
+    _component_table, _indicator, _inside, _positive_table,
+)
 from currentkit.laces import (
-    _masks_from_classes, _rest_ids, path_indicator,
-    tilde_v_sets,
+    _attachment_masks, _component_bits, _masks_from_classes, path_indicator,
 )
 
 
@@ -45,6 +52,132 @@ def outer_mask(g):
     for uv in ((0, 6), (1, 6), (2, 7), (3, 7), (4, 8), (5, 8)):
         m |= 1 << g.bonds.index(uv)
     return m
+
+
+def tilde_v_sets(g, path, classes):
+    """Attachment sets along the walk: the j-th set is the j-th walk vertex
+    together with its positive-even neighbours inside the next layer; the
+    final set is the terminal vertex alone."""
+    out = []
+    for j in range(path.length):
+        vj = path.omega[j]
+        s = {vj}
+        for b in path.layers[j]:
+            if classes[b] == EVEN:
+                s.add(g.other_end(b, vj))
+        out.append(frozenset(s))
+    out.append(frozenset({path.omega[-1]}))
+    return tuple(out)
+
+
+def _rest_ids(V, comp):
+    """Per attachment set, the ids of the rest components it meets, given
+    the component label of every vertex under the rest mask."""
+    return [frozenset(comp[u] for u in s) for s in V]
+
+
+def _lace_from_ids(ids):
+    """The greedy lace rule on the rest-component ids of the attachment
+    sets, one arc at a time: the scalar oracle of ``laces._greedy_laces``."""
+    size = len(ids) - 1
+
+    def linked(i, j):
+        return bool(ids[i] & ids[j])
+
+    t = max(j for j in range(size + 1) if linked(0, j))
+    if t == 0:
+        return None
+    edges = [(0, t)]
+    while t < size:
+        tn = t
+        for j in range(size + 1):
+            if j > tn and any(linked(ip, j) for ip in range(t + 1)):
+                tn = j
+        if tn == t:
+            return None
+        sn = min(ip for ip in range(size + 1) if linked(ip, tn))
+        edges.append((sn, tn))
+        t = tn
+    return tuple(edges)
+
+
+def pi0_decomposition_oracle(g, x, order=None, rtol=1e-10):
+    """``verify_pi0_decomposition`` one (walk, explored split, rest mask)
+    at a time, building each lace with the scalar rule."""
+    Z = partition_function(g)
+    direct = pi0(g, x)
+    doubly = _indicator(g, double_conn(g.labels[0], x))
+    split_total = 0.0
+    recon_total = 0.0
+    hist = Counter()
+    indicator_mismatches = 0
+    invalid_laces = 0
+    overlap_violations = 0
+    for path in enumerate_explorations(g, x, order=order):
+        bonds_seq = path.bonds
+        explored = sorted(path.explored())
+        skip = [b for b in explored if b not in bonds_seq]
+        rest = tuple(b for b in range(g.n_bonds) if b not in explored)
+        w_path = 1.0
+        for b in bonds_seq:
+            w_path *= class_weights(g, b)[ODD]
+        rows = _inside(g, rest)
+        kvec = _positive_table(g)[rows, 0]
+        nz = kvec != 0
+        rest_masks = list(zip(rows[nz].tolist(), kvec[nz].tolist(),
+                              _component_table(g)[rows[nz]].tolist()))
+        m_pos_base = 0
+        for b in bonds_seq:
+            m_pos_base |= 1 << b
+        for bits in range(1 << len(skip)):
+            classes = [ZERO] * g.n_bonds
+            for b in bonds_seq:
+                classes[b] = ODD
+            w_m = w_path
+            m_pos = m_pos_base
+            for i, b in enumerate(skip):
+                if bits >> i & 1:
+                    classes[b] = EVEN
+                    w_m *= class_weights(g, b)[EVEN]
+                    m_pos |= 1 << b
+            V = tilde_v_sets(g, path, classes)
+            for k_mask, w_k, comp in rest_masks:
+                dbl = bool(doubly[m_pos | k_mask])
+                if dbl:
+                    split_total += w_m * w_k
+                ids = _rest_ids(V, comp)
+                lace = _lace_from_ids(ids)
+                if lace is not None:
+                    recon_total += w_m * w_k
+                    hist[len(lace)] += 1
+                    if not is_valid_lace(lace, path.length):
+                        invalid_laces += 1
+                    wit = [ids[s] & ids[t] for s, t in lace]
+                    for a in range(len(wit)):
+                        for b2 in range(a + 1, len(wit)):
+                            if wit[a] & wit[b2]:
+                                overlap_violations += 1
+                if (lace is not None) != dbl:
+                    indicator_mismatches += 1
+    split_total /= Z
+    recon_total /= Z
+    scale = max(abs(direct), 1e-300)
+    return {
+        "direct": direct,
+        "split": split_total,
+        "reconstruction": recon_total,
+        "split_rel_err": abs(split_total - direct) / scale,
+        "reconstruction_rel_err": abs(recon_total - direct) / scale,
+        "n_histogram": dict(sorted(hist.items())),
+        "indicator_mismatches": indicator_mismatches,
+        "invalid_laces": invalid_laces,
+        "arc_component_overlaps": overlap_violations,
+        "passed": (abs(split_total - direct) <= rtol * scale
+                   and abs(recon_total - direct) <= rtol * scale
+                   and indicator_mismatches == 0
+                   and invalid_laces == 0
+                   and overlap_violations == 0),
+    }
 
 
 def test_earliest_path_hand_trace():
@@ -77,6 +210,12 @@ def test_attachment_sets():
     V = tilde_v_sets(g, path, classes)
     assert V == (frozenset({0}), frozenset({1, 2}), frozenset({3, 4}),
                  frozenset({5}))
+    # with no rest bonds every vertex is its own component, so the masks
+    # the batch builds are the sets themselves
+    even = sum(1 << b for b in range(g.n_bonds) if classes[b] == EVEN)
+    out = np.empty((1, 1, path.length + 1), np.int64)
+    _attachment_masks(g, path, np.array([even]), _component_bits(g, [0]), out)
+    assert out.ravel().tolist() == [sum(1 << u for u in s) for s in V]
 
 
 def test_lace_three_arcs():
@@ -88,6 +227,7 @@ def test_lace_three_arcs():
     assert is_valid_lace(lace, path.length)
     ids = _rest_ids(tilde_v_sets(g, path, classes),
                     _component_table(g)[outer_mask(g)].tolist())
+    assert _lace_from_ids(ids) == lace
     wit = [ids[s] & ids[t] for s, t in lace]      # rest components linking each arc's ends
     assert all(wit[i] for i in range(3))
     assert not (wit[0] & wit[1]) and not (wit[1] & wit[2]) and not (wit[0] & wit[2])
@@ -185,6 +325,103 @@ def test_tree_has_no_double_connection():
     assert rep["split"] == 0.0
     assert rep["reconstruction"] == 0.0
     assert rep["passed"]
+
+
+def _same_report(got, want):
+    """Dict equality with every float compared bit for bit."""
+    assert got == want
+    for k, v in want.items():
+        if isinstance(v, float):
+            assert got[k].hex() == v.hex(), k
+
+
+@pytest.mark.parametrize("iid,g", default_corpus(), ids=[iid for iid, _ in default_corpus()])
+def test_reconstruction_matches_scalar_oracle_on_corpus(iid, g):
+    rev = tuple(range(g.n_bonds - 1, -1, -1))
+    for x in _lace_targets(g):
+        for order in (None, rev):
+            _same_report(verify_pi0_decomposition(g, x, order=order),
+                         pi0_decomposition_oracle(g, x, order=order))
+
+
+@pytest.mark.parametrize("side", (5, 6))
+@pytest.mark.parametrize("beta", (0.25, 0.45))
+def test_reconstruction_matches_scalar_oracle_spread_torus(side, beta):
+    g = embed_on_torus(SpreadOut(1, 2.0), side, beta=beta)
+    x = g.labels[len(g.labels) // 2]
+    rep = verify_pi0_decomposition(g, x)
+    assert rep["passed"] and max(rep["n_histogram"]) >= 2
+    _same_report(rep, pi0_decomposition_oracle(g, x))
+
+
+def test_build_lace_matches_scalar_rule_arc_by_arc():
+    """The report counts laces but does not show their arcs; compare those
+    with the scalar rule on every configuration of the side-5 torus sum."""
+    g = embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+    x = g.labels[len(g.labels) // 2]
+    comp = _component_table(g)
+    seen = Counter()
+    for path in enumerate_explorations(g, x):
+        explored = path.explored()
+        skip = sorted(explored - set(path.bonds))
+        rest = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        for bits in range(1 << len(skip)):
+            classes = [ODD if b in path.bonds else ZERO for b in range(g.n_bonds)]
+            for i, b in enumerate(skip):
+                if bits >> i & 1:
+                    classes[b] = EVEN
+            V = tilde_v_sets(g, path, classes)
+            for k in rest.tolist():
+                lace = build_lace(g, path, classes, k)
+                assert lace == _lace_from_ids(_rest_ids(V, comp[k].tolist()))
+                seen[lace is not None and len(lace)] += 1
+    assert seen[False] and seen[1] and seen[2]
+
+
+def test_reconstruction_gates_can_fail(monkeypatch):
+    """With the double-connection indicator negated, the batched counters
+    must report the disagreement."""
+    g = embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+    x = g.labels[len(g.labels) // 2]
+    monkeypatch.setattr(laces, "_indicator", lambda g, ev: ~_indicator(g, ev))
+    rep = verify_pi0_decomposition(g, x, rtol=1e-10)
+    assert rep["indicator_mismatches"] > 0
+    assert rep["split_rel_err"] > 1e-10
+    assert not rep["passed"]
+
+
+def _lace_batch_rows(g, x):
+    """Rows and attachment-set width of ``verify_pi0_decomposition``'s batch."""
+    rows, width = 0, 0
+    for path in enumerate_explorations(g, x):
+        explored = path.explored()
+        rest = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        k = int(np.count_nonzero(_positive_table(g)[rest, 0]))
+        rows += k << (len(explored) - path.length)
+        width = max(width, path.length + 1)
+    return rows, width
+
+
+def test_lace_batch_refused_before_allocation(monkeypatch):
+    g = embed_on_torus(SpreadOut(1, 2.0), 6, beta=0.4)
+    x = g.labels[len(g.labels) // 2]
+    verify_pi0_decomposition(g, x)          # fill the cached tables first
+    rows, width = _lace_batch_rows(g, x)
+    itemsize = np.min_scalar_type((1 << g.n_vertices) - 1).itemsize
+    work = rows * ((3 * itemsize + 4) * width + 128) + currents._OVERHEAD
+    monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            verify_pi0_decomposition(g, x)
+        assert tracemalloc.get_traced_memory()[1] < work // 10
+        monkeypatch.setattr(currents, "_MEM_LIMIT", work)
+        tracemalloc.reset_peak()
+        assert verify_pi0_decomposition(g, x)["passed"]
+        assert tracemalloc.get_traced_memory()[1] <= work
+    finally:
+        tracemalloc.stop()
+        currents.clear_caches()
 
 
 def test_partition_of_unity_triangle():
