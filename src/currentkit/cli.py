@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import CouplingGraph, GraphError, SpreadOut, build_graph, load_graph, save_graph
 from .currents import (
-    correlation, four_point, partition_function, pi0,
+    CapExceeded, correlation, four_point, partition_function, pi0,
     pi0_tilde, spin_expectation, sst_lhs, sst_switch_rhs,
     subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
 )
@@ -735,10 +735,14 @@ def main(argv=None) -> int:
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     rows, runtimes = [], {}
-    for suite in suites:
-        t0 = time.time()
-        rows.extend(run_suite(suite, cfg))
-        runtimes[suite] = time.time() - t0
+    try:
+        for suite in suites:
+            t0 = time.time()
+            rows.extend(run_suite(suite, cfg))
+            runtimes[suite] = time.time() - t0
+    except CapExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     csv_path, summary_path, n_fail = write_report(rows, cfg.out, runtimes)
     with open(summary_path) as fh:
         print(fh.read(), end="")

@@ -18,8 +18,8 @@ from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
     NonContracting,
-    _dct, _idct, _minus_delta, _mirror, _weights, hyp1_report, rw_green_proxy,
-    tilde_g, triangle_tensor, weighted_norm, wrap_mass,
+    _dct, _idct, _minus_delta, _mirror, _pair_product, _weights, hyp1_report,
+    rw_green_proxy, tilde_g, triangle_tensor, weighted_norm, wrap_mass,
 )
 
 
@@ -466,15 +466,17 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     if radii is None:
         radii = list(range(1, side // 2 + 1))
     rows = {}
+    A, B = np.empty_like(psi0), np.empty_like(psi0)
     for r in radii:
         x = (r,) + (0,) * (d - 1)
         term0 = Gt.value(x) ** 3
         core = Gt.value(x) - flat
-        S = np.fft.rfft(_dct(psi0 * np.roll(Gt0, r, axis=0), side, axes), axis=0)
+        _pair_product(psi0, (0,), Gt0, (r,), out=A)
+        S = np.fft.rfft(_dct(A, side, axes), axis=0)
         S *= Ghat
         conv = _idct(np.fft.irfft(S, n=side, axis=0), side, axes)
         del S
-        B = Gt0 * np.roll(g20, r, axis=0)
+        _pair_product(Gt0, (0,), g20, (r,), out=B)
         B *= conv
         B *= W
         term1 = float(B.sum())

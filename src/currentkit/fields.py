@@ -31,7 +31,9 @@ from itertools import product as iproduct
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .currents import _fits
 from .graphs import GraphError, SpreadOut
 
 
@@ -192,15 +194,20 @@ def _dct(a: np.ndarray, side: int, axes: Sequence[int] | None = None) -> np.ndar
     before it. Index 0, whose cosines are all 1, is added after the product,
     so that a spike there (the delta in a field, the mean in a spectrum)
     does not set the rounding scale of the sums over the other indices.
+    The axes write in turn into two buffers, whatever their number.
     """
     M = _cosines(side)[:, 1:]
     shape = a.shape
-    for ax in range(a.ndim) if axes is None else axes:
+    bufs = np.empty(shape), np.empty(shape)
+    for i, ax in enumerate(range(a.ndim) if axes is None else axes):
+        b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
+        out = bufs[i % 2].reshape(b.shape)
         if ax == a.ndim - 1:
-            a = a[..., 1:] @ M.T + a[..., :1]
+            np.matmul(a[..., 1:], M.T, out=bufs[i % 2])
         else:
-            b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
-            a = (np.matmul(M, b[:, 1:]) + b[:, :1]).reshape(shape)
+            np.matmul(M, b[:, 1:], out=out)
+        out += b[:, :1]
+        a = bufs[i % 2]
     return a
 
 
@@ -244,11 +251,16 @@ def convolve(f: Field, g: Field, method: str = "fft") -> Field:
     if method == "fft":
         return Field(f.d, f.side, _inv(_hat(f.data) * _hat(g.data), f.data.shape))
     if method == "direct":
-        out = np.zeros_like(f.data)
-        axes = tuple(range(f.d))
-        for idx in np.argwhere(f.data != 0):
-            out += f.data[tuple(idx)] * np.roll(g.data, tuple(idx), axis=axes)
-        return Field(f.d, f.side, out)
+        # g shifted by x is the window at -x of g tiled twice along each axis;
+        # the scaled copies are added in the order of the nonzeros
+        d, n, k = f.d, f.side, np.count_nonzero(f.data)
+        _fits(8 * (n ** d * (k + 2 ** d + 1) + k * (2 * d + 1)),
+              f"direct convolution of {k} shifted copies of {n}^{d} entries")
+        nz = np.nonzero(f.data)
+        copies = sliding_window_view(np.tile(g.data, (2,) * d), (n,) * d)[
+            tuple(-i % n for i in nz)]
+        copies *= f.data[nz].reshape((k,) + (1,) * d)
+        return Field(d, n, np.add.reduce(copies, axis=0, initial=0.0))
     raise GraphError(f"unknown convolution method {method!r}")
 
 
@@ -332,22 +344,20 @@ def triangle_tensor(G: np.ndarray) -> np.ndarray:
     return t1 + t2 + t3
 
 
-def triangle_T_field(g: np.ndarray, w: np.ndarray, x: Sequence[int],
-                     y: Sequence[int]) -> float:
+def _triangle_quads(x: Sequence[int], y: Sequence[int]) -> list:
     """Triangle kernel rooted at the torus origin, for a reflection-symmetric G:
     sum_z G(z) G(x-z) G(z-y) [G(x) G(z-y) + G(y) G(z-x) + G(y-x) G(z)].
 
     With G(x-z) = G(z-x) these are three four-point sums of G that share the
-    pair z -> G(z) G(z-x). g and w are as in ``_four_point_sums``; x and y
-    move along the unfolded axes only.
+    pair z -> G(z) G(z-x); their quads of legs on "G" (see
+    ``_four_point_sums``), in the order ``_triangle`` takes their values.
     """
-    n = g.shape[0]
+    z = tuple(0 for _ in x)
+    return [tuple(("G", s) for s in q) for q in ((z, x, y, y), (z, x, y, x), (z, x, z, y))]
 
-    def at(q):
-        return float(g[tuple(int(c) % n for c in q)])
 
-    z = (0,) * len(x)
-    s = _four_point_sums(g, g, g, g, w, [(z, x, y, y), (z, x, y, x), (z, x, z, y)])
+def _triangle(at, x: Sequence[int], y: Sequence[int], s: Sequence[float]) -> float:
+    """The triangle kernel from the sums s of its ``_triangle_quads``, with at(q) = G(q)."""
     return at(x) * s[0] + at(y) * s[1] + at(tuple(q - p for p, q in zip(x, y))) * s[2]
 
 
@@ -578,43 +588,68 @@ def _pair_product(F: np.ndarray, a, H: np.ndarray, b,
 _DOT_CHUNK = 1 << 16
 
 
-def _dot(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    """sum_i a_i b_i over the flattened arrays: each chunk of len(buf)
-    products is summed pairwise, and so are the chunk sums."""
+def _dot(a: np.ndarray, b: np.ndarray, w: np.ndarray, period: int,
+         buf: np.ndarray) -> float:
+    """sum_i a_i b_i w_(i mod period) over the flattened arrays: each chunk
+    of len(buf) products is weighted, then summed pairwise, and so are the
+    chunk sums. ``w`` is the weight pattern repeated to cover len(buf)
+    entries from any start below ``period``. The weights are powers of 2,
+    so a weighted product is exact and the same whichever factor carried
+    the weight."""
     a, b, n = a.ravel(), b.ravel(), len(buf)
-    parts = [np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)]).sum()
-             for i in range(0, len(a), n)]
+    parts = []
+    for i in range(0, len(a), n):
+        c = np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)])
+        c *= w[i % period:i % period + len(c)]
+        parts.append(c.sum())
     return float(np.sum(parts))
 
 
-def _four_point_sums(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-                     w: np.ndarray, quads: list) -> list:
-    """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each (u, u', v, v') in quads.
+def _four_point_sums(fields: dict, w: np.ndarray, quads: list) -> list:
+    """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each quad of legs
+    ((A, u), (B, u'), (C, v), (D, v')), where A to D name arrays in ``fields``.
 
-    A to D are reflection-symmetric fields unfolded along the leading axes,
-    along which the probes move; w holds the multiplicities of the other
-    axes. Each sum is the dot product of the pairs x -> A(x-u) B(x-u') w(x)
-    and x -> C(x-v) D(x-v'); the weights are powers of 2, so weighting is
-    exact. The left pairs of the family are kept and each right pair is
-    built once for all of them. Each dot product is summed pairwise, chunk
-    by chunk through one small buffer: a running dot product (einsum)
-    drifts by 7e-15 relative at side 16.
+    The arrays are reflection-symmetric fields unfolded along the leading
+    axes, along which the probes move; w holds the multiplicities of the
+    other axes. Each sum is the weighted dot product of its left pair
+    x -> A(x-u) B(x-u') and its right pair x -> C(x-v) D(x-v'). IEEE
+    products commute, so a pair is keyed by its unordered legs and a dot
+    product by its unordered pairs, and each is computed once per call.
+    The sums run grouped by their right pair, in the order the right pairs
+    first appear in ``quads``; each pair is built at its first use, and its
+    array is reused once its last use has passed. Each dot product is summed
+    pairwise, chunk by chunk through one small buffer: a running dot product
+    (einsum) drifts by 7e-15 relative at side 16.
     """
-    k = A.ndim - w.ndim
-    lefts = {}
-    for u, up, _, _ in quads:
-        if (u, up) not in lefts:
-            lefts[(u, up)] = _pair_product(A, u[:k], B, up[:k])
-            lefts[(u, up)] *= w
-    buf = np.empty(min(A.size, _DOT_CHUNK))
-    R = np.empty_like(C)
-    sums = {}
-    for v, vp in dict.fromkeys((v, vp) for _, _, v, vp in quads):
-        _pair_product(C, v[:k], D, vp[:k], out=R)
-        for q in quads:
-            if q[2:] == (v, vp):
-                sums[q] = _dot(lefts[q[:2]], R, buf)
-    return [sums[q] for q in quads]
+    arr = next(iter(fields.values()))
+    k = arr.ndim - w.ndim
+
+    def pair(leg, other):
+        return tuple(sorted((name, tuple(shift[:k])) for name, shift in (leg, other)))
+
+    sides = [(pair(*q[:2]), pair(*q[2:])) for q in quads]
+    rank = {}
+    for _, right in sides:
+        rank.setdefault(right, len(rank))
+    order = sorted(range(len(quads)), key=lambda i: rank[sides[i][1]])
+    last = {p: i for i in order for p in sides[i]}
+    buf = np.empty(min(arr.size, _DOT_CHUNK))
+    period = w.size
+    wrep = np.tile(w.ravel(), -(-(len(buf) + period - 1) // period))
+    live, spare, dots = {}, [], {}
+    for i in order:
+        for p in sides[i]:
+            if p not in live:
+                (F, a), (H, b) = p
+                live[p] = _pair_product(fields[F], a, fields[H], b,
+                                        out=spare.pop() if spare else None)
+        pq = tuple(sorted(sides[i]))
+        if pq not in dots:
+            dots[pq] = _dot(live[pq[0]], live[pq[1]], wrep, period, buf)
+        for p in set(sides[i]):
+            if last[p] == i:
+                spare.append(live.pop(p))
+    return [dots[tuple(sorted(s))] for s in sides]
 
 
 def depicted_ratios(G: SymField, Gt: SymField) -> dict:
@@ -632,13 +667,15 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
     Families 0 to 2 are expected to scale like side-range**(-d).
     The probes move along axes 0 and 1 only, so the sums run over those axes
     on the whole torus and over the others on the fundamental domain, each
-    point weighted by its multiplicity.
+    point weighted by its multiplicity. All families' sums go through one
+    ``_four_point_sums`` call, so a pair product that several families use
+    is built once (23 in place of 56 at d >= 2), and at most five are held
+    at a time.
     """
     d = G.d
     probes = _probe_pairs(d)
     k = min(d, 2)
-    Gu, Gtu = _unfold(G, k), _unfold(Gt, k)
-    mult = _weights(d - k, G.side)
+    fields = {"G": _unfold(G, k), "Gt": _unfold(Gt, k)}
 
     def gt(a, b):
         return Gt.value(tuple(q - p for p, q in zip(a, b)))
@@ -646,39 +683,36 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
     def gfull(a, b):
         return G.value(tuple(q - p for p, q in zip(a, b)))
 
-    def worst(A, B, C, D, quads, target):
-        sums = _four_point_sums(A, B, C, D, mult, quads)
-        return max(s / target(*q) for s, q in zip(sums, quads))
-
     def smeared(u, up, v, vp):
         return gt(u, up) * gt(v, vp)
 
-    out = {}
+    def bubble(u, up, v, vp):
+        return gfull(u, up) * gt(v, vp) + gt(u, up) * gfull(v, vp)
+
     z = (0,) * d
     quads = [(z, p, q, r) for p in probes[1:3] for q in probes[1:3] for r in probes[2:4]]
-    # 0: Gt Gt Gt Gt
-    out["ratio0"] = worst(Gtu, Gtu, Gtu, Gtu, quads, smeared)
-    # 1: G Gt Gt Gt
-    out["ratio1"] = worst(Gu, Gtu, Gtu, Gtu, quads, smeared)
-    # 2: G Gt G Gt
-    out["ratio2"] = worst(Gu, Gtu, Gu, Gtu, quads, smeared)
-    # 3: coincident endpoint u' = v', slashed legs into it
-    out["ratio3"] = worst(
-        Gtu, Gu, Gtu, Gu,
-        [(u, w, v, w) for u in probes[1:3] for v in probes[2:4] for w in probes[:2]],
-        smeared)
-    # 4: bubble at u = v, target keeps one full segment
-    out["ratio4"] = worst(
-        Gu, Gtu, Gu, Gtu,
-        [(z, up, z, vp) for up in probes[1:4] for vp in probes[1:4]],
-        lambda u, up, v, vp: gfull(u, up) * gt(v, vp) + gt(u, up) * gfull(v, vp))
-    # 5: triangle against its product envelope
-    t5 = []
-    for x in probes[1:4]:
-        for a in probes[1:4]:
-            if x == a:
-                continue
-            t5.append(triangle_T_field(Gu, mult, x, a)
-                      / (gfull(z, x) * gfull(z, a) * gfull(x, a)))
-    out["ratio5"] = max(t5)
+    families = [  # legs, probe quads, target
+        (("Gt", "Gt", "Gt", "Gt"), quads, smeared),
+        (("G", "Gt", "Gt", "Gt"), quads, smeared),
+        (("G", "Gt", "G", "Gt"), quads, smeared),
+        # 3: coincident endpoint u' = v', slashed legs into it
+        (("Gt", "G", "Gt", "G"),
+         [(u, w, v, w) for u in probes[1:3] for v in probes[2:4] for w in probes[:2]],
+         smeared),
+        # 4: bubble at u = v, target keeps one full segment
+        (("G", "Gt", "G", "Gt"),
+         [(z, up, z, vp) for up in probes[1:4] for vp in probes[1:4]], bubble),
+    ]
+    triangles = [(x, a) for x in probes[1:4] for a in probes[1:4] if x != a]
+    legs = [tuple(zip(names, q)) for names, qs, _ in families for q in qs]
+    legs += [q for x, a in triangles for q in _triangle_quads(x, a)]
+    sums = _four_point_sums(fields, _weights(d - k, G.side), legs)
+    out = {}
+    for j, (_, qs, target) in enumerate(families):
+        s, sums = sums[:len(qs)], sums[len(qs):]
+        out[f"ratio{j}"] = max(v / target(*q) for v, q in zip(s, qs))
+    out["ratio5"] = max(
+        _triangle(G.value, x, a, sums[3 * j:3 * j + 3])
+        / (gfull(z, x) * gfull(z, a) * gfull(x, a))
+        for j, (x, a) in enumerate(triangles))
     return out

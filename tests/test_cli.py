@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from currentkit import cli
+from currentkit import build_graph, cli, save_graph
 from currentkit.cli import (
     CORPUS_SHAPES, SUITES, Row, RunConfig, UPWARD,
     _bound_row, _floor_row, _gate_row, _ineq_row, _report_row, corpus_by_graph,
@@ -199,6 +199,25 @@ def test_removed_config_keys_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_refusal_inside_a_suite_exits_2(tmp_path, capsys):
+    """A 16-vertex cycle in the corpus is refused by the memory check inside
+    the theorems suite: exit code 2, one `refused:` line and no report."""
+    n = 16
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_graph(build_graph(range(n), [(i, (i + 1) % n, 1.0) for i in range(n)], 0.2),
+               str(corpus / "cycle16.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_dir": str(corpus)}))
+    assert main(["run", "theorems", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: ")
+    assert "bytes" in lines[0] and "Traceback" not in captured.err
     assert not (tmp_path / "x").exists()
 
 

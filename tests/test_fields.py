@@ -14,23 +14,28 @@ the exact values.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
+import weakref
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from currentkit import (
-    Field, GraphError, NonContracting, SpreadOut, SymField,
+    CapExceeded, Field, GraphError, NonContracting, SpreadOut, SymField,
     convolution_bound_check, convolve, delta, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
 )
+from currentkit import currents, fields
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _four_point_sums, _hat, _inv, _probe_pairs, _unfold, _weights,
-    centered_norm_grid, default_probes, triangle_T_field, zeros,
+    _DOT_CHUNK, _cosines, _dct, _four_point_sums, _hat, _inv, _pair_product,
+    _probe_pairs, _triangle, _triangle_quads, _unfold, _weights,
+    centered_norm_grid, default_probes, zeros,
 )
 
 
@@ -212,7 +217,8 @@ def test_triangle_field_matches_direct_sum():
             G.value(x) * gzy
             + G.value(y) * g(z0 - x[0], z1 - x[1], z2)
             + gz * g(y[0] - x[0], y[1] - x[1], 0))
-    got = triangle_T_field(_unfold(G, 2), _weights(1, 5), x, y)
+    s = _four_point_sums({"G": _unfold(G, 2)}, _weights(1, 5), _triangle_quads(x, y))
+    got = _triangle(G.value, x, y, s)
     assert got == pytest.approx(want, rel=1e-10)
     assert triangle_oracle(G.full(), x, y) == pytest.approx(want, rel=1e-10)
 
@@ -628,7 +634,8 @@ def test_four_point_sums_against_long_double():
     quads = [(z, probes[1], z, probes[2]), (z, probes[2], probes[1], probes[3]),
              (z, probes[1], probes[2], probes[4])]
     Gu, Gtu = _unfold(G, 2), _unfold(Gt, 2)
-    got = _four_point_sums(Gu, Gtu, Gu, Gtu, _weights(3, 16), quads)
+    got = _four_point_sums({"G": Gu, "Gt": Gtu}, _weights(3, 16),
+                           [tuple(zip(("G", "Gt", "G", "Gt"), q)) for q in quads])
     G, Gt = G.full(), Gt.full()
     for s, (u, up, v, vp) in zip(got, quads):
         want = (shifted_field(reversed_field(G), u).data.astype(np.longdouble)
@@ -681,3 +688,201 @@ def test_decay_trend_matches_per_radius_convolution(proxy):
         rho = term1 / row["term0"]
         est = row["term0"] + (term1 / (1.0 - rho) if rho < 1.0 else term1)
         assert row["estimate"] == pytest.approx(est, rel=1e-12), r
+
+
+# -- bitwise oracles: the routes that the batched ones replaced ----------------
+
+def rolled_convolve(f, g):
+    """convolve(method="direct") as one rolled copy of g per nonzero f(x),
+    added in turn."""
+    out = np.zeros_like(f.data)
+    axes = tuple(range(f.d))
+    for idx in np.argwhere(f.data != 0):
+        out += f.data[tuple(idx)] * np.roll(g.data, tuple(idx), axis=axes)
+    return out
+
+
+def per_axis_dct(a, side, axes=None):
+    """_dct with a fresh product and a fresh index-0 sum for every axis."""
+    M = _cosines(side)[:, 1:]
+    shape = a.shape
+    for ax in range(a.ndim) if axes is None else axes:
+        if ax == a.ndim - 1:
+            a = a[..., 1:] @ M.T + a[..., :1]
+        else:
+            b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
+            a = (np.matmul(M, b[:, 1:]) + b[:, :1]).reshape(shape)
+    return a
+
+
+def family_four_point_sums(A, B, C, D, w, quads):
+    """The four-point sums of one family on their own: its weighted left
+    pairs kept, each right pair built once for them, every dot product
+    summed chunk by chunk."""
+    k = A.ndim - w.ndim
+    lefts = {}
+    for u, up, _, _ in quads:
+        if (u, up) not in lefts:
+            lefts[(u, up)] = _pair_product(A, u[:k], B, up[:k])
+            lefts[(u, up)] *= w
+    n = min(A.size, _DOT_CHUNK)
+    buf = np.empty(n)
+    R = np.empty_like(C)
+    sums = {}
+    for v, vp in dict.fromkeys((v, vp) for _, _, v, vp in quads):
+        _pair_product(C, v[:k], D, vp[:k], out=R)
+        for q in quads:
+            if q[2:] == (v, vp):
+                a, b = lefts[q[:2]].ravel(), R.ravel()
+                sums[q] = float(np.sum([
+                    np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)]).sum()
+                    for i in range(0, len(a), n)]))
+    return [sums[q] for q in quads]
+
+
+def per_family_depicted(G, Gt):
+    """depicted_ratios with one family_four_point_sums call per family and
+    per triangle: 56 pair products at d >= 2."""
+    d = G.d
+    probes = _probe_pairs(d)
+    k = min(d, 2)
+    Gu, Gtu = _unfold(G, k), _unfold(Gt, k)
+    mult = _weights(d - k, G.side)
+
+    def gt(a, b):
+        return Gt.value(tuple(q - p for p, q in zip(a, b)))
+
+    def gfull(a, b):
+        return G.value(tuple(q - p for p, q in zip(a, b)))
+
+    def worst(A, B, C, D, quads, target):
+        sums = family_four_point_sums(A, B, C, D, mult, quads)
+        return max(s / target(*q) for s, q in zip(sums, quads))
+
+    def smeared(u, up, v, vp):
+        return gt(u, up) * gt(v, vp)
+
+    def triangle(x, y):
+        def at(q):
+            return float(Gu[tuple(int(c) % G.side for c in q)])
+
+        s = family_four_point_sums(Gu, Gu, Gu, Gu, mult,
+                                   [(z, x, y, y), (z, x, y, x), (z, x, z, y)])
+        return at(x) * s[0] + at(y) * s[1] + at(tuple(q - p for p, q in zip(x, y))) * s[2]
+
+    z = (0,) * d
+    quads = [(z, p, q, r) for p in probes[1:3] for q in probes[1:3] for r in probes[2:4]]
+    return {
+        "ratio0": worst(Gtu, Gtu, Gtu, Gtu, quads, smeared),
+        "ratio1": worst(Gu, Gtu, Gtu, Gtu, quads, smeared),
+        "ratio2": worst(Gu, Gtu, Gu, Gtu, quads, smeared),
+        "ratio3": worst(Gtu, Gu, Gtu, Gu,
+                        [(u, w, v, w) for u in probes[1:3] for v in probes[2:4]
+                         for w in probes[:2]], smeared),
+        "ratio4": worst(Gu, Gtu, Gu, Gtu,
+                        [(z, up, z, vp) for up in probes[1:4] for vp in probes[1:4]],
+                        lambda u, up, v, vp: gfull(u, up) * gt(v, vp)
+                        + gt(u, up) * gfull(v, vp)),
+        "ratio5": max(triangle(x, a) / (gfull(z, x) * gfull(z, a) * gfull(x, a))
+                      for x in probes[1:4] for a in probes[1:4] if x != a),
+    }
+
+
+def test_direct_convolution_matches_rolled_copies_bitwise():
+    """Sparse and dense f with signed entries, odd and even sides, and an f
+    whose products with g are all -0.0, which the running sum turns to +0.0."""
+    rng = np.random.default_rng(17)
+    for d, side in ((1, 8), (1, 33), (2, 5), (2, 6), (3, 4), (3, 9)):
+        for density in (1.0, 0.2):
+            f = rng.uniform(-1.0, 1.0, size=(side,) * d)
+            f[rng.uniform(size=f.shape) >= density] = 0.0
+            g = rng.uniform(-1.0, 1.0, size=(side,) * d)
+            g[rng.uniform(size=g.shape) < 0.2] = 0.0
+            f, g = Field(d, side, f), Field(d, side, g)
+            got = convolve(f, g, method="direct").data
+            assert got.tobytes() == rolled_convolve(f, g).tobytes(), (d, side, density)
+    f = zeros(2, 6)
+    f.data[1, 2] = -1.0
+    got = convolve(f, zeros(2, 6), method="direct").data
+    assert got.tobytes() == rolled_convolve(f, zeros(2, 6)).tobytes() == zeros(2, 6).data.tobytes()
+    assert not convolve(zeros(2, 6), f, method="direct").data.any()
+
+
+def test_direct_convolution_refused_before_allocation(monkeypatch):
+    """A dense d=5, side-32 direct convolution would gather 2^25 copies of
+    the field: it is refused with a traced peak under a tenth of the counted
+    bytes. On a field that fits, the count bounds the traced peak, and one
+    byte less of memory refuses it."""
+    dense = Field(5, 32, np.broadcast_to(1.0, (32,) * 5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            convolve(dense, dense, method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < int(re.search(r"needs (\d+) bytes", str(exc.value))[1]) / 10
+    f, g = rng_field(3, 9, 4), rng_field(3, 9, 5)
+    monkeypatch.setattr(currents, "_MEM_LIMIT", 0)
+    with pytest.raises(CapExceeded) as exc:
+        convolve(f, g, method="direct")
+    need = int(re.search(r"needs (\d+) bytes", str(exc.value))[1])
+    monkeypatch.setattr(currents, "_MEM_LIMIT", need - 1)
+    with pytest.raises(CapExceeded):
+        convolve(f, g, method="direct")
+    monkeypatch.setattr(currents, "_MEM_LIMIT", need)
+    tracemalloc.start()
+    try:
+        convolve(f, g, method="direct")
+        assert tracemalloc.get_traced_memory()[1] <= need
+    finally:
+        tracemalloc.stop()
+
+
+def test_dct_matches_per_axis_products_bitwise():
+    """Every subset of axes at d = 1 to 5, odd and even sides, and the
+    layout decay_trend transforms: axis 0 unfolded to the full side."""
+    rng = np.random.default_rng(19)
+    for d in range(1, 6):
+        for side in (9, 16):
+            m = side // 2 + 1
+            a = rng.normal(size=(m,) * d)
+            assert _dct(a, side).tobytes() == per_axis_dct(a, side).tobytes()
+            for r in range(1, d + 1):
+                for axes in combinations(range(d), r):
+                    got = _dct(a, side, axes)
+                    assert got.tobytes() == per_axis_dct(a, side, axes).tobytes(), axes
+            b = rng.normal(size=(side,) + (m,) * (d - 1))
+            axes = range(1, d)
+            assert _dct(b, side, axes).tobytes() == per_axis_dct(b, side, axes).tobytes()
+
+
+@pytest.mark.parametrize("side", [12, 16])
+def test_depicted_ratios_bitwise_against_per_family_route(side):
+    G, tau = rw_green_proxy(SpreadOut(5, 2.0), side, 0.99)
+    Gt = tilde_g(G, tau)
+    got = {k: v.hex() for k, v in depicted_ratios(G, Gt).items()}
+    assert got == {k: v.hex() for k, v in per_family_depicted(G, Gt).items()}
+
+
+def test_depicted_ratios_builds_each_pair_once(monkeypatch):
+    """At d=5 the six families need 23 distinct pair products (56 when each
+    family and triangle builds its own): each is built once, and no more
+    than five pair-product arrays exist at a time."""
+    G, tau = rw_green_proxy(SpreadOut(5, 2.0), 12, 0.99)
+    Gt = tilde_g(G, tau)
+    built, alive, most = [], set(), [0]
+
+    def counted(F, a, H, b, out=None):
+        built.append(tuple(sorted([(id(F), tuple(a)), (id(H), tuple(b))])))
+        res = _pair_product(F, a, H, b, out=out)
+        if id(res) not in alive:
+            alive.add(id(res))
+            weakref.finalize(res, alive.discard, id(res))
+        most[0] = max(most[0], len(alive))
+        return res
+
+    monkeypatch.setattr(fields, "_pair_product", counted)
+    depicted_ratios(G, Gt)
+    assert len(built) == len(set(built)) <= 31
+    assert most[0] <= 5
