@@ -27,7 +27,7 @@ from .currents import (
     subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
 )
 from .fields import (
-    Field, convolution_bound_check, convolve,
+    Field, NonContracting, convolution_bound_check, convolve,
     depicted_ratios, hyp1_report, hyp2_report, hyp3_report,
     key_lemma_gap_matrix, psi1_report, rw_green_proxy, tilde_g,
     triangle_tensor,
@@ -328,16 +328,13 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     rows.append(_err_row("sst", iid, "switch_identity", worst_sw,
                          "max rel err over sampled nested layer pairs"))
 
-    fb = fields_from_graph(g)
-    B2 = fb.Gt * fb.Gt
-    spec_rad = float(np.max(np.abs(np.linalg.eigvals(B2))))
-    if spec_rad < 1.0:
-        C = np.linalg.solve(np.eye(g.n_vertices) - B2, np.eye(g.n_vertices))
+    try:
+        C = DiagramEngine(fields_from_graph(g), None).chain0     # (I - Gt * Gt)^-1
+    except NonContracting as exc:
+        rows.append(_ineq_row("sst", iid, "bubble_chain_bound", 0.0, math.inf, str(exc)))
+    else:
         rhs = [float((G[io] * G[:, g.index(x)] * C[:, g.index(y)]).sum()) for x, y in xy]
         rows.append(_bound_row(iid, "bubble_chain_bound", lhs, rhs, pair_note))
-    else:
-        rows.append(_ineq_row("sst", iid, "bubble_chain_bound", 0.0, math.inf,
-                              f"bubble matrix spectral radius {spec_rad:.3g} >= 1"))
 
     rows.append(_bound_row(iid, "lmm2_all_subsets", T, triangle_tensor(G)[io],
                            lambda m, x, y: f"B={subsets[m]} x={labs[x]} y={labs[y]}"))
@@ -729,6 +726,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
+        load_corpus(cfg)        # a missing or empty corpus_dir is a config error
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

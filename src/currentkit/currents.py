@@ -35,6 +35,9 @@ So one positive table per graph serves every layer, and every subset's
 one-layer measure is a subset sum (a zeta transform over the bond masks) of
 that table times an indicator, divided by Z_B, the sourceless subset sum.
 
+Below the public argument check (``_bonds_arg``) a bond set is an int mask,
+bit b for bond b, as are the positive masks that index every table.
+
 Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
 allocation when the table's traced peak would pass ``_MEM_LIMIT``.
 """
@@ -80,14 +83,16 @@ def class_weights(g: CouplingGraph, b: int) -> tuple:
     return (1.0, 2.0 * math.sinh(0.5 * a) ** 2, math.sinh(a))
 
 
-def _bonds_arg(g: CouplingGraph, restriction) -> tuple:
+def _bonds_arg(g: CouplingGraph, restriction) -> int:
+    """The bond mask of a public restriction: None (all bonds) or bond indices."""
     if restriction is None:
-        return tuple(range(g.n_bonds))
-    bs = tuple(sorted({int(b) for b in restriction}))
-    for b in bs[:1] + bs[-1:]:     # sorted: the two ends bound every index
+        return (1 << g.n_bonds) - 1
+    m = 0
+    for b in map(int, restriction):
         if not (0 <= b < g.n_bonds):
             raise GraphError(f"bond index {b} out of range")
-    return bs
+        m |= 1 << b
+    return m
 
 
 def _source_mask(g: CouplingGraph, vertices: Iterable) -> int:
@@ -97,11 +102,12 @@ def _source_mask(g: CouplingGraph, vertices: Iterable) -> int:
     return m
 
 
-def _sweep(g: CouplingGraph, bonds: tuple, with_positive: bool) -> np.ndarray:
-    """Aggregate class-weight products by (positive mask, source mask).
+def _sweep(g: CouplingGraph, bonds: int, with_positive: bool) -> np.ndarray:
+    """Aggregate class-weight products by (positive mask, source mask) over
+    the bonds in the mask ``bonds``.
 
-    Returns shape (2**len(bonds), 2**n) when ``with_positive`` else (2**n,).
-    Positive-mask bit k refers to position k within ``bonds``.
+    Returns shape (2**nb, 2**n) when ``with_positive`` else (2**n,), nb the
+    number of bonds. Positive-mask bit k refers to the k-th lowest bond.
 
     Built bond by bond as the module docstring says. The positive table's
     rows with top bit k are written in place, block by block, as in
@@ -109,14 +115,14 @@ def _sweep(g: CouplingGraph, bonds: tuple, with_positive: bool) -> np.ndarray:
     and the source and flip vectors; the source sweep peaks at six 2**n
     vectors: the table, its two products, a gather and those two.
     """
-    nb = len(bonds)
+    nb = bonds.bit_count()
     n = g.n_vertices
     _fits((12 << (nb + n)) + (16 << n) if with_positive else 48 << n,
           f"{'positive' if with_positive else 'source'} table for {nb} bonds on {n} vertices")
     sources = np.arange(1 << n)
     T = np.zeros((1 << nb, 1 << n) if with_positive else 1 << n)
     T.flat[0] = 1.0
-    for k, b in enumerate(bonds):
+    for k, b in enumerate(b for b in range(g.n_bonds) if bonds >> b & 1):
         i, j = g.bonds[b]
         flipped = sources ^ ((1 << i) | (1 << j))
         zero, even, odd = class_weights(g, b)
@@ -132,21 +138,22 @@ def _sweep(g: CouplingGraph, bonds: tuple, with_positive: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _source_table(g: CouplingGraph, bonds: tuple) -> np.ndarray:
+def _source_table(g: CouplingGraph, bonds: int) -> np.ndarray:
     return _sweep(g, bonds, with_positive=False)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _positive_table(g: CouplingGraph) -> np.ndarray:
-    """Positive table over all bonds; a layer on B reads its rows ``_inside(g, B)``."""
-    return _sweep(g, tuple(range(g.n_bonds)), with_positive=True)
+    """Positive table over all bonds; a layer on B reads its rows ``_inside(g, B)``.
+    Only the last graph's table is kept: ``_fits`` counts one table at a time."""
+    return _sweep(g, (1 << g.n_bonds) - 1, with_positive=True)
 
 
 @lru_cache(maxsize=64)
-def _inside(g: CouplingGraph, bonds: tuple) -> np.ndarray:
-    """Ascending global positive masks that use only ``bonds``."""
+def _inside(g: CouplingGraph, bonds: int) -> np.ndarray:
+    """Ascending global positive masks inside the bond mask ``bonds``."""
     m = np.arange(1 << g.n_bonds)
-    return m[(m & ~_bonds_mask(g, bonds)) == 0]
+    return m[(m & ~bonds) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +254,14 @@ def conj(*events: Event) -> Event:
     return Event("and", parts=tuple(events))
 
 
-def _bonds_mask(g: CouplingGraph, bonds) -> int:
-    if bonds is None:
-        return (1 << g.n_bonds) - 1
-    m = 0
-    for b in bonds:
-        m |= 1 << b
-    return m
+def _outside_bonds(g: CouplingGraph, A) -> int:
+    """Mask of the bonds with neither end in the vertex labels ``A``."""
+    A_idx = {g.index(a) for a in A}
+    return sum(1 << b for b, (i, j) in enumerate(g.bonds)
+               if i not in A_idx and j not in A_idx)
 
 
-def _incident_mask(g: CouplingGraph, A_idx) -> int:
-    m = 0
-    for b, (i, j) in enumerate(g.bonds):
-        if i in A_idx or j in A_idx:
-            m |= 1 << b
-    return m
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _component_table(g: CouplingGraph) -> np.ndarray:
     """Component label (smallest vertex index) of every vertex under every
     global positive mask, shape (2**n_bonds, n_vertices).
@@ -303,11 +300,11 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
             out &= _indicator(g, p)
         return out
     comp = _component_table(g)
-    m = np.arange(1 << g.n_bonds) & _bonds_mask(g, ev.bonds)
+    m = np.arange(1 << g.n_bonds) & _bonds_arg(g, ev.bonds)
     iu, iv = g.index(ev.u), g.index(ev.v)
 
-    def linked(drop: int = 0) -> np.ndarray:
-        mm = m & ~drop
+    def linked(keep: int = -1) -> np.ndarray:
+        mm = m & keep
         return comp[mm, iu] == comp[mm, iv]
 
     if ev.kind == "conn":
@@ -315,14 +312,13 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     if ev.kind == "double":
         out = linked()
         for b in range(g.n_bonds):
-            out &= linked(1 << b)
+            out &= linked(~(1 << b))
         return out
     if ev.kind == "through":
         out = _indicator(g, double_conn(ev.u, ev.v))
-        A_idx = {g.index(a) for a in ev.A}
-        if iu in A_idx or iv in A_idx:
+        if {iu, iv} & {g.index(a) for a in ev.A}:
             return out
-        return out & ~linked(_incident_mask(g, A_idx))
+        return out & ~linked(_outside_bonds(g, ev.A))
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
@@ -392,14 +388,14 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     """Normalised superposed weight of every global positive mask.
 
-    ``layers`` holds (bond tuple, source mask) pairs. A layer's weights are
+    ``layers`` holds (bond mask, source mask) pairs. A layer's weights are
     the positive table's rows inside its bonds, left in place among all
     global masks; successive layers combine by the covering product, whose
     supports are the union of the bonds combined so far and the new layer's
     bonds.
     """
     nb = g.n_bonds
-    masks = [_bonds_mask(g, bonds) for bonds, _ in layers]
+    masks = [m for m, _ in layers]
     seen = [0, *accumulate(masks, or_)]    # bonds of the layers before each
     if len(layers) > 1:
         # _cover peaks at three vectors of its largest batch (the expanded
@@ -409,8 +405,8 @@ def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
         _fits(32 * batch + (32 << nb), f"superposition of {len(layers)} layers on {nb} bonds")
     P = _positive_table(g)
     out = None
-    for (bonds, sm), s, m in zip(layers, seen, masks):
-        rows = _inside(g, bonds)
+    for (m, sm), s in zip(layers, seen):
+        rows = _inside(g, m)
         dense = np.zeros(1 << nb)
         dense[rows] = P[rows, sm] / P[rows, 0].sum()
         out = dense if out is None else _cover(out, s, dense, m)
@@ -426,7 +422,12 @@ def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
         raise GraphError("at least one layer required")
     if cap is not None and g.n_bonds > cap:
         raise CapExceeded(f"{g.n_bonds} bonds exceeds cap {cap}")
-    return float(_superposed(g, key)[_indicator(g, event)].sum())
+    return _measure(g, key, event)
+
+
+def _measure(g: CouplingGraph, layers: tuple, event: Event) -> float:
+    """``event_measure`` on (bond mask, source mask) layers."""
+    return float(_superposed(g, layers)[_indicator(g, event)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +452,28 @@ def pi0_tilde(g: CouplingGraph, x, y) -> float:
     return event_measure(g, [Layer(None, (o, x))], ev)
 
 
-def _outside_bonds(g: CouplingGraph, A_labels) -> tuple:
-    A_idx = set(g.index(a) for a in A_labels)
-    return tuple(b for b, (i, j) in enumerate(g.bonds) if i not in A_idx and j not in A_idx)
+def _through_layers(g: CouplingGraph, x, A) -> tuple:
+    """Outer sourceless layer on the bonds avoiding A, inner layer sourced at
+    {o, x} on all bonds."""
+    return ((_outside_bonds(g, A), 0),
+            (_bonds_arg(g, None), _source_mask(g, (g.labels[0], x))))
 
 
 def theta_prime(g: CouplingGraph, x, A) -> float:
-    """Two-layer through-set measure.
+    """Two-layer through-set measure on ``_through_layers``.
 
-    Outer sourceless layer on the bonds avoiding A, inner layer sourced at
-    {o, x} on all bonds; the indicator asks for double connection in the
-    superposition with every positive path from o to x meeting A. With A empty
-    this is 0 for x != o; on the diagonal it degenerates to 1{o in A}.
+    The indicator asks for double connection in the superposition with every
+    positive path from o to x meeting A. With A empty this is 0 for x != o;
+    on the diagonal it degenerates to 1{o in A}.
     """
-    o = g.labels[0]
-    layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
-    return event_measure(g, layers, through(o, x, A))
+    return _measure(g, _through_layers(g, x, A), through(g.labels[0], x, A))
 
 
 def theta_double_prime(g: CouplingGraph, x, y, A) -> float:
     """Through-set measure with the extra demand that o reaches y in the
     superposition."""
     o = g.labels[0]
-    layers = [Layer(_outside_bonds(g, A), ()), Layer(None, (o, x))]
-    ev = conj(through(o, x, A), conn(o, y))
-    return event_measure(g, layers, ev)
+    return _measure(g, _through_layers(g, x, A), conj(through(o, x, A), conn(o, y)))
 
 
 def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
@@ -483,12 +481,11 @@ def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
     """Sourced weight on B of {o connected to y}, optionally with a second
     sourceless layer on B_prime; the connection only uses positive bonds of B."""
     o = g.labels[0]
-    B = _bonds_arg(g, B)
     ev = conn(o, y, bonds=B)
-    if B_prime is None:
-        return event_measure(g, [Layer(B, (o, x))], ev, cap=cap)
-    B_prime = _bonds_arg(g, B_prime)
-    return event_measure(g, [Layer(B_prime, ()), Layer(B, (o, x))], ev, cap=cap)
+    layers = [Layer(ev.bonds, (o, x))]
+    if B_prime is not None:
+        layers.insert(0, Layer(B_prime, ()))
+    return event_measure(g, layers, ev, cap=cap)
 
 
 def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
@@ -496,10 +493,8 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
     """Partner expression of the source-switching identity: sources moved to
     {o, y} on B_prime and {y, x} on B, same superposed connection event."""
     o = g.labels[0]
-    B = _bonds_arg(g, B)
-    B_prime = _bonds_arg(g, B_prime)
     ev = conn(o, y, bonds=B)
-    return event_measure(g, [Layer(B_prime, (o, y)), Layer(B, (y, x))], ev, cap=cap)
+    return event_measure(g, [Layer(B_prime, (o, y)), Layer(ev.bonds, (y, x))], ev, cap=cap)
 
 
 _ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
@@ -541,6 +536,7 @@ def subset_connection_tables(g: CouplingGraph) -> tuple:
 
 
 def clear_caches() -> None:
+    from .laces import _explorations      # laces imports this module
     for cached in (_source_table, _positive_table, _inside,
-                   _component_table, _indicator, _superposed):
+                   _component_table, _indicator, _superposed, _explorations):
         cached.cache_clear()

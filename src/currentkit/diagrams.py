@@ -88,7 +88,7 @@ class DiagramEngine:
         if m is None:
             rho = _spectral_radius(self.B2)
             if rho >= 1.0:
-                raise NonContracting(f"bubble matrix spectral radius {rho} >= 1")
+                raise NonContracting(f"bubble matrix spectral radius {rho:.3g} >= 1")
             inv = np.linalg.solve(I - self.B2, I)
             self.chain0 = inv
             self.chain_prev = inv

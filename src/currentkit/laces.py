@@ -7,12 +7,16 @@ with the explored bond layers. Splitting the configuration into the explored
 part and the rest, connectivity of the rest induces a lace (a minimal set of
 progress-maximal arcs over the walk); summing the split weights against lace
 existence reconstructs the double-connection weight exactly.
+
+Each walk carries its walked and explored bonds as int masks (bit b for bond
+b); the walks of one (graph, target, order) are enumerated once and cached.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +29,10 @@ from .currents import (
 )
 
 
-def _rank_array(g: CouplingGraph, order) -> list:
+def _rank_array(g: CouplingGraph, order) -> tuple:
     if order is None:
-        return list(range(g.n_bonds))
-    rank = [int(r) for r in order]
+        return tuple(range(g.n_bonds))
+    rank = tuple(int(r) for r in order)
     if sorted(rank) != list(range(g.n_bonds)):
         raise GraphError("order must be a permutation of bond ranks")
     return rank
@@ -56,21 +60,18 @@ def _masks_from_classes(g: CouplingGraph, classes: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class ExploredPath:
-    """A walk (vertex indices), its bonds, and the explored layer per step."""
+    """A walk (vertex indices), its bonds, the explored layer per step, and
+    the bond masks of the walked and of all explored bonds."""
 
     omega: tuple
     bonds: tuple
     layers: tuple
+    walked: int
+    explored: int
 
     @property
     def length(self) -> int:
         return len(self.bonds)
-
-    def explored(self) -> frozenset:
-        out = set()
-        for layer in self.layers:
-            out.update(layer)
-        return frozenset(out)
 
 
 def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
@@ -91,7 +92,7 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
     if sm != 1 ^ (1 << ix):
         raise GraphError("classes do not have sources {o, x}")
     rank = _rank_array(g, order)
-    explored: set = set()
+    walked = explored = 0
     omega = [0]
     path_bonds = []
     layers = []
@@ -99,23 +100,24 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
     while w != ix:
         layer = []
         chosen = None
-        for b in sorted((b for b in g.incident(w) if b not in explored),
+        for b in sorted((b for b in g.incident(w) if not explored >> b & 1),
                         key=lambda b: rank[b]):
             layer.append(b)
+            explored |= 1 << b
             if classes[b] == ODD:
                 chosen = b
                 break
         if chosen is None:
             raise GraphError("exploration stalled; sources were inconsistent")
-        explored.update(layer)
+        walked |= 1 << chosen
         w = g.other_end(chosen, w)
         omega.append(w)
         path_bonds.append(chosen)
         layers.append(tuple(layer))
-    return ExploredPath(tuple(omega), tuple(path_bonds), tuple(layers))
+    return ExploredPath(tuple(omega), tuple(path_bonds), tuple(layers), walked, explored)
 
 
-def enumerate_explorations(g: CouplingGraph, x, order=None) -> list:
+def enumerate_explorations(g: CouplingGraph, x, order=None) -> tuple:
     """All walks o -> x that some class configuration's earliest odd
     exploration could trace, together with their layers.
 
@@ -126,37 +128,34 @@ def enumerate_explorations(g: CouplingGraph, x, order=None) -> list:
     ix = g.index(x)
     if ix == 0:
         raise GraphError("endpoints must differ")
-    rank = _rank_array(g, order)
+    return _explorations(g, ix, _rank_array(g, order))
+
+
+@lru_cache(maxsize=8)
+def _explorations(g: CouplingGraph, ix: int, rank: tuple) -> tuple:
     out = []
 
-    def rec(w, explored, omega, pbonds, layers):
+    def rec(w, walked, explored, omega, pbonds, layers):
         if w == ix:
-            out.append(ExploredPath(tuple(omega), tuple(pbonds), tuple(layers)))
+            out.append(ExploredPath(tuple(omega), tuple(pbonds), tuple(layers),
+                                    walked, explored))
             return
-        fresh = [b for b in g.incident(w) if b not in explored]
+        fresh = [b for b in g.incident(w) if not explored >> b & 1]
         for pb in fresh:
             layer = tuple(sorted((b for b in fresh if rank[b] <= rank[pb]),
                                  key=lambda b: rank[b]))
             v = g.other_end(pb, w)
-            rec(v, explored | set(layer), omega + [v],
-                pbonds + [pb], layers + [layer])
+            rec(v, walked | 1 << pb, explored | sum(1 << b for b in layer),
+                omega + [v], pbonds + [pb], layers + [layer])
 
-    rec(0, set(), [0], [], [])
-    return out
+    rec(0, 0, 0, [0], [], [])
+    return tuple(out)
 
 
 def path_indicator(g: CouplingGraph, path: ExploredPath, odd_mask: int) -> bool:
     """Whether a configuration's odd bonds make ``path`` the earliest odd walk:
     every walked bond odd, every other explored bond not odd."""
-    pmask = 0
-    for b in path.bonds:
-        pmask |= 1 << b
-    smask = 0
-    for layer in path.layers:
-        for b in layer:
-            smask |= 1 << b
-    smask &= ~pmask
-    return (odd_mask & pmask) == pmask and (odd_mask & smask) == 0
+    return odd_mask & path.explored == path.walked
 
 
 def _component_bits(g: CouplingGraph, masks) -> np.ndarray:
@@ -227,10 +226,10 @@ def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
     greedy rule of ``_greedy_laces`` on the attachment sets of ``classes``,
     linked when they meet a common component of the rest. Returns the arc
     tuple, or None when no lace exists."""
-    explored = path.explored()
-    if any(k_mask >> b & 1 for b in explored):
+    if k_mask & path.explored:
         raise GraphError("rest mask overlaps the explored bonds")
-    even = np.array([sum(1 << b for b in explored if classes[b] == EVEN)])
+    _, odd, pos = _masks_from_classes(g, classes)
+    even = np.array([(pos ^ odd) & path.explored])
     bits = _component_bits(g, [k_mask])
     M = np.empty((1, 1, path.length + 1), bits.dtype)
     _attachment_masks(g, path, even, bits, M)
@@ -285,13 +284,12 @@ def verify_pi0_decomposition(g: CouplingGraph, x, order=None,
     direct = pi0(g, x)
     doubly = _indicator(g, double_conn(g.labels[0], x))
     P = _positive_table(g)
+    full = (1 << g.n_bonds) - 1
     walks = []
     n_rows = 0
     for path in enumerate_explorations(g, x, order=order):
-        walked = set(path.bonds)
-        explored = path.explored()
-        skip = [b for b in sorted(explored) if b not in walked]
-        masks = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        skip = [b for b in range(g.n_bonds) if (path.explored ^ path.walked) >> b & 1]
+        masks = _inside(g, full & ~path.explored)
         kvec = P[masks, 0]
         nz = kvec != 0
         walks.append((path, skip, masks[nz], kvec[nz], _component_bits(g, masks[nz])))
@@ -324,8 +322,7 @@ def verify_pi0_decomposition(g: CouplingGraph, x, order=None,
         _attachment_masks(g, path, even, bits, M[r:end, :L].reshape(len(even), ks.size, L))
         size[r:end] = path.length
         terms[r:end] = np.multiply.outer(w_m, w_k).ravel()
-        m_pos = even | sum(1 << b for b in path.bonds)
-        dbl[r:end] = doubly[m_pos[:, None] | ks].ravel()
+        dbl[r:end] = doubly[(even | path.walked)[:, None] | ks].ravel()
         r = end
     found, S, T, n_arcs = _greedy_laces(M, size)
     # cumsum adds left to right; np.sum would add pairwise
@@ -381,30 +378,30 @@ def check_partition_of_unity(g: CouplingGraph, x, order=None) -> dict:
     enumerated as the odd masks with boundary {o, x}, each with every
     zero/even split of the remaining bonds. The tracer, like
     ``path_indicator``, reads only which bonds are odd, so each odd mask is
-    traced once, on its all-zero split, and a mismatch counts for all of its
-    splits. ``partition_of_unity_oracle`` in the tests traces every class
-    vector and guards that argument.
+    checked against every walk's indicator in one comparison and traced once,
+    on its all-zero split, and a mismatch counts for all of its splits.
+    ``partition_of_unity_oracle`` in the tests traces every class vector and
+    guards that argument.
     """
     target = 1 ^ (1 << g.index(x))
     paths = enumerate_explorations(g, x, order=order)
     nb = g.n_bonds
-    boundary = [0]                      # boundary[m]: sources of odd mask m
+    boundary = np.zeros(1, np.int64)    # boundary[m]: sources of odd mask m
     for i, j in g.bonds:
-        boundary += [s ^ (1 << i) ^ (1 << j) for s in boundary]
-    checked = 0
-    bad_count = 0
-    greedy_mismatch = 0
-    for odd, sm in enumerate(boundary):
-        if sm != target:
-            continue
-        n_split = 1 << (nb - bin(odd).count("1"))
+        boundary = np.concatenate((boundary, boundary ^ (1 << i | 1 << j)))
+    odds = np.flatnonzero(boundary == target)
+    masks = np.array([(p.explored, p.walked) for p in paths], np.int64).reshape(-1, 2)
+    # hits[k, p]: path_indicator of walk p on the odd mask odds[k]
+    hits = odds[:, None] & masks[:, 0] == masks[:, 1]
+    checked = bad_count = greedy_mismatch = 0
+    for odd, hit in zip(odds.tolist(), hits):
+        n_split = 1 << (nb - odd.bit_count())
         checked += n_split
-        flagged = [p for p in paths if path_indicator(g, p, odd)]
-        if len(flagged) != 1:
+        if hit.sum() != 1:
             bad_count += n_split
             continue
         classes = [ODD if odd >> b & 1 else ZERO for b in range(nb)]
-        if earliest_odd_path(g, classes, x, order=order).bonds != flagged[0].bonds:
+        if earliest_odd_path(g, classes, x, order=order).bonds != paths[hit.argmax()].bonds:
             greedy_mismatch += n_split
     return {"checked": checked, "not_exactly_one": bad_count,
             "greedy_mismatch": greedy_mismatch,

@@ -191,6 +191,21 @@ def test_main_config_errors(tmp_path, capsys):
         main(["run", "identities", "--cap", "16"])
 
 
+def test_unusable_corpus_dir_exits_2(tmp_path, capsys):
+    """An empty or a missing corpus_dir is a config error: exit code 2, no
+    traceback and no report."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    cfg = tmp_path / "cfg.json"
+    for corpus_dir in (empty, tmp_path / "missing"):
+        cfg.write_text(json.dumps({"corpus_dir": str(corpus_dir)}))
+        assert main(["run", "identities", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_removed_config_keys_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for key in REMOVED_KEYS:

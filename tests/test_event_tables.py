@@ -14,6 +14,7 @@ checked against one ``event_measure`` call per bond subset.
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def corpus_graphs(seed=7):
 
 def spread_torus():
     return embed_on_torus(SpreadOut(1, 2.0), 5, beta=0.4)
+
+
+def _mask(bonds):
+    """The bond mask of the bond indices ``bonds``."""
+    return sum(1 << b for b in bonds)
+
+
+def _bond_tuple(g, mask):
+    """The ascending bond indices in the bond mask ``mask``."""
+    return tuple(b for b in range(g.n_bonds) if mask >> b & 1)
 
 
 # -- parity sweep against the base-3 enumeration ----------------------------
@@ -75,14 +86,14 @@ def test_sweep_matches_base3_enumeration(g):
     full = tuple(range(g.n_bonds))
     for bonds in (full, full[1::2]):
         for with_positive in (False, True):
-            np.testing.assert_allclose(currents._sweep(g, bonds, with_positive),
+            np.testing.assert_allclose(currents._sweep(g, _mask(bonds), with_positive),
                                        base3_sweep(g, bonds, with_positive),
                                        rtol=1e-12, atol=0.0)
 
 
 def test_positive_sweep_refused_before_allocation(monkeypatch):
     g = spread_torus()
-    full = tuple(range(g.n_bonds))
+    full = (1 << g.n_bonds) - 1
     table = (1 << (g.n_bonds + g.n_vertices)) * 8
     # the table plus one half-size product at the last bond
     work = table + table // 2 + (16 << g.n_vertices) + currents._OVERHEAD
@@ -105,8 +116,7 @@ def test_positive_table_restricts_to_every_layer_bit_for_bit():
     those rows are the sweep over B alone, bit for bit."""
     for g in corpus_graphs():
         P = currents._positive_table(g)
-        for m in range(1 << g.n_bonds):
-            B = tuple(b for b in range(g.n_bonds) if m >> b & 1)
+        for B in range(1 << g.n_bonds):
             assert np.array_equal(P[currents._inside(g, B)], currents._sweep(g, B, True)), B
     g = spread_torus()
     P = currents._positive_table(g)
@@ -239,7 +249,7 @@ def test_inside_matches_bit_loop():
     for bonds in ((), (3,), (0, 2, 5), tuple(range(9))):
         want = [sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
                 for pm in range(1 << len(bonds))]
-        assert currents._inside(ring, bonds).tolist() == want
+        assert currents._inside(ring, _mask(bonds)).tolist() == want
 
 
 # -- outer-product superposition oracle -------------------------------------
@@ -249,8 +259,9 @@ def outer_superposition(g, layers):
     vals = np.ones(1)
     dense = None
     for layer in layers:
-        bonds = currents._bonds_arg(g, layer.bonds)
-        W = currents._sweep(g, bonds, True)
+        mask = currents._bonds_arg(g, layer.bonds)
+        bonds = _bond_tuple(g, mask)
+        W = currents._sweep(g, mask, True)
         wv = W[:, currents._source_mask(g, layer.sources)] / W[:, 0].sum()
         gm = np.array([sum(1 << bonds[k] for k in range(len(bonds)) if pm >> k & 1)
                        for pm in range(1 << len(bonds))], dtype=np.int64)
@@ -269,7 +280,7 @@ def layer_stacks(g):
     o, x, y = labs[0], labs[-1], labs[len(labs) // 2]
     nb = g.n_bonds
     full = tuple(range(nb))
-    outside = currents._outside_bonds(g, (y,))
+    outside = _bond_tuple(g, currents._outside_bonds(g, (y,)))
     return [
         [Layer(None, (o, x))],
         [Layer(outside, ()), Layer(None, (o, x))],
@@ -326,7 +337,8 @@ def test_event_measure_matches_per_mask_route():
     full = tuple(range(g.n_bonds))
     cases = [
         ([Layer(None, (o, x))], double_conn(o, x)),
-        ([Layer(currents._outside_bonds(g, (y,)), ()), Layer(None, (o, x))], through(o, x, (y,))),
+        ([Layer(_bond_tuple(g, currents._outside_bonds(g, (y,))), ()), Layer(None, (o, x))],
+         through(o, x, (y,))),
         ([Layer(full, ()), Layer(full, (o, x))], conn(o, y, bonds=full)),
         ([Layer(full, (o, y)), Layer(full, (y, x))], conn(o, y, bonds=full)),
     ]
@@ -387,7 +399,7 @@ def test_instance_suites_sweep_one_positive_table_per_graph(monkeypatch):
         sweeps.clear()
         for instance in (_sst_instance, _theorems_instance, _lace_instance):
             instance(f"g{k}", g, RunConfig())
-        assert sweeps == [tuple(range(g.n_bonds))]
+        assert sweeps == [(1 << g.n_bonds) - 1]
     currents.clear_caches()
 
 
@@ -427,11 +439,11 @@ def _refusal_cases():
     refusal, each at a size where the counted arrays dominate."""
     path = build_graph(list(range(16)), [(i, i + 1, 1.0) for i in range(15)], beta=0.1)
     s6, s8 = (embed_on_torus(SpreadOut(1, 2.0), side, beta=0.4) for side in (6, 8))
-    full = tuple(range(s6.n_bonds))
+    full = (1 << s6.n_bonds) - 1
     layers = ((full, 0), (full, currents._source_mask(s6, (s6.labels[0], s6.labels[3]))))
     theta = ((currents._outside_bonds(s6, s6.labels[2:3]), 0), layers[1])
     return [
-        ("source", "source table", lambda: currents._sweep(path, tuple(range(15)), False),
+        ("source", "source table", lambda: currents._sweep(path, (1 << 15) - 1, False),
          currents.clear_caches),
         ("positive", "positive table", lambda: currents._sweep(s6, full, True),
          currents.clear_caches),
@@ -537,10 +549,24 @@ def test_oversize_superposition_refused_before_allocation(monkeypatch):
     monkeypatch.undo()
     currents.clear_caches()
     ring = build_graph(list(range(17)), [(i, (i + 1) % 17, 1.0) for i in range(17)], beta=0.1)
-    full = tuple(range(17))
+    full = (1 << 17) - 1
     with pytest.raises(CapExceeded):
         currents._superposed(ring, ((full, 0), (full, 0)))
     assert currents._positive_table.cache_info().currsize == 0
+
+
+def test_tables_held_for_one_graph_at_a_time():
+    """Building a second graph's positive and component tables releases the
+    first graph's: ``_fits`` counts one table at a time."""
+    g1, g2 = corpus_graphs()[-2:]
+    currents.clear_caches()
+    first = [weakref.ref(table(g1))
+             for table in (currents._positive_table, currents._component_table)]
+    for table in (currents._positive_table, currents._component_table):
+        table(g2)
+        assert table.cache_info().currsize == 1
+    assert [ref() for ref in first] == [None, None]
+    currents.clear_caches()
 
 
 def test_oversize_component_table_refused(monkeypatch):

@@ -20,7 +20,9 @@ from currentkit import (
     verify_pi0_decomposition,
 )
 from currentkit import currents, laces
-from currentkit.cli import CORPUS_SHAPES, _lace_targets, default_corpus
+from currentkit.cli import (
+    CORPUS_SHAPES, RunConfig, _lace_instance, _lace_targets, corpus_by_graph, default_corpus,
+)
 from currentkit.currents import (
     ZERO, EVEN, ODD,
     class_weights, double_conn, partition_function, pi0,
@@ -115,9 +117,9 @@ def pi0_decomposition_oracle(g, x, order=None, rtol=1e-10):
     overlap_violations = 0
     for path in enumerate_explorations(g, x, order=order):
         bonds_seq = path.bonds
-        explored = sorted(path.explored())
+        explored = [b for b in range(g.n_bonds) if path.explored >> b & 1]
         skip = [b for b in explored if b not in bonds_seq]
-        rest = tuple(b for b in range(g.n_bonds) if b not in explored)
+        rest = ((1 << g.n_bonds) - 1) & ~path.explored
         w_path = 1.0
         for b in bonds_seq:
             w_path *= class_weights(g, b)[ODD]
@@ -362,9 +364,8 @@ def test_build_lace_matches_scalar_rule_arc_by_arc():
     comp = _component_table(g)
     seen = Counter()
     for path in enumerate_explorations(g, x):
-        explored = path.explored()
-        skip = sorted(explored - set(path.bonds))
-        rest = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        skip = [b for b in range(g.n_bonds) if (path.explored & ~path.walked) >> b & 1]
+        rest = _inside(g, ((1 << g.n_bonds) - 1) & ~path.explored)
         for bits in range(1 << len(skip)):
             classes = [ODD if b in path.bonds else ZERO for b in range(g.n_bonds)]
             for i, b in enumerate(skip):
@@ -376,6 +377,20 @@ def test_build_lace_matches_scalar_rule_arc_by_arc():
                 assert lace == _lace_from_ids(_rest_ids(V, comp[k].tolist()))
                 seen[lace is not None and len(lace)] += 1
     assert seen[False] and seen[1] and seen[2]
+
+
+def test_lace_instance_enumerates_each_walk_set_once():
+    """The reconstruction and the partition of unity of one (x, order) read
+    one cached tuple of walks, and ``clear_caches`` drops it."""
+    iid, g = corpus_by_graph()[-1]
+    currents.clear_caches()
+    rows = _lace_instance(iid, g, RunConfig())
+    pairs = len(rows) // 2                  # two rows per (x, order)
+    assert pairs == 2 * len(_lace_targets(g))
+    info = laces._explorations.cache_info()
+    assert info.misses == pairs and info.hits == pairs
+    currents.clear_caches()
+    assert laces._explorations.cache_info().currsize == 0
 
 
 def test_reconstruction_gates_can_fail(monkeypatch):
@@ -394,10 +409,9 @@ def _lace_batch_rows(g, x):
     """Rows and attachment-set width of ``verify_pi0_decomposition``'s batch."""
     rows, width = 0, 0
     for path in enumerate_explorations(g, x):
-        explored = path.explored()
-        rest = _inside(g, tuple(b for b in range(g.n_bonds) if b not in explored))
+        rest = _inside(g, ((1 << g.n_bonds) - 1) & ~path.explored)
         k = int(np.count_nonzero(_positive_table(g)[rest, 0]))
-        rows += k << (len(explored) - path.length)
+        rows += k << (path.explored.bit_count() - path.length)
         width = max(width, path.length + 1)
     return rows, width
 
