@@ -62,10 +62,15 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(raw).__name__}")
+        bad = set(raw) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
+        types = {"seed": int, "out": str, "corpus_dir": (str, type(None))}
+        for key, value in raw.items():
+            if not isinstance(value, types[key]) or isinstance(value, bool):
+                raise ValueError(f"config {key} has the wrong type: {value!r}")
         return cls(**raw)
 
 
@@ -435,6 +440,17 @@ def _theorems_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
                 rhs = ev.theorem_rhs(4, x, A=A, y=y, strict=False)
                 rows.append(_ineq_row("theorems", iid,
                                       f"thm4[x={x},y={y},A={A}]", lhs, rhs))
+    # the certified chain sum from the origin pair field, which every bound
+    # above reads, against the exact solve over pair space
+    for m, name in ((1, "1"), (None, "inf")):
+        check = f"resolvent_vs_exact[m={name}]"
+        try:
+            eng = ev.engine(m)
+            gap = float((eng._resolved(()) - eng.resolvent_exact(eng._delta_pair())).min())
+        except NonContracting as exc:
+            rows.append(_ineq_row("theorems", iid, check, 0.0, math.inf, str(exc)))
+        else:
+            rows.append(_floor_row("theorems", iid, check, gap, gap >= -1e-12))
     return rows
 
 

@@ -322,11 +322,6 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
-def event_holds(g: CouplingGraph, ev: Event, mask: int) -> bool:
-    """Evaluate ``ev`` on a global positive-bond mask."""
-    return bool(_indicator(g, ev)[mask])
-
-
 @dataclass(frozen=True)
 class Layer:
     """One sourced current layer: bond restriction plus source vertices."""

@@ -42,11 +42,8 @@ class NonContracting(RuntimeError):
 
 
 class _Grid:
-    """Norm and arithmetic shared by the two field types. Operands of one
+    """Arithmetic shared by the two field types. Operands of one
     expression must match in type, dimension and side."""
-
-    def linf(self) -> float:
-        return float(np.abs(self.data).max())
 
     def __add__(self, other):
         return type(self)(self.d, self.side, self.data + self._coerce(other))
@@ -115,23 +112,6 @@ class SymField(_Grid):
 
     def total(self) -> float:
         return float((self.data * self.weights()).sum())
-
-    def full(self) -> Field:
-        """The field on the whole torus."""
-        return Field(self.d, self.side, _unfold(self, self.d))
-
-    @classmethod
-    def fold(cls, f: Field) -> "SymField":
-        """f on its fundamental domain; GraphError unless f equals its mirror
-        image in every axis up to 1e-14 relative to max |f|."""
-        sym = cls(f.d, f.side, f.data[(slice(0, f.side // 2 + 1),) * f.d].copy())
-        diff = sym.full().data
-        diff -= f.data
-        dev = float(np.abs(diff, out=diff).max())
-        if dev > 1e-14 * f.linf():
-            raise GraphError(f"field is not reflection-symmetric: "
-                             f"max |f(-x_k) - f(x)| = {dev:.3g}")
-        return sym
 
 
 def _mirror(side: int) -> np.ndarray:
@@ -222,16 +202,6 @@ def _idct(S: np.ndarray, side: int, axes: Sequence[int] | None = None) -> np.nda
     a += S[zero]
     a /= float(side) ** len(axes)
     return a
-
-
-def zeros(d: int, side: int) -> Field:
-    return Field(d, side, np.zeros((side,) * d))
-
-
-def delta(d: int, side: int) -> Field:
-    f = zeros(d, side)
-    f.data[(0,) * d] = 1.0
-    return f
 
 
 def _hat(a: np.ndarray) -> np.ndarray:

@@ -48,8 +48,8 @@ class CouplingGraph:
             raise GraphError("duplicate vertex label")
         if len(self.couplings) != len(self.bonds):
             raise GraphError("couplings and bonds length mismatch")
-        if self.beta < 0:
-            raise GraphError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:
+            raise GraphError("beta must be nonnegative and finite")
         seen = set()
         for i, j in self.bonds:
             if not (0 <= i < j < n):
@@ -214,10 +214,22 @@ def graph_to_dict(g: CouplingGraph) -> dict:
     }
 
 
-def graph_from_dict(d: dict) -> CouplingGraph:
-    labels = tuple(_as_label(l) for l in d["labels"])
-    bonds = tuple(tuple(b) for b in d["bonds"])
-    return CouplingGraph(labels, bonds, tuple(float(c) for c in d["couplings"]), float(d["beta"]))
+def graph_from_dict(d) -> CouplingGraph:
+    """Inverse of ``graph_to_dict``. Raises GraphError unless ``d`` is such an
+    object: a label list, bonds as index pairs, numeric couplings and beta."""
+    if not (isinstance(d, dict) and {"labels", "bonds", "couplings", "beta"} <= set(d)):
+        raise GraphError("a graph must be an object with labels, bonds, couplings and beta")
+    bonds, couplings, beta = d["bonds"], d["couplings"], d["beta"]
+    if not (isinstance(d["labels"], list) and isinstance(bonds, list)
+            and isinstance(couplings, list)
+            and all(type(b) is list and [type(i) for i in b] == [int, int] for b in bonds)
+            and all(type(v) in (int, float) for v in couplings + [beta])):
+        raise GraphError("graph object has an ill-typed entry")
+    try:
+        return CouplingGraph(tuple(map(_as_label, d["labels"])), tuple(map(tuple, bonds)),
+                             tuple(map(float, couplings)), float(beta))
+    except TypeError:       # the entries are typed, so only the labels can raise it
+        raise GraphError("graph labels must be hashable and mutually orderable") from None
 
 
 def save_graph(g: CouplingGraph, path: str) -> None:

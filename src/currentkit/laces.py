@@ -17,13 +17,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .graphs import CouplingGraph, GraphError
 from .currents import (
-    ZERO, EVEN, ODD,
+    EVEN, ODD,
     class_weights, double_conn, partition_function, pi0,
     _component_table, _fits, _indicator, _inside, _positive_table,
 )
@@ -36,26 +35,6 @@ def _rank_array(g: CouplingGraph, order) -> tuple:
     if sorted(rank) != list(range(g.n_bonds)):
         raise GraphError("order must be a permutation of bond ranks")
     return rank
-
-
-def _masks_from_classes(g: CouplingGraph, classes: Sequence[int]) -> tuple:
-    """(source mask, odd bond mask, positive bond mask) of a class vector."""
-    if len(classes) != g.n_bonds:
-        raise GraphError("classes must cover every bond")
-    sm = 0
-    odd = 0
-    pos = 0
-    for b, c in enumerate(classes):
-        if c == ODD:
-            i, j = g.bonds[b]
-            sm ^= (1 << i) | (1 << j)
-            odd |= 1 << b
-            pos |= 1 << b
-        elif c == EVEN:
-            pos |= 1 << b
-        elif c != ZERO:
-            raise GraphError(f"bad class {c} on bond {b}")
-    return sm, odd, pos
 
 
 @dataclass(frozen=True)
@@ -74,23 +53,27 @@ class ExploredPath:
         return len(self.bonds)
 
 
-def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
-                      order=None) -> ExploredPath:
-    """Trace the earliest odd walk from o to x through ``classes``.
+def earliest_odd_path(g: CouplingGraph, odd: int, x, order=None) -> ExploredPath:
+    """Trace the earliest odd walk from o to x through the odd-bond mask ``odd``.
 
     At the current frontier vertex, unexplored incident bonds are scanned in
     rank order; everything up to and including the first odd bond forms the
     step's layer and the odd bond is walked. The walk stops on first arrival
-    at x. Requires the class sources to be exactly {o, x}; a stall (no odd
-    unexplored bond at the frontier) cannot happen for such sources and raises
-    if the precondition was violated.
+    at x. The sources, the boundary of the odd bonds, must be exactly {o, x};
+    a stall (no odd unexplored bond at the frontier) cannot happen for such
+    sources and raises if the precondition was violated.
     """
     ix = g.index(x)
     if ix == 0:
         raise GraphError("endpoints must differ")
-    sm, _, _ = _masks_from_classes(g, classes)
-    if sm != 1 ^ (1 << ix):
-        raise GraphError("classes do not have sources {o, x}")
+    if not 0 <= odd < 1 << g.n_bonds:
+        raise GraphError("odd mask has bits past the last bond")
+    sources = 0
+    for b, (i, j) in enumerate(g.bonds):
+        if odd >> b & 1:
+            sources ^= 1 << i | 1 << j
+    if sources != 1 ^ (1 << ix):
+        raise GraphError("odd bonds do not have sources {o, x}")
     rank = _rank_array(g, order)
     walked = explored = 0
     omega = [0]
@@ -104,7 +87,7 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
                         key=lambda b: rank[b]):
             layer.append(b)
             explored |= 1 << b
-            if classes[b] == ODD:
+            if odd >> b & 1:
                 chosen = b
                 break
         if chosen is None:
@@ -118,7 +101,7 @@ def earliest_odd_path(g: CouplingGraph, classes: Sequence[int], x,
 
 
 def enumerate_explorations(g: CouplingGraph, x, order=None) -> tuple:
-    """All walks o -> x that some class configuration's earliest odd
+    """All walks o -> x that some odd-bond mask's earliest odd
     exploration could trace, together with their layers.
 
     A walked bond must be unexplored at its step (bonds skipped in an earlier
@@ -150,12 +133,6 @@ def _explorations(g: CouplingGraph, ix: int, rank: tuple) -> tuple:
 
     rec(0, 0, 0, [0], [], [])
     return tuple(out)
-
-
-def path_indicator(g: CouplingGraph, path: ExploredPath, odd_mask: int) -> bool:
-    """Whether a configuration's odd bonds make ``path`` the earliest odd walk:
-    every walked bond odd, every other explored bond not odd."""
-    return odd_mask & path.explored == path.walked
 
 
 def _component_bits(g: CouplingGraph, masks) -> np.ndarray:
@@ -218,25 +195,6 @@ def _greedy_laces(M: np.ndarray, size: np.ndarray) -> tuple:
         n_arcs += live
         t = np.where(live, tn, t)
     return t == size, S, T, n_arcs
-
-
-def build_lace(g: CouplingGraph, path: ExploredPath, classes: Sequence[int],
-               k_mask: int):
-    """Lace induced by the rest-of-volume positive bonds ``k_mask``: the
-    greedy rule of ``_greedy_laces`` on the attachment sets of ``classes``,
-    linked when they meet a common component of the rest. Returns the arc
-    tuple, or None when no lace exists."""
-    if k_mask & path.explored:
-        raise GraphError("rest mask overlaps the explored bonds")
-    _, odd, pos = _masks_from_classes(g, classes)
-    even = np.array([(pos ^ odd) & path.explored])
-    bits = _component_bits(g, [k_mask])
-    M = np.empty((1, 1, path.length + 1), bits.dtype)
-    _attachment_masks(g, path, even, bits, M)
-    found, S, T, n_arcs = _greedy_laces(M[0], np.array([path.length]))
-    if not found[0]:
-        return None
-    return tuple(zip(S[0, :n_arcs[0]].tolist(), T[0, :n_arcs[0]].tolist()))
 
 
 def is_valid_lace(edges, length: int) -> bool:
@@ -376,10 +334,10 @@ def check_partition_of_unity(g: CouplingGraph, x, order=None) -> dict:
 
     The sources are the boundary of the odd bonds, so the class vectors are
     enumerated as the odd masks with boundary {o, x}, each with every
-    zero/even split of the remaining bonds. The tracer, like
-    ``path_indicator``, reads only which bonds are odd, so each odd mask is
-    checked against every walk's indicator in one comparison and traced once,
-    on its all-zero split, and a mismatch counts for all of its splits.
+    zero/even split of the remaining bonds. The walk indicator
+    ``odd & explored == walked`` and the tracer read only the odd mask, so
+    each odd mask is checked against every walk's indicator in one
+    comparison and traced once, and a mismatch counts for all of its splits.
     ``partition_of_unity_oracle`` in the tests traces every class vector and
     guards that argument.
     """
@@ -391,7 +349,7 @@ def check_partition_of_unity(g: CouplingGraph, x, order=None) -> dict:
         boundary = np.concatenate((boundary, boundary ^ (1 << i | 1 << j)))
     odds = np.flatnonzero(boundary == target)
     masks = np.array([(p.explored, p.walked) for p in paths], np.int64).reshape(-1, 2)
-    # hits[k, p]: path_indicator of walk p on the odd mask odds[k]
+    # hits[k, p]: whether walk p is the earliest odd walk of odds[k]
     hits = odds[:, None] & masks[:, 0] == masks[:, 1]
     checked = bad_count = greedy_mismatch = 0
     for odd, hit in zip(odds.tolist(), hits):
@@ -400,8 +358,7 @@ def check_partition_of_unity(g: CouplingGraph, x, order=None) -> dict:
         if hit.sum() != 1:
             bad_count += n_split
             continue
-        classes = [ODD if odd >> b & 1 else ZERO for b in range(nb)]
-        if earliest_odd_path(g, classes, x, order=order).bonds != paths[hit.argmax()].bonds:
+        if earliest_odd_path(g, odd, x, order=order).bonds != paths[hit.argmax()].bonds:
             greedy_mismatch += n_split
     return {"checked": checked, "not_exactly_one": bad_count,
             "greedy_mismatch": greedy_mismatch,

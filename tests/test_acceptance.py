@@ -77,7 +77,8 @@ def test_criterion_4_theorem_bounds():
     _verdict("criterion 4, four diagrammatic bounds on every corpus instance "
              "with singleton and full through sets and every extra endpoint",
              not bad and dt <= 600.0 and len(insts) == 22
-             and fams == {"diagonal_rejected", "thm1", "thm2", "thm3", "thm4"}
+             and fams == {"diagonal_rejected", "thm1", "thm2", "thm3", "thm4",
+                          "resolvent_vs_exact"}
              and singletons and full and ys,
              f"{len(rows)} checks on {len(insts)} instances, {len(bad)} failed, "
              f"{dt:.1f}s of 600s")

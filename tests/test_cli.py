@@ -206,6 +206,30 @@ def test_unusable_corpus_dir_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_malformed_outside_input_exits_2(tmp_path, capsys):
+    """A corpus graph without couplings, a graph file holding a list, and an
+    ill-typed config entry are config errors: exit code 2, no traceback and
+    no report."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    graph = corpus / "g.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_dir": str(corpus)}))
+    for content in ({"labels": [0, 1], "bonds": [[0, 1]], "beta": 0.5}, [1, 2]):
+        graph.write_text(json.dumps(content))
+        assert main(["run", "identities", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+    for raw in ({"seed": "x"}, {"seed": True}, {"out": 3}, {"corpus_dir": 1}, [1]):
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "reductions", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_removed_config_keys_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for key in REMOVED_KEYS:
@@ -260,7 +284,8 @@ def test_summary_counts_statuses_and_skips_gate_margins(tmp_path, capsys):
                   for r in rows)
     assert vacuous == 374
     assert f", 0 failed, {vacuous} vacuous, worst margin " in line
-    bounds = [float(r[5]) for r in rows if r[2].startswith("thm") and r[5] != "inf"]
+    bounds = [float(r[5]) for r in rows
+              if r[2].startswith(("thm", "resolvent_vs_exact")) and r[5] != "inf"]
     assert any(r[2] == "diagonal_rejected" and float(r[5]) == 0.0 for r in rows)
     assert f"worst margin {min(bounds):.12g}," in line
     assert min(bounds) != 0.0

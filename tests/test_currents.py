@@ -14,12 +14,12 @@ import pytest
 
 from currentkit import (
     CapExceeded, Layer,
-    build_graph, conj, conn, correlation, double_conn, event_holds,
+    build_graph, conj, conn, correlation, double_conn,
     event_measure, four_point, partition_function, pi0, pi0_tilde,
     sst_lhs, sst_switch_rhs, spin_expectation, theta_prime,
     theta_double_prime, through, two_point_matrix,
 )
-from currentkit.currents import class_weights
+from currentkit.currents import _indicator, class_weights
 
 
 def triangle(beta=1.0):
@@ -165,15 +165,15 @@ def test_event_holds_primitives():
     assert g.bonds == ((0, 1), (0, 3), (1, 2), (2, 3))
     cycle = 0b1111
     path_012 = (1 << 0) | (1 << 2)
-    assert event_holds(g, conn(0, 2), path_012)
-    assert not event_holds(g, double_conn(0, 2), path_012)
-    assert event_holds(g, double_conn(0, 2), cycle)
-    assert event_holds(g, through(0, 2, (1,)), cycle) is False  # 0-3-2 avoids 1
-    assert event_holds(g, through(0, 2, (1, 3)), cycle)
-    assert event_holds(g, conj(conn(0, 1), conn(2, 3)), (1 << 0) | (1 << 3))
-    assert not event_holds(g, conj(conn(0, 1), conn(2, 3)), 1 << 0)
+    assert _indicator(g, conn(0, 2))[path_012]
+    assert not _indicator(g, double_conn(0, 2))[path_012]
+    assert _indicator(g, double_conn(0, 2))[cycle]
+    assert not _indicator(g, through(0, 2, (1,)))[cycle]  # 0-3-2 avoids 1
+    assert _indicator(g, through(0, 2, (1, 3)))[cycle]
+    assert _indicator(g, conj(conn(0, 1), conn(2, 3)))[(1 << 0) | (1 << 3)]
+    assert not _indicator(g, conj(conn(0, 1), conn(2, 3)))[1 << 0]
     # bond-restricted connection ignores positive bonds outside the window
-    assert not event_holds(g, conn(0, 2, bonds=(0,)), path_012)
+    assert not _indicator(g, conn(0, 2, bonds=(0,)))[path_012]
 
 
 def test_theta_prime_degenerate_cases():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from currentkit import GraphError, build_graph, diagrams
+from currentkit.cli import RunConfig, _theorems_instance
 from currentkit.diagrams import (
     DiagramEngine, GraphFields, TheoremEvaluator, decay_trend,
     fields_from_graph,
@@ -148,6 +149,27 @@ def test_resolvent_certificate_dominates_exact():
     assert info["rho"] < 1.0
     assert np.all(cert >= exact - 1e-12)
     assert np.abs(cert - exact).max() <= 1e-8
+
+
+def test_resolvent_vs_exact_rows(monkeypatch):
+    """The theorems suite compares the certified chain sum from the origin
+    pair field with the exact solve at both depths: it passes on a
+    contracting instance, fails once the plain-chain terms are dropped from
+    the certified sum, and is trivial, with the refusal, where the chain
+    does not contract."""
+    def rows(beta):
+        g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=beta)
+        return [r for r in _theorems_instance("triangle", g, RunConfig())
+                if r.check.startswith("resolvent_vs_exact")]
+
+    assert [(r.check, r.status) for r in rows(0.1)] == [
+        ("resolvent_vs_exact[m=1]", "pass"), ("resolvent_vs_exact[m=inf]", "pass")]
+    refused = rows(1.0)
+    assert [r.status for r in refused] == ["trivial", "trivial"]
+    assert all(">= 1" in r.note for r in refused)
+    monkeypatch.setattr(DiagramEngine, "resolvent",
+                        lambda self, P: (P.copy(), {"iterations": 0, "rho": 0.0, "tail": 0.0}))
+    assert [r.status for r in rows(0.1)] == ["fail", "fail"]
 
 
 def test_resolvent_zero_seed():

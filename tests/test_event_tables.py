@@ -575,9 +575,9 @@ def test_oversize_component_table_refused(monkeypatch):
     monkeypatch.setattr(currents, "_MEM_LIMIT",
                         (1 << g.n_bonds) * (2 * g.n_vertices + 24) + currents._OVERHEAD - 1)
     with pytest.raises(CapExceeded):
-        currents.event_holds(g, conn(0, 2), 0b11)
+        currents._indicator(g, conn(0, 2))[0b11]
     monkeypatch.undo()
-    assert currents.event_holds(g, conn(0, 2), 0b11)
+    assert currents._indicator(g, conn(0, 2))[0b11]
     ring = build_graph(list(range(27)), [(i, (i + 1) % 27, 1.0) for i in range(27)], beta=0.1)
     with pytest.raises(CapExceeded):
         currents._component_table(ring)

@@ -4,11 +4,11 @@ The proxy fields live on the fundamental domain of the reflections and the
 reports transform them with per-axis cosine transforms; four-point sums are
 dot products of pair products, summed over the axes the probes move along
 in full and over the others on the fundamental domain. The oracles at the
-end of this file take the full-torus routes instead, on ``SymField.full()``
-copies: the half-spectrum solve for G, ``convolve`` for Gt, nested
-``convolve`` calls for psi1 and hyp3, rfftn per radius for the decay kernel
-term, and reflected, rolled copies of all legs for each four-point sum and
-triangle. A long-double cosine reference decides which route is closer to
+end of this file take the full-torus routes instead, on ``full`` copies
+(a SymField's values on the whole torus): the half-spectrum solve for G,
+``convolve`` for Gt, nested ``convolve`` calls for psi1 and hyp3, rfftn
+per radius for the decay kernel term, and reflected, rolled copies of all
+legs for each four-point sum and triangle. A long-double cosine reference decides which route is closer to
 the exact values.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from currentkit import (
     CapExceeded, Field, GraphError, NonContracting, SpreadOut, SymField,
-    convolution_bound_check, convolve, delta, depicted_ratios,
+    convolution_bound_check, convolve, depicted_ratios,
     hyp1_report, hyp2_report, hyp3_report, key_lemma_gap_matrix,
     psi1_report, rw_green_proxy, step_distribution, tilde_g,
     triangle_tensor, weighted_norm, wrap_mass,
@@ -35,8 +35,40 @@ from currentkit.diagrams import decay_trend
 from currentkit.fields import (
     _DOT_CHUNK, _cosines, _dct, _four_point_sums, _hat, _inv, _pair_product,
     _probe_pairs, _triangle, _triangle_quads, _unfold, _weights,
-    centered_norm_grid, default_probes, zeros,
+    centered_norm_grid, default_probes,
 )
+
+
+def zeros(d, side):
+    return Field(d, side, np.zeros((side,) * d))
+
+
+def delta(d, side):
+    f = zeros(d, side)
+    f.data[(0,) * d] = 1.0
+    return f
+
+
+def linf(f):
+    return float(np.abs(f.data).max())
+
+
+def full(f):
+    """A SymField's values on the whole torus."""
+    return Field(f.d, f.side, _unfold(f, f.d))
+
+
+def fold(f):
+    """f on its fundamental domain; GraphError unless f equals its mirror
+    image in every axis up to 1e-14 relative to max |f|."""
+    sym = SymField(f.d, f.side, f.data[(slice(0, f.side // 2 + 1),) * f.d].copy())
+    diff = full(sym).data
+    diff -= f.data
+    dev = float(np.abs(diff, out=diff).max())
+    if dev > 1e-14 * linf(f):
+        raise GraphError(f"field is not reflection-symmetric: "
+                         f"max |f(-x_k) - f(x)| = {dev:.3g}")
+    return sym
 
 
 def rng_field(d, side, seed):
@@ -49,7 +81,7 @@ def sym_field(d, side, seed):
     f = rng_field(d, side, seed).data
     for ax in range(d):
         f = f + np.roll(np.flip(f, ax), 1, axis=ax)
-    return SymField.fold(Field(d, side, f))
+    return fold(Field(d, side, f))
 
 
 def reversed_field(f):
@@ -108,7 +140,7 @@ def test_reversed_and_shifted():
 def test_weighted_norm_floor():
     assert weighted_norm((0, 0), 2.0) == 2.0
     assert weighted_norm((3, 4), 2.0) == 5.0
-    grid = centered_norm_grid(2, 6, 1.5, 1.0).full().data
+    grid = full(centered_norm_grid(2, 6, 1.5, 1.0)).data
     assert grid[0, 0] == 1.5
     assert grid[3, 0] == pytest.approx(3.0)
     # symmetry under reflection through the origin
@@ -124,7 +156,7 @@ def test_step_distribution_mass():
 def test_proxy_identity_and_mass():
     spec = SpreadOut(2, 1.0)
     p = 0.5
-    G, tau = (f.full() for f in rw_green_proxy(spec, 9, p))
+    G, tau = (full(f) for f in rw_green_proxy(spec, 9, p))
     dlt = delta(2, 9)
     # exact resolvent identity G = delta + tau * G
     resid = np.max(np.abs(G.data - (dlt + convolve(tau, G)).data))
@@ -136,7 +168,7 @@ def test_proxy_identity_and_mass():
 
 def test_proxy_degenerate_and_divergent():
     G, tau = rw_green_proxy(SpreadOut(1, 1.0), 8, 0.0)
-    assert np.allclose(G.full().data, delta(1, 8).data)
+    assert np.allclose(full(G).data, delta(1, 8).data)
     assert tau.l1() == 0.0
     with pytest.raises(NonContracting):
         rw_green_proxy(SpreadOut(1, 1.0), 8, 1.0)
@@ -159,12 +191,12 @@ def test_proxy_matches_long_double_reference(monkeypatch):
 def test_tilde_g_equals_g_minus_delta_for_proxy():
     G, tau = rw_green_proxy(SpreadOut(2, 1.5), 8, 0.7)
     Gt = tilde_g(G, tau)
-    assert np.max(np.abs(Gt.full().data - (G.full().data - delta(2, 8).data))) <= 1e-12
+    assert np.max(np.abs(full(Gt).data - (full(G).data - delta(2, 8).data))) <= 1e-12
 
 
 def test_tilde_g_rejects_significant_negative():
     tau = SymField(1, 6, np.array([0.0, -1.0, 0.0, 0.0]))      # -delta_1 - delta_-1
-    G = SymField.fold(delta(1, 6))
+    G = fold(delta(1, 6))
     with pytest.raises(GraphError):
         tilde_g(G, tau)
 
@@ -220,7 +252,7 @@ def test_triangle_field_matches_direct_sum():
     s = _four_point_sums({"G": _unfold(G, 2)}, _weights(1, 5), _triangle_quads(x, y))
     got = _triangle(G.value, x, y, s)
     assert got == pytest.approx(want, rel=1e-10)
-    assert triangle_oracle(G.full(), x, y) == pytest.approx(want, rel=1e-10)
+    assert triangle_oracle(full(G), x, y) == pytest.approx(want, rel=1e-10)
 
 
 def test_convolution_bound_validation():
@@ -268,7 +300,7 @@ def test_convolution_bound_finite_constant():
 
 
 def test_wrap_mass_extremes():
-    f = SymField.fold(delta(2, 8))
+    f = fold(delta(2, 8))
     assert wrap_mass(f) == 0.0
     g = SymField(2, 8, np.zeros((5, 5)))
     assert wrap_mass(g) == 0.0
@@ -294,7 +326,7 @@ def test_hypothesis_reports_on_proxy():
 def test_key_lemma_gaps_nonnegative():
     G, tau = rw_green_proxy(SpreadOut(2, 1.0), 9, 0.55)
     Gt = tilde_g(G, tau)
-    tau, Gt = tau.full(), Gt.full()
+    tau, Gt = full(tau), full(Gt)
     assert key_lemma_gap(tau, tau) >= -1e-14
     assert key_lemma_gap(tau, Gt) >= -1e-14
     rng = np.random.default_rng(5)
@@ -329,12 +361,12 @@ def test_depicted_ratios_refuses_asymmetric_field():
     G, tau = rw_green_proxy(SpreadOut(3, 1.0), 8, 0.5)
     Gt = tilde_g(G, tau)
     spike = zeros(3, 8)
-    spike.data[1, 0, 0] = 1e-9 * G.linf()
+    spike.data[1, 0, 0] = 1e-9 * linf(G)
     with pytest.raises(GraphError):
-        SymField.fold(G.full() + spike)
+        fold(full(G) + spike)
     with pytest.raises(GraphError):
-        SymField.fold(Gt.full() + spike)
-    assert np.array_equal(SymField.fold(G.full()).data, G.data)
+        fold(full(Gt) + spike)
+    assert np.array_equal(fold(full(G)).data, G.data)
     with pytest.raises(GraphError):
         G + spike
 
@@ -401,7 +433,7 @@ def test_transform_counts(transforms):
 
 def green_oracle(spec, side, p):
     """Proxy G solved on the half spectrum of the whole torus."""
-    D = step_distribution(spec, side).full().data
+    D = full(step_distribution(spec, side)).data
     S = _inv(1.0 / (1.0 - p * _hat(D).real), D.shape)
     return Field(spec.d, side, np.where(S < 0, 0.0, S))
 
@@ -616,7 +648,7 @@ def test_cosine_route_against_long_double_and_full_torus():
     rep = decay_trend(d=5, L=2.0, side=side, p=p)
     radii = sorted(rep["rows"])
     want = ref.decay(radii)
-    old = decay_oracle(old_G, tau.full(), tilde_g_oracle(old_G, tau.full()), radii)
+    old = decay_oracle(old_G, full(tau), tilde_g_oracle(old_G, full(tau)), radii)
     for k, key in enumerate(("term1", "decaying")):
         new_rel = max(abs((rep["rows"][r][key] - want[r][k]) / want[r][k]) for r in radii)
         old_rel = max(abs((old[r][k] - want[r][k]) / want[r][k]) for r in radii)
@@ -636,7 +668,7 @@ def test_four_point_sums_against_long_double():
     Gu, Gtu = _unfold(G, 2), _unfold(Gt, 2)
     got = _four_point_sums({"G": Gu, "Gt": Gtu}, _weights(3, 16),
                            [tuple(zip(("G", "Gt", "G", "Gt"), q)) for q in quads])
-    G, Gt = G.full(), Gt.full()
+    G, Gt = full(G), full(Gt)
     for s, (u, up, v, vp) in zip(got, quads):
         want = (shifted_field(reversed_field(G), u).data.astype(np.longdouble)
                 * shifted_field(Gt, up).data
@@ -648,15 +680,15 @@ def test_four_point_sums_against_long_double():
 def test_proxy_and_tilde_g_match_full_torus(proxy):
     (d, L, side, p), G, tau, Gt = proxy
     want = green_oracle(SpreadOut(d, L), side, p)
-    assert np.abs(G.full().data - want.data).max() <= 1e-15 * want.linf()
-    want = tilde_g_oracle(G.full(), tau.full())
-    assert np.abs(Gt.full().data - want.data).max() <= 1e-15 * want.linf()
+    assert np.abs(full(G).data - want.data).max() <= 1e-15 * linf(want)
+    want = tilde_g_oracle(full(G), full(tau))
+    assert np.abs(full(Gt).data - want.data).max() <= 1e-15 * linf(want)
 
 
 def test_psi1_report_matches_nested_convolutions(proxy):
     _, _, tau, Gt = proxy
     got = psi1_report(Gt, tau)
-    want = psi1_oracle(Gt.full(), tau.full())
+    want = psi1_oracle(full(Gt), full(tau))
     assert set(got) == set(want)
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=0.0, abs=1e-16), key
@@ -665,7 +697,7 @@ def test_psi1_report_matches_nested_convolutions(proxy):
 def test_hyp3_report_matches_nested_convolutions(proxy):
     _, _, tau, Gt = proxy
     got = hyp3_report(Gt, tau)
-    want = hyp3_oracle(Gt.full(), tau.full())
+    want = hyp3_oracle(full(Gt), full(tau))
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-12), key
 
@@ -673,7 +705,7 @@ def test_hyp3_report_matches_nested_convolutions(proxy):
 def test_depicted_ratios_match_rolled_four_points(proxy):
     _, G, _, Gt = proxy
     got = depicted_ratios(G, Gt)
-    want = depicted_oracle(G.full(), Gt.full())
+    want = depicted_oracle(full(G), full(Gt))
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=1e-12), key
 
@@ -681,7 +713,7 @@ def test_depicted_ratios_match_rolled_four_points(proxy):
 def test_decay_trend_matches_per_radius_convolution(proxy):
     (d, L, side, p), G, tau, Gt = proxy
     rep = decay_trend(d=d, L=L, side=side, p=p)
-    want = decay_oracle(G.full(), tau.full(), Gt.full(), sorted(rep["rows"]))
+    want = decay_oracle(full(G), full(tau), full(Gt), sorted(rep["rows"]))
     for r, (term1, _) in want.items():
         row = rep["rows"][r]
         assert row["term1"] == pytest.approx(term1, rel=1e-12), r

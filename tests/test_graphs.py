@@ -51,6 +51,8 @@ def test_direct_constructor_validation():
         CouplingGraph((0, 1, 2), ((0, 2), (0, 1)), (1.0, 1.0), 1.0)  # bond order
     with pytest.raises(GraphError):
         CouplingGraph((0, 1), ((1, 0),), (1.0,), 1.0)       # i < j violated
+    with pytest.raises(GraphError):
+        CouplingGraph((0, 1), ((0, 1),), (1.0,), math.nan)  # beta not a number
 
 
 def test_incidence_and_helpers():

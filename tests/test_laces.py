@@ -15,7 +15,7 @@ import pytest
 
 from currentkit import (
     CapExceeded, GraphError, SpreadOut,
-    build_graph, embed_on_torus, build_lace, check_partition_of_unity, earliest_odd_path,
+    build_graph, embed_on_torus, check_partition_of_unity, earliest_odd_path,
     enumerate_explorations, extraction_gap, is_valid_lace,
     verify_pi0_decomposition,
 )
@@ -28,9 +28,7 @@ from currentkit.currents import (
     class_weights, double_conn, partition_function, pi0,
     _component_table, _indicator, _inside, _positive_table,
 )
-from currentkit.laces import (
-    _attachment_masks, _component_bits, _masks_from_classes, path_indicator,
-)
+from currentkit.laces import _attachment_masks, _component_bits, _greedy_laces
 
 
 def hand_graph(beta=0.4):
@@ -47,6 +45,54 @@ def hand_classes(g):
     for uv in ((1, 2), (3, 4)):
         classes[g.bonds.index(uv)] = EVEN
     return classes
+
+
+def masks_from_classes(g, classes):
+    """(source mask, odd bond mask, positive bond mask) of a class vector."""
+    if len(classes) != g.n_bonds:
+        raise GraphError("classes must cover every bond")
+    sm = 0
+    odd = 0
+    pos = 0
+    for b, c in enumerate(classes):
+        if c == ODD:
+            i, j = g.bonds[b]
+            sm ^= (1 << i) | (1 << j)
+            odd |= 1 << b
+            pos |= 1 << b
+        elif c == EVEN:
+            pos |= 1 << b
+        elif c != ZERO:
+            raise GraphError(f"bad class {c} on bond {b}")
+    return sm, odd, pos
+
+
+def odd_mask(g, classes):
+    return masks_from_classes(g, classes)[1]
+
+
+def path_indicator(path, odd):
+    """Whether the odd-bond mask ``odd`` makes ``path`` the earliest odd walk:
+    every walked bond odd, every other explored bond not odd."""
+    return odd & path.explored == path.walked
+
+
+def build_lace(g, path, classes, k_mask):
+    """Lace induced by the rest-of-volume positive bonds ``k_mask``: the
+    batched lace kernel of ``verify_pi0_decomposition`` on one row, the
+    attachment sets of ``classes`` linked when they meet a common component
+    of the rest. Returns the arc tuple, or None when no lace exists."""
+    if k_mask & path.explored:
+        raise GraphError("rest mask overlaps the explored bonds")
+    _, odd, pos = masks_from_classes(g, classes)
+    even = np.array([(pos ^ odd) & path.explored])
+    bits = _component_bits(g, [k_mask])
+    M = np.empty((1, 1, path.length + 1), bits.dtype)
+    _attachment_masks(g, path, even, bits, M)
+    found, S, T, n_arcs = _greedy_laces(M[0], np.array([path.length]))
+    if not found[0]:
+        return None
+    return tuple(zip(S[0, :n_arcs[0]].tolist(), T[0, :n_arcs[0]].tolist()))
 
 
 def outer_mask(g):
@@ -184,7 +230,7 @@ def pi0_decomposition_oracle(g, x, order=None, rtol=1e-10):
 
 def test_earliest_path_hand_trace():
     g = hand_graph()
-    path = earliest_odd_path(g, hand_classes(g), 5)
+    path = earliest_odd_path(g, odd_mask(g, hand_classes(g)), 5)
     assert path.omega == (0, 1, 3, 5)
     assert [g.bonds[b] for b in path.bonds] == [(0, 1), (1, 3), (3, 5)]
     assert [tuple(g.bonds[b] for b in layer) for layer in path.layers] == [
@@ -198,17 +244,21 @@ def test_earliest_path_hand_trace():
 def test_earliest_path_precondition():
     g = hand_graph()
     with pytest.raises(GraphError):
-        earliest_odd_path(g, [ZERO] * g.n_bonds, 5)     # sources empty
+        earliest_odd_path(g, 0, 5)                      # sources empty
     with pytest.raises(GraphError):
-        earliest_odd_path(g, hand_classes(g), 0)        # endpoints equal
+        earliest_odd_path(g, odd_mask(g, hand_classes(g)), 0)   # endpoints equal
     with pytest.raises(GraphError):
-        earliest_odd_path(g, hand_classes(g), 5, order=[0] * g.n_bonds)
+        earliest_odd_path(g, odd_mask(g, hand_classes(g)), 5, order=[0] * g.n_bonds)
+    with pytest.raises(GraphError):                     # sources {0, 1}
+        earliest_odd_path(g, 1 << g.bonds.index((0, 1)), 5)
+    with pytest.raises(GraphError):                     # a bit past the last bond
+        earliest_odd_path(g, odd_mask(g, hand_classes(g)) | 1 << g.n_bonds, 5)
 
 
 def test_attachment_sets():
     g = hand_graph()
     classes = hand_classes(g)
-    path = earliest_odd_path(g, classes, 5)
+    path = earliest_odd_path(g, odd_mask(g, classes), 5)
     V = tilde_v_sets(g, path, classes)
     assert V == (frozenset({0}), frozenset({1, 2}), frozenset({3, 4}),
                  frozenset({5}))
@@ -223,7 +273,7 @@ def test_attachment_sets():
 def test_lace_three_arcs():
     g = hand_graph()
     classes = hand_classes(g)
-    path = earliest_odd_path(g, classes, 5)
+    path = earliest_odd_path(g, odd_mask(g, classes), 5)
     lace = build_lace(g, path, classes, outer_mask(g))
     assert lace == ((0, 1), (1, 2), (2, 3))
     assert is_valid_lace(lace, path.length)
@@ -238,7 +288,7 @@ def test_lace_three_arcs():
 def test_lace_stalls_without_forward_links():
     g = hand_graph()
     classes = hand_classes(g)
-    path = earliest_odd_path(g, classes, 5)
+    path = earliest_odd_path(g, odd_mask(g, classes), 5)
     # only the first outer pair positive: nothing links past index 1
     m = (1 << g.bonds.index((0, 6))) | (1 << g.bonds.index((1, 6)))
     assert build_lace(g, path, classes, m) is None
@@ -247,7 +297,7 @@ def test_lace_stalls_without_forward_links():
 def test_lace_rejects_overlapping_rest_mask():
     g = hand_graph()
     classes = hand_classes(g)
-    path = earliest_odd_path(g, classes, 5)
+    path = earliest_odd_path(g, odd_mask(g, classes), 5)
     with pytest.raises(GraphError):
         build_lace(g, path, classes, 1 << g.bonds.index((0, 1)))
 
@@ -267,21 +317,21 @@ def test_is_valid_lace_patterns():
 def test_path_indicator():
     g = hand_graph()
     classes = hand_classes(g)
-    path = earliest_odd_path(g, classes, 5)
+    path = earliest_odd_path(g, odd_mask(g, classes), 5)
     odd = 0
     for uv in ((0, 1), (1, 3), (3, 5)):
         odd |= 1 << g.bonds.index(uv)
-    assert path_indicator(g, path, odd)
+    assert path_indicator(path, odd)
     # turning a skipped layer bond odd breaks earliest-ness
-    assert not path_indicator(g, path, odd | (1 << g.bonds.index((1, 2))))
+    assert not path_indicator(path, odd | (1 << g.bonds.index((1, 2))))
     # losing a walked bond breaks the walk itself
-    assert not path_indicator(g, path, odd & ~(1 << g.bonds.index((1, 3))))
+    assert not path_indicator(path, odd & ~(1 << g.bonds.index((1, 3))))
 
 
 def test_enumerate_explorations_contains_greedy():
     g = hand_graph()
     classes = hand_classes(g)
-    traced = earliest_odd_path(g, classes, 5)
+    traced = earliest_odd_path(g, odd_mask(g, classes), 5)
     paths = enumerate_explorations(g, 5)
     assert any(p.bonds == traced.bonds for p in paths)
     # walks end on first arrival
@@ -458,14 +508,14 @@ def partition_of_unity_oracle(g, x, order=None):
     checked = bad = mismatch = 0
     for idx in range(3 ** g.n_bonds):
         classes = [idx // 3 ** b % 3 for b in range(g.n_bonds)]
-        sm, odd, _ = _masks_from_classes(g, classes)
+        sm, odd, _ = masks_from_classes(g, classes)
         if sm != target:
             continue
         checked += 1
-        flagged = [p for p in paths if path_indicator(g, p, odd)]
+        flagged = [p for p in paths if path_indicator(p, odd)]
         if len(flagged) != 1:
             bad += 1
-        elif earliest_odd_path(g, classes, x, order=order).bonds != flagged[0].bonds:
+        elif earliest_odd_path(g, odd, x, order=order).bonds != flagged[0].bonds:
             mismatch += 1
     return {"checked": checked, "not_exactly_one": bad, "greedy_mismatch": mismatch}
 
