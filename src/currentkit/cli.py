@@ -22,9 +22,9 @@ import numpy as np
 
 from .graphs import CouplingGraph, GraphError, SpreadOut, build_graph, load_graph, save_graph
 from .currents import (
-    CapExceeded, correlation, four_point, partition_function, pi0,
-    pi0_tilde, spin_expectation, sst_lhs, sst_switch_rhs,
-    subset_connection_tables, theta_double_prime, theta_prime, two_point_matrix,
+    CapExceeded, correlation, four_point, partition_function, pi0, pi0_tilde_rows,
+    spin_expectation, sst_lhs_rows, sst_switch_rows, subset_connection_tables,
+    theta_rows, two_point_matrix,
 )
 from .fields import (
     Field, NonContracting, convolution_bound_check, convolve,
@@ -321,15 +321,13 @@ def _sst_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
 
     pairs = _sampled_layer_pairs(g)
     xy = [(x, y) for x in labs if x != o for y in labs]
-    lhs = np.array([[sst_lhs(g, x, y, B=B, B_prime=Bp) for x, y in xy]
-                    for B, Bp in pairs])
+    lhs = np.array([sst_lhs_rows(g, B, Bp).ravel() for B, Bp in pairs])
     pair_note = lambda k, j: "B={} B'={} x={} y={}".format(*pairs[k], *xy[j])
     nested = [k for k, (B, Bp) in enumerate(pairs) if set(B) <= set(Bp)]
     rows.append(_bound_row(iid, "two_layer_bound", lhs[nested], rhs.ravel(),
                            lambda k, j: pair_note(nested[k], j)))
-    worst_sw = max(_rel(float(lhs[k, j]),
-                        sst_switch_rhs(g, x, y, B=pairs[k][0], B_prime=pairs[k][1]))
-                   for k in nested for j, (x, y) in enumerate(xy))
+    worst_sw = max(_rel(float(a), float(b)) for k in nested
+                   for a, b in zip(lhs[k], sst_switch_rows(g, *pairs[k])))
     rows.append(_err_row("sst", iid, "switch_identity", worst_sw,
                          "max rel err over sampled nested layer pairs"))
 
@@ -423,20 +421,23 @@ def _theorems_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
         lhs = pi0(g, x)
         rhs = ev.theorem_rhs(1, x, strict=False)
         rows.append(_ineq_row("theorems", iid, f"thm1[x={x}]", lhs, rhs))
-    for x in labs[1:]:
-        for A in anchor_sets:
-            lhs = theta_prime(g, x, A)
+    # theta' and theta'' of an anchor set, and pi0-tilde, rows over x != o
+    theta = [theta_rows(g, A) for A in anchor_sets]
+    for i, x in enumerate(labs[1:]):
+        for A, (t1, _) in zip(anchor_sets, theta):
+            lhs = float(t1[i])
             rhs = ev.theorem_rhs(2, x, A=A, strict=False)
             rows.append(_ineq_row("theorems", iid, f"thm2[x={x},A={A}]", lhs, rhs))
-    for x in labs[1:]:
-        for y in labs:
-            lhs = pi0_tilde(g, x, y)
+    pt = pi0_tilde_rows(g)
+    for i, x in enumerate(labs[1:]):
+        for j, y in enumerate(labs):
+            lhs = float(pt[i, j])
             rhs = ev.theorem_rhs(3, x, y=y, strict=False)
             rows.append(_ineq_row("theorems", iid, f"thm3[x={x},y={y}]", lhs, rhs))
-    for x in labs[1:]:
-        for y in labs:
-            for A in anchor_sets:
-                lhs = theta_double_prime(g, x, y, A)
+    for i, x in enumerate(labs[1:]):
+        for j, y in enumerate(labs):
+            for A, (_, t2) in zip(anchor_sets, theta):
+                lhs = float(t2[i, j])
                 rhs = ev.theorem_rhs(4, x, A=A, y=y, strict=False)
                 rows.append(_ineq_row("theorems", iid,
                                       f"thm4[x={x},y={y},A={A}]", lhs, rhs))

@@ -27,6 +27,9 @@ weights over the indicator. The product splits only the bonds its factors
 use: 3**|both| * 2**|one| branches, where |both| counts the bonds of both
 factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
+A family of measures on the same layer bonds, such as theta' at every x, is
+one superposition with a row per source choice: the product runs on the
+stack of rows, and o's connection to each y is summed row by row.
 
 A layer on a bond subset B is the full positive table restricted to the masks
 inside B, bit for bit: bonds outside B sit in the zero class, with weight 1
@@ -39,7 +42,8 @@ Below the public argument check (``_bonds_arg``) a bond set is an int mask,
 bit b for bond b, as are the positive masks that index every table.
 
 Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
-allocation when the table's traced peak would pass ``_MEM_LIMIT``.
+allocation when the table's traced peak would pass ``_MEM_LIMIT``. A family's
+rows go in chunks that fit, so only a single row that does not fit is refused.
 """
 from __future__ import annotations
 
@@ -250,10 +254,6 @@ def through(u, v, A) -> Event:
     return Event("through", u, v, frozenset(A))
 
 
-def conj(*events: Event) -> Event:
-    return Event("and", parts=tuple(events))
-
-
 def _outside_bonds(g: CouplingGraph, A) -> int:
     """Mask of the bonds with neither end in the vertex labels ``A``."""
     A_idx = {g.index(a) for a in A}
@@ -331,8 +331,10 @@ class Layer:
 
 
 def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
-    """Covering product r[S] = sum over A | B == S of f[A] * h[B], for f zero
-    off the masks inside the bond mask ``fb`` and h zero off those inside ``hb``.
+    """Covering product r[S] = sum over A | B == S of f[A] * h[B], row by row,
+    for f zero off the masks inside the bond mask ``fb`` and h zero off those
+    inside ``hb``. Both are stacks of rows, shape (rows, 2**nb); a stack of
+    one row serves every row of the other.
 
     Splitting every mask on its top bit gives r0 = f0*h0 and
     r1 = f0*h1 + f1*(h0 + h1): three half-size products and no subtraction,
@@ -341,37 +343,42 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     products. A bit in neither support is not expanded, and r1 = 0. The terms
     dropped are exact zeros, so the result is bit for bit that of the full
     split. The recursion runs batched, one level per bond, over
-    3**|fb & hb| * 2**|fb ^ hb| branches.
+    3**|fb & hb| * 2**|fb ^ hb| branches per row, and every row takes the
+    same elementwise steps, so a stack of rows gives bit for bit the rows
+    covered one at a time.
     """
-    nb = f.size.bit_length() - 1
-    f, h = f.reshape(1, -1), h.reshape(1, -1)
+    nb = f.shape[1].bit_length() - 1
+    f, h = f[:, None], h[:, None]          # (rows, batch, width)
     ways = []
     for k in reversed(range(nb)):
-        f, h = f.reshape(len(f), 2, -1), h.reshape(len(h), 2, -1)
+        f = f.reshape(len(f), -1, 2, f.shape[2] // 2)
+        h = h.reshape(len(h), -1, 2, h.shape[2] // 2)
         in_f, in_h = fb >> k & 1, hb >> k & 1
         if in_f and in_h:
-            f = np.concatenate((f[:, :1], f), axis=1)
-            h = np.concatenate((h, h[:, :1] + h[:, 1:]), axis=1)
+            f = np.concatenate((f[:, :, :1], f), axis=2)
+            h = np.concatenate((h, h[:, :, :1] + h[:, :, 1:]), axis=2)
         elif in_f:
-            h = h[:, (0, 0)]
+            h = h[:, :, (0, 0)]
         elif in_h:
-            f = f[:, (0, 0)]
+            f = f[:, :, (0, 0)]
         else:
-            f, h = f[:, :1], h[:, :1]
-        ways.append(f.shape[1])
-        f, h = f.reshape(-1, f.shape[2]), h.reshape(-1, h.shape[2])
+            f, h = f[:, :, :1], h[:, :, :1]
+        ways.append(f.shape[2])
+        f = f.reshape(len(f), -1, f.shape[3])
+        h = h.reshape(len(h), -1, h.shape[3])
     r = f * h
     del f, h
     for w in reversed(ways):
-        r = r.reshape(-1, w, r.shape[1])
-        hi = r[:, 1] + r[:, 2] if w == 3 else r[:, 1] if w == 2 else np.zeros_like(r[:, 0])
-        r = np.concatenate((r[:, 0], hi), axis=1)
-    return r.reshape(-1)
+        r = r.reshape(len(r), -1, w, r.shape[2])
+        hi = (r[:, :, 1] + r[:, :, 2] if w == 3 else r[:, :, 1] if w == 2
+              else np.zeros_like(r[:, :, 0]))
+        r = np.concatenate((r[:, :, 0], hi), axis=2)
+    return r.reshape(len(r), -1)
 
 
 def _cover_batch(nb: int, fb: int, hb: int) -> int:
-    """Entries in ``_cover``'s largest batch: a level multiplies the batch by
-    3/2, 1 or 1/2 as its bit lies in both supports, one or neither."""
+    """Entries in ``_cover``'s largest batch of one row: a level multiplies the
+    batch by 3/2, 1 or 1/2 as its bit lies in both supports, one or neither."""
     size = peak = 1 << nb
     for k in reversed(range(nb)):
         size = size * (1 + (fb >> k & 1) + (hb >> k & 1)) // 2
@@ -379,40 +386,54 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
     return peak
 
 
-@lru_cache(maxsize=64)
-def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
-    """Normalised superposed weight of every global positive mask.
+def _row_bytes(nb: int, masks: list) -> int:
+    """Bytes one row of a superposition of layers on the bond ``masks`` holds
+    at its peak: ``_cover`` peaks at three vectors of its largest batch (the
+    expanded factors and the product), counted as four, and four mask
+    vectors (the product so far, the layer and its two gathers) sit beside."""
+    seen = list(accumulate(masks, or_))
+    batch = max((_cover_batch(nb, s, m) for s, m in zip(seen, masks[1:])), default=0)
+    return 32 * batch + (32 << nb)
 
-    ``layers`` holds (bond mask, source mask) pairs. A layer's weights are
-    the positive table's rows inside its bonds, left in place among all
-    global masks; successive layers combine by the covering product, whose
-    supports are the union of the bonds combined so far and the new layer's
-    bonds.
+
+def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
+    """Normalised superposed weight of every global positive mask, one row
+    per source choice: shape (rows, 2**n_bonds).
+
+    ``layers`` holds (bond mask, source masks) pairs, one source mask per
+    row, or one that serves every row. A layer's weights are the positive
+    table's rows inside its bonds, left in place among all global masks;
+    successive layers combine by the covering product, whose supports are
+    the union of the bonds combined so far and the new layer's bonds.
     """
     nb = g.n_bonds
     masks = [m for m, _ in layers]
-    seen = [0, *accumulate(masks, or_)]    # bonds of the layers before each
-    if len(layers) > 1:
-        # _cover peaks at three vectors of its largest batch (the expanded
-        # factors and the product), counted as four; four mask vectors (the
-        # product so far, the layer and its two gathers) beside
-        batch = max(_cover_batch(nb, s, m) for s, m in zip(seen[1:], masks[1:]))
-        _fits(32 * batch + (32 << nb), f"superposition of {len(layers)} layers on {nb} bonds")
+    rows = max(len(sms) for _, sms in layers)
+    _fits(rows * _row_bytes(nb, masks),
+          f"superposition of {len(layers)} layers on {nb} bonds, {rows} rows")
     P = _positive_table(g)
     out = None
-    for (m, sm), s in zip(layers, seen):
-        rows = _inside(g, m)
-        dense = np.zeros(1 << nb)
-        dense[rows] = P[rows, sm] / P[rows, 0].sum()
+    for (m, sms), s in zip(layers, [0, *accumulate(masks, or_)]):
+        inside = _inside(g, m)
+        dense = np.zeros((len(sms), 1 << nb))
+        dense[:, inside] = (P[inside[:, None], list(sms)] / P[inside, 0].sum()).T
         out = dense if out is None else _cover(out, s, dense, m)
     return out
+
+
+@lru_cache(maxsize=64)
+def _superposed_row(g: CouplingGraph, layers: tuple) -> np.ndarray:
+    """``_superposed`` of one row, cached: the scalar measures ask for one
+    superposition with several events. A batch of rows is built, summed and
+    dropped, since ``_fits`` counts it only while it is built."""
+    return _superposed(g, layers)[0]
 
 
 def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
                   cap: int | None = None) -> float:
     """Sum over the layers' class assignments of the product of normalised
     weights, times the event indicator on the superposed positive mask."""
-    key = tuple((_bonds_arg(g, l.bonds), _source_mask(g, l.sources)) for l in layers)
+    key = tuple((_bonds_arg(g, l.bonds), (_source_mask(g, l.sources),)) for l in layers)
     if not key:
         raise GraphError("at least one layer required")
     if cap is not None and g.n_bonds > cap:
@@ -421,8 +442,41 @@ def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
 
 
 def _measure(g: CouplingGraph, layers: tuple, event: Event) -> float:
-    """``event_measure`` on (bond mask, source mask) layers."""
-    return float(_superposed(g, layers)[_indicator(g, event)].sum())
+    """``event_measure`` on one row of (bond mask, source masks) layers."""
+    return float(_superposed_row(g, layers)[_indicator(g, event)].sum())
+
+
+def _row_measures(g: CouplingGraph, layers: tuple, holds, bonds: int | None = None) -> tuple:
+    """Measures of every row of one batch of superpositions.
+
+    ``layers`` are as ``_superposed`` takes them, and ``holds`` has each
+    row's event indicator, or is None for the sure event. Returns the rows'
+    measures, shape (rows,), and, when ``bonds`` is a bond mask, the
+    measures of each row's event and {o connected to y on ``bonds``} for
+    every vertex y, shape (rows, n_vertices); else None. o's connection is
+    read from the component table as ``_indicator`` reads it, so each value
+    sums the same weights in the same order as ``_measure`` with the
+    conjoined event. Rows go in chunks whose superposition fits
+    ``_MEM_LIMIT``; only a single row that does not fit is refused.
+    """
+    rows = max(len(sms) for _, sms in layers)
+    step = max(1, (_MEM_LIMIT - _OVERHEAD) // _row_bytes(g.n_bonds, [m for m, _ in layers]))
+    total, ysum, linked = np.empty(rows), None, None
+    if bonds is not None:
+        ysum = np.empty((rows, g.n_vertices))
+        lab = _component_table(g)[np.arange(1 << g.n_bonds) & bonds]
+        linked = lab == lab[:, :1]                   # o <-> y under each mask
+    for lo in range(0, rows, step):
+        part = tuple((m, sms if len(sms) == 1 else sms[lo:lo + step]) for m, sms in layers)
+        for r, w in enumerate(_superposed(g, part), lo):
+            on = linked
+            if holds is not None:
+                w = w[holds[r]]
+                on = None if linked is None else linked[holds[r]]
+            total[r] = w.sum()
+            if on is not None:
+                ysum[r] = [w[c].sum() for c in on.T]
+    return total, ysum
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +495,22 @@ def pi0(g: CouplingGraph, x) -> float:
     return event_measure(g, [Layer(None, (o, x))], double_conn(o, x))
 
 
-def pi0_tilde(g: CouplingGraph, x, y) -> float:
-    o = g.labels[0]
-    ev = conj(double_conn(o, x), conn(o, y))
-    return event_measure(g, [Layer(None, (o, x))], ev)
+def pi0_tilde_rows(g: CouplingGraph) -> np.ndarray:
+    """pi0 with the extra demand that o reaches y, for every x != o and every
+    vertex y, shape (n_vertices - 1, n_vertices): one superposition, a row
+    per x."""
+    o, xs, full = g.labels[0], g.labels[1:], _bonds_arg(g, None)
+    layers = ((full, tuple(_source_mask(g, (o, x)) for x in xs)),)
+    holds = [_indicator(g, double_conn(o, x)) for x in xs]
+    return _row_measures(g, layers, holds, full)[1]
 
 
-def _through_layers(g: CouplingGraph, x, A) -> tuple:
+def _through_layers(g: CouplingGraph, xs, A) -> tuple:
     """Outer sourceless layer on the bonds avoiding A, inner layer sourced at
-    {o, x} on all bonds."""
-    return ((_outside_bonds(g, A), 0),
-            (_bonds_arg(g, None), _source_mask(g, (g.labels[0], x))))
+    {o, x} on all bonds, a row per x in ``xs``."""
+    o = g.labels[0]
+    return ((_outside_bonds(g, A), (0,)),
+            (_bonds_arg(g, None), tuple(_source_mask(g, (o, x)) for x in xs)))
 
 
 def theta_prime(g: CouplingGraph, x, A) -> float:
@@ -461,14 +520,17 @@ def theta_prime(g: CouplingGraph, x, A) -> float:
     positive path from o to x meeting A. With A empty this is 0 for x != o;
     on the diagonal it degenerates to 1{o in A}.
     """
-    return _measure(g, _through_layers(g, x, A), through(g.labels[0], x, A))
+    return _measure(g, _through_layers(g, (x,), A), through(g.labels[0], x, A))
 
 
-def theta_double_prime(g: CouplingGraph, x, y, A) -> float:
-    """Through-set measure with the extra demand that o reaches y in the
-    superposition."""
-    o = g.labels[0]
-    return _measure(g, _through_layers(g, x, A), conj(through(o, x, A), conn(o, y)))
+def theta_rows(g: CouplingGraph, A) -> tuple:
+    """theta_prime(g, x, A) for every x != o, shape (n_vertices - 1,), and
+    theta'', the through-set measure with the extra demand that o reaches y
+    in the superposition, for those x and every vertex y, shape
+    (n_vertices - 1, n_vertices): one superposition, a row per x."""
+    o, xs = g.labels[0], g.labels[1:]
+    holds = [_indicator(g, through(o, x, A)) for x in xs]
+    return _row_measures(g, _through_layers(g, xs, A), holds, _bonds_arg(g, None))
 
 
 def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
@@ -483,6 +545,16 @@ def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
     return event_measure(g, layers, ev, cap=cap)
 
 
+def sst_lhs_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
+    """sst_lhs(g, x, y, B, B_prime) for every x != o and every vertex y,
+    shape (n_vertices - 1, n_vertices): one superposition, a row per x.
+    B and B_prime are bond indices, or None for all bonds."""
+    o, b = g.labels[0], _bonds_arg(g, B)
+    layers = ((_bonds_arg(g, B_prime), (0,)),
+              (b, tuple(_source_mask(g, (o, x)) for x in g.labels[1:])))
+    return _row_measures(g, layers, None, b)[1]
+
+
 def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
                    cap: int | None = None) -> float:
     """Partner expression of the source-switching identity: sources moved to
@@ -490,6 +562,18 @@ def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
     o = g.labels[0]
     ev = conn(o, y, bonds=B)
     return event_measure(g, [Layer(B_prime, (o, y)), Layer(ev.bonds, (y, x))], ev, cap=cap)
+
+
+def sst_switch_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
+    """sst_switch_rhs(g, x, y, B, B_prime) for every x != o and every vertex
+    y, x-major, shape ((n_vertices - 1) * n_vertices,): one superposition, a
+    row per (x, y)."""
+    o = g.labels[0]
+    xy = [(x, y) for x in g.labels[1:] for y in g.labels]
+    layers = ((_bonds_arg(g, B_prime), tuple(_source_mask(g, (o, y)) for _, y in xy)),
+              (_bonds_arg(g, B), tuple(_source_mask(g, (y, x)) for x, y in xy)))
+    holds = [_indicator(g, conn(o, y, bonds=B)) for _, y in xy]
+    return _row_measures(g, layers, holds)[0]
 
 
 _ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
@@ -533,5 +617,5 @@ def subset_connection_tables(g: CouplingGraph) -> tuple:
 def clear_caches() -> None:
     from .laces import _explorations      # laces imports this module
     for cached in (_source_table, _positive_table, _inside,
-                   _component_table, _indicator, _superposed, _explorations):
+                   _component_table, _indicator, _superposed_row, _explorations):
         cached.cache_clear()

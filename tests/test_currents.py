@@ -14,12 +14,13 @@ import pytest
 
 from currentkit import (
     CapExceeded, Layer,
-    build_graph, conj, conn, correlation, double_conn,
-    event_measure, four_point, partition_function, pi0, pi0_tilde,
+    build_graph, conn, correlation, double_conn,
+    event_measure, four_point, partition_function, pi0,
     sst_lhs, sst_switch_rhs, spin_expectation, theta_prime,
-    theta_double_prime, through, two_point_matrix,
+    through, two_point_matrix,
 )
 from currentkit.currents import _indicator, class_weights
+from test_families import conj, pi0_tilde, theta_double_prime
 
 
 def triangle(beta=1.0):

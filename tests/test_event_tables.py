@@ -21,13 +21,15 @@ import pytest
 
 from currentkit import (
     CapExceeded, Layer, SpreadOut,
-    build_graph, conj, conn, double_conn, embed_on_torus, event_measure,
+    build_graph, conn, double_conn, embed_on_torus, event_measure,
     partition_function, spin_expectation, sst_lhs, sst_switch_rhs, through,
 )
 from currentkit import currents
 from currentkit.cli import (
-    CORPUS_SHAPES, UPWARD, RunConfig, _lace_instance, _sst_instance, _theorems_instance,
+    CORPUS_SHAPES, UPWARD, RunConfig, _lace_instance, _sampled_layer_pairs, _sst_instance,
+    _theorems_instance,
 )
+from test_families import conj
 
 
 def corpus_graphs(seed=7):
@@ -292,7 +294,8 @@ def layer_stacks(g):
 
 
 def _key(g, layers):
-    return tuple((currents._bonds_arg(g, l.bonds), currents._source_mask(g, l.sources))
+    """``_superposed``'s one-row key of ``layers``."""
+    return tuple((currents._bonds_arg(g, l.bonds), (currents._source_mask(g, l.sources),))
                  for l in layers)
 
 
@@ -304,7 +307,36 @@ def test_covering_product_matches_outer_product(g):
             continue
         want = outer_superposition(g, layers)
         got = currents._superposed(g, _key(g, layers))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert got.shape == (1, 1 << g.n_bonds)
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("g", corpus_graphs() + [spread_torus()],
+                         ids=lambda g: f"n{g.n_vertices}b{g.n_bonds}@{g.beta:g}")
+def test_superposition_rows_are_the_one_row_superpositions(g):
+    """Each layer stack with its last layer sourced at {o, x} for every x,
+    and a stack sourced in both layers per row: each row of the batch is the
+    one-row superposition bit for bit; a layer of one source mask serves
+    every row."""
+    o = g.labels[0]
+    for layers in layer_stacks(g):
+        if len(layers) > 2 and g.n_bonds > 7:
+            continue
+        *outer, last = layers
+        keys = [_key(g, outer + [Layer(last.bonds, (o, x))]) for x in g.labels]
+        batch = (*keys[0][:-1], (keys[0][-1][0], tuple(k[-1][1][0] for k in keys)))
+        got = currents._superposed(g, batch)
+        assert got.shape == (len(keys), 1 << g.n_bonds)
+        for row, key in zip(got, keys):
+            assert np.array_equal(row, currents._superposed(g, key)[0])
+    full = (1 << g.n_bonds) - 1
+    pairs = [(x, y) for x in g.labels for y in g.labels]
+    layers = ((full >> 1, tuple(currents._source_mask(g, (o, y)) for _, y in pairs)),
+              (full, tuple(currents._source_mask(g, (y, x)) for x, y in pairs)))
+    for k, row in enumerate(currents._superposed(g, layers)):
+        one = tuple((m, sms[k:k + 1]) for m, sms in layers)
+        assert np.array_equal(row, currents._superposed(g, one)[0])
+    currents.clear_caches()
 
 
 def _masked(rng, nb, mask):
@@ -327,8 +359,27 @@ def test_support_aware_cover_is_bitwise_the_full_cover():
         pairs += [tuple(int(b) for b in rng.integers(0, 1 << nb, size=2)) for _ in range(30)]
         for fb, hb in pairs:
             f, h = _masked(rng, nb, fb), _masked(rng, nb, hb)
+            got = currents._cover(f[None], fb, h[None], hb)
+            assert np.array_equal(got, currents._cover(f[None], full, h[None], full)), (nb, fb, hb)
+
+
+def test_cover_of_a_row_stack_is_the_rows_covered_one_at_a_time():
+    """1-5 rows on random supports, nb <= 8: a stack of rows, and one row
+    against a stack, give the rows covered one at a time, bit for bit."""
+    rng = np.random.default_rng(13)
+    for nb in range(9):
+        for _ in range(12):
+            fb, hb = (int(b) for b in rng.integers(0, 1 << nb, size=2))
+            rows = int(rng.integers(1, 6))
+            f = np.array([_masked(rng, nb, fb) for _ in range(rows)])
+            h = np.array([_masked(rng, nb, hb) for _ in range(rows)])
             got = currents._cover(f, fb, h, hb)
-            assert np.array_equal(got, currents._cover(f, full, h, full)), (nb, fb, hb)
+            assert got.shape == (rows, 1 << nb)
+            for r in range(rows):
+                want = currents._cover(f[r:r + 1], fb, h[r:r + 1], hb)[0]
+                assert np.array_equal(got[r], want), (nb, fb, hb, r)
+                one = currents._cover(f[:1], fb, h, hb)[r]
+                assert np.array_equal(one, currents._cover(f[:1], fb, h[r:r + 1], hb)[0])
 
 
 def test_event_measure_matches_per_mask_route():
@@ -405,24 +456,110 @@ def test_instance_suites_sweep_one_positive_table_per_graph(monkeypatch):
 
 # -- memory refusals and caches ---------------------------------------------
 
-def test_theorems_instance_builds_each_superposition_once(monkeypatch):
-    """The superposition cache holds every layer key of a corpus theorems
-    instance, so the thm4 loop reuses what the thm2 loop built: one miss per
-    distinct key."""
-    g = max(corpus_graphs(), key=lambda g: g.n_vertices)
-    real = currents._superposed
+def _spy_superpositions(monkeypatch):
+    """Record the layers of every superposition built, batch or one row."""
     keys = []
+    real = currents._superposed
 
     def spy(graph, layers):
         keys.append(layers)
         return real(graph, layers)
 
-    currents.clear_caches()
     monkeypatch.setattr(currents, "_superposed", spy)
+    return keys
+
+
+def _rows(key):
+    return max(len(sms) for _, sms in key)
+
+
+def test_theorems_instance_builds_each_superposition_once(monkeypatch):
+    """A corpus theorems instance builds one batch, a row per x != o, for
+    each anchor set (theta' and theta'') and one for pi0-tilde; beside them
+    only pi0's one-row layers. No key is built twice."""
+    g = max(corpus_graphs(), key=lambda g: g.n_vertices)
+    n = g.n_vertices
+    currents.clear_caches()
+    keys = _spy_superpositions(monkeypatch)
     _theorems_instance("grid", g, RunConfig())
     monkeypatch.undo()
-    assert len(set(keys)) > 16 and len(keys) > len(set(keys))
-    assert real.cache_info().misses == len(set(keys))
+    batches = [k for k in keys if _rows(k) > 1]
+    assert len(batches) == (n + 1) + 1                  # n + 1 anchor sets, pi0-tilde
+    assert all(_rows(k) == n - 1 for k in batches)
+    assert len(keys) == len(batches) + (n - 1)          # pi0 at each x != o
+    assert len(set(keys)) == len(keys)
+    currents.clear_caches()
+
+
+def test_sst_instance_builds_one_superposition_per_layer_pair(monkeypatch):
+    """The sst two-layer rows take one batch per sampled (B, B') pair for
+    the lhs, a row per x != o, and one per nested pair for the switched
+    rhs, a row per (x, y); nothing else is superposed."""
+    g = max(corpus_graphs(), key=lambda g: g.n_vertices)
+    n = g.n_vertices
+    pairs = _sampled_layer_pairs(g)
+    nested = [p for p in pairs if set(p[0]) <= set(p[1])]
+    currents.clear_caches()
+    keys = _spy_superpositions(monkeypatch)
+    _sst_instance("grid", g, RunConfig())
+    monkeypatch.undo()
+    assert sorted(map(_rows, keys)) == sorted([n - 1] * len(pairs) + [(n - 1) * n] * len(nested))
+    assert len(set(keys)) == len(keys)
+    currents.clear_caches()
+
+
+def test_superposition_counts_every_row(monkeypatch):
+    """A batch's refusal counts rows * (32 * batch + 32 * 2**nb) bytes."""
+    g = spread_torus()
+    nb = g.n_bonds
+    counted = []
+    real = currents._fits
+
+    def spy(nbytes, what):
+        if what.startswith("superposition"):
+            counted.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(currents, "_fits", spy)
+    for A in [(v,) for v in g.labels] + [tuple(g.labels)]:
+        layers = currents._through_layers(g, g.labels[1:], A)
+        counted.clear()
+        currents._superposed(g, layers)
+        outside = layers[0][0].bit_count()
+        batch = max(1 << nb, 3 ** outside * 2 ** (nb - outside))
+        assert counted == [(g.n_vertices - 1) * (32 * batch + (32 << nb))], A
+    currents.clear_caches()
+
+
+def test_family_rows_go_in_chunks_that_fit(monkeypatch):
+    """Under a limit that a whole family's batch passes, its rows go in
+    chunks that fit, with the same values; only a limit that a single row
+    passes refuses, where the scalar measure is refused too."""
+    g = spread_torus()
+    A = (g.labels[2],)
+    full = tuple(range(g.n_bonds))
+    layers = currents._through_layers(g, g.labels[1:], A)
+    per_row = currents._row_bytes(g.n_bonds, [m for m, _ in layers])
+    want_theta = currents.theta_rows(g, A)
+    want_switch = currents.sst_switch_rows(g, full, full)
+    switch_row = currents._row_bytes(g.n_bonds, [(1 << g.n_bonds) - 1] * 2)
+    keys = _spy_superpositions(monkeypatch)
+    xs, xy = g.n_vertices - 1, (g.n_vertices - 1) * g.n_vertices
+    for rows in (3, 1):
+        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * per_row + currents._OVERHEAD)
+        keys.clear()
+        got = currents.theta_rows(g, A)
+        assert [_rows(k) for k in keys] == [min(rows, xs - lo) for lo in range(0, xs, rows)]
+        assert np.array_equal(got[0], want_theta[0]) and np.array_equal(got[1], want_theta[1])
+        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * switch_row + currents._OVERHEAD)
+        keys.clear()
+        assert np.array_equal(currents.sst_switch_rows(g, full, full), want_switch)
+        assert [_rows(k) for k in keys] == [min(rows, xy - lo) for lo in range(0, xy, rows)]
+    monkeypatch.setattr(currents, "_MEM_LIMIT", per_row + currents._OVERHEAD - 1)
+    with pytest.raises(CapExceeded):
+        currents.theta_rows(g, A)
+    with pytest.raises(CapExceeded):
+        currents.theta_prime(g, g.labels[1], A)
     currents.clear_caches()
 
 
@@ -440,8 +577,9 @@ def _refusal_cases():
     path = build_graph(list(range(16)), [(i, i + 1, 1.0) for i in range(15)], beta=0.1)
     s6, s8 = (embed_on_torus(SpreadOut(1, 2.0), side, beta=0.4) for side in (6, 8))
     full = (1 << s6.n_bonds) - 1
-    layers = ((full, 0), (full, currents._source_mask(s6, (s6.labels[0], s6.labels[3]))))
-    theta = ((currents._outside_bonds(s6, s6.labels[2:3]), 0), layers[1])
+    layers = ((full, (0,)), (full, (currents._source_mask(s6, (s6.labels[0], s6.labels[3])),)))
+    theta = ((currents._outside_bonds(s6, s6.labels[2:3]), (0,)), layers[1])
+    theta_rows = currents._through_layers(s6, s6.labels[1:], s6.labels[2:3])
     return [
         ("source", "source table", lambda: currents._sweep(path, (1 << 15) - 1, False),
          currents.clear_caches),
@@ -452,6 +590,8 @@ def _refusal_cases():
         ("cover", "superposition", lambda: currents._superposed(s6, layers),
          _warm(s6, currents._positive_table)),
         ("theta_cover", "superposition", lambda: currents._superposed(s6, theta),
+         _warm(s6, currents._positive_table)),
+        ("theta_batch", "superposition", lambda: currents._superposed(s6, theta_rows),
          _warm(s6, currents._positive_table)),
         ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
          _warm(s6, currents._positive_table, currents._component_table)),
@@ -551,7 +691,7 @@ def test_oversize_superposition_refused_before_allocation(monkeypatch):
     ring = build_graph(list(range(17)), [(i, (i + 1) % 17, 1.0) for i in range(17)], beta=0.1)
     full = (1 << 17) - 1
     with pytest.raises(CapExceeded):
-        currents._superposed(ring, ((full, 0), (full, 0)))
+        currents._superposed(ring, ((full, (0,)), (full, (0,))))
     assert currents._positive_table.cache_info().currsize == 0
 
 
