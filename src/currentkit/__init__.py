@@ -8,9 +8,9 @@ from .graphs import (
     load_graph, save_graph, spread_out_coupling,
 )
 from .currents import (
-    CapExceeded, Layer,
-    conn, correlation, double_conn, event_measure,
-    four_point, partition_function, pi0, pi0_tilde_rows, spin_expectation,
+    CapExceeded,
+    conn, correlation, double_conn,
+    four_point, partition_function, pi0, pi0_rows, spin_expectation,
     sst_lhs, sst_lhs_rows, sst_switch_rhs, sst_switch_rows,
     theta_prime, theta_rows, through, two_point_matrix,
 )
@@ -30,17 +30,17 @@ from .laces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded", "CouplingGraph", "Field", "GraphError", "Layer",
+    "CapExceeded", "CouplingGraph", "Field", "GraphError",
     "NonContracting", "SpreadOut", "__version__",
     "build_graph", "check_partition_of_unity",
     "conn", "convolution_bound_check", "convolve", "correlation",
     "depicted_ratios", "double_conn",
     "earliest_odd_path", "embed_on_torus", "enumerate_explorations",
-    "event_measure", "extraction_gap",
+    "extraction_gap",
     "four_point", "graph_from_dict", "graph_to_dict",
     "hyp1_report", "hyp2_report", "hyp3_report",
     "is_valid_lace", "key_lemma_gap_matrix", "load_graph",
-    "partition_function", "pi0", "pi0_tilde_rows", "psi1_report",
+    "partition_function", "pi0", "pi0_rows", "psi1_report",
     "rw_green_proxy", "save_graph", "spin_expectation",
     "spread_out_coupling", "sst_lhs", "sst_lhs_rows", "sst_switch_rhs",
     "sst_switch_rows", "step_distribution",

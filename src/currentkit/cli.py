@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import CouplingGraph, GraphError, SpreadOut, build_graph, load_graph, save_graph
 from .currents import (
-    CapExceeded, correlation, four_point, partition_function, pi0, pi0_tilde_rows,
+    CapExceeded, correlation, four_point, partition_function, pi0_rows,
     spin_expectation, sst_lhs_rows, sst_switch_rows, subset_connection_tables,
     theta_rows, two_point_matrix,
 )
@@ -218,7 +218,11 @@ def load_corpus(cfg: RunConfig) -> list:
     names = sorted(fn for fn in os.listdir(cfg.corpus_dir) if fn.endswith(".json"))
     if not names:
         raise GraphError(f"no corpus graphs under {cfg.corpus_dir}")
-    return [(fn[:-5], load_graph(os.path.join(cfg.corpus_dir, fn))) for fn in names]
+    corpus = [(fn[:-5], load_graph(os.path.join(cfg.corpus_dir, fn))) for fn in names]
+    for iid, g in corpus:
+        if g.n_vertices < 2:      # every suite measures from o to some x != o
+            raise GraphError(f"corpus graph {iid} has one vertex; the suites need two")
+    return corpus
 
 
 def emit_corpus(out_dir: str) -> list:
@@ -287,7 +291,7 @@ def _sampled_layer_pairs(g: CouplingGraph) -> list:
     if nb >= 2:
         pairs.append((full[:1], full[:1]))          # B' == B, proper subset of lattice
         pairs.append((full, tuple(range(1, nb))))    # B' missing a bond of B
-    return pairs
+    return list(dict.fromkeys(pairs))               # half == full below three bonds
 
 
 def _bound_row(iid: str, check: str, lhs, rhs, note) -> Row:
@@ -417,18 +421,17 @@ def _theorems_instance(iid: str, g: CouplingGraph, cfg: RunConfig) -> list:
     except GraphError:
         rows.append(_gate_row("theorems", iid, "diagonal_rejected", 1.0, 1.0, 0.0, True))
 
-    for x in labs[1:]:
-        lhs = pi0(g, x)
+    # pi0 and pi0-tilde, and theta' and theta'' of an anchor set, rows over x != o
+    p1, pt = pi0_rows(g)
+    for i, x in enumerate(labs[1:]):
         rhs = ev.theorem_rhs(1, x, strict=False)
-        rows.append(_ineq_row("theorems", iid, f"thm1[x={x}]", lhs, rhs))
-    # theta' and theta'' of an anchor set, and pi0-tilde, rows over x != o
+        rows.append(_ineq_row("theorems", iid, f"thm1[x={x}]", float(p1[i]), rhs))
     theta = [theta_rows(g, A) for A in anchor_sets]
     for i, x in enumerate(labs[1:]):
         for A, (t1, _) in zip(anchor_sets, theta):
             lhs = float(t1[i])
             rhs = ev.theorem_rhs(2, x, A=A, strict=False)
             rows.append(_ineq_row("theorems", iid, f"thm2[x={x},A={A}]", lhs, rhs))
-    pt = pi0_tilde_rows(g)
     for i, x in enumerate(labs[1:]):
         for j, y in enumerate(labs):
             lhs = float(pt[i, j])

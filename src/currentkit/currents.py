@@ -29,7 +29,8 @@ factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
 A family of measures on the same layer bonds, such as theta' at every x, is
 one superposition with a row per source choice: the product runs on the
-stack of rows, and o's connection to each y is summed row by row.
+stack of rows, and o's connection to each y is summed row by row. A scalar
+measure is its family's one-row case, summed by the same code.
 
 A layer on a bond subset B is the full positive table restricted to the masks
 inside B, bit for bit: bonds outside B sit in the zero class, with weight 1
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -239,7 +240,6 @@ class Event:
     v: object = None
     A: frozenset = frozenset()
     bonds: tuple | None = None
-    parts: tuple = ()
 
 
 def conn(u, v, bonds=None) -> Event:
@@ -294,11 +294,6 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     doubly connected with every positive path u -> v meeting A; at u == v the
     only path is the empty one at u, so the event is u in A.
     """
-    if ev.kind == "and":
-        out = np.ones(1 << g.n_bonds, dtype=bool)
-        for p in ev.parts:
-            out &= _indicator(g, p)
-        return out
     comp = _component_table(g)
     m = np.arange(1 << g.n_bonds) & _bonds_arg(g, ev.bonds)
     iu, iv = g.index(ev.u), g.index(ev.v)
@@ -320,14 +315,6 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
             return out
         return out & ~linked(_outside_bonds(g, ev.A))
     raise ValueError(f"unknown event kind {ev.kind!r}")
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One sourced current layer: bond restriction plus source vertices."""
-
-    bonds: tuple | None = None
-    sources: tuple = ()
 
 
 def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
@@ -429,37 +416,23 @@ def _superposed_row(g: CouplingGraph, layers: tuple) -> np.ndarray:
     return _superposed(g, layers)[0]
 
 
-def event_measure(g: CouplingGraph, layers: Sequence[Layer], event: Event,
-                  cap: int | None = None) -> float:
-    """Sum over the layers' class assignments of the product of normalised
-    weights, times the event indicator on the superposed positive mask."""
-    key = tuple((_bonds_arg(g, l.bonds), (_source_mask(g, l.sources),)) for l in layers)
-    if not key:
-        raise GraphError("at least one layer required")
-    if cap is not None and g.n_bonds > cap:
-        raise CapExceeded(f"{g.n_bonds} bonds exceeds cap {cap}")
-    return _measure(g, key, event)
-
-
-def _measure(g: CouplingGraph, layers: tuple, event: Event) -> float:
-    """``event_measure`` on one row of (bond mask, source masks) layers."""
-    return float(_superposed_row(g, layers)[_indicator(g, event)].sum())
-
-
-def _row_measures(g: CouplingGraph, layers: tuple, holds, bonds: int | None = None) -> tuple:
+def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = None) -> tuple:
     """Measures of every row of one batch of superpositions.
 
-    ``layers`` are as ``_superposed`` takes them, and ``holds`` has each
-    row's event indicator, or is None for the sure event. Returns the rows'
-    measures, shape (rows,), and, when ``bonds`` is a bond mask, the
-    measures of each row's event and {o connected to y on ``bonds``} for
-    every vertex y, shape (rows, n_vertices); else None. o's connection is
-    read from the component table as ``_indicator`` reads it, so each value
-    sums the same weights in the same order as ``_measure`` with the
-    conjoined event. Rows go in chunks whose superposition fits
-    ``_MEM_LIMIT``; only a single row that does not fit is refused.
+    ``layers`` are as ``_superposed`` takes them, and ``events`` has each
+    row's event, or is None for the sure event. Returns the rows' measures,
+    shape (rows,), and, when ``bonds`` is a bond mask, the measures of each
+    row's event and {o connected to y on ``bonds``} for every vertex y,
+    shape (rows, n_vertices); else None. o's connection is read from the
+    component table as ``_indicator`` reads it, so each value sums the same
+    weights in the same order as the one-row measure of both events. A
+    layer without source masks leaves no rows. One row is read from
+    ``_superposed_row``'s cache; other batches go in chunks whose
+    superposition fits ``_MEM_LIMIT``, and only a single row that does not
+    fit is refused, before its event's indicator is built.
     """
-    rows = max(len(sms) for _, sms in layers)
+    counts = [len(sms) for _, sms in layers]
+    rows = max(counts) if min(counts) else 0
     step = max(1, (_MEM_LIMIT - _OVERHEAD) // _row_bytes(g.n_bonds, [m for m, _ in layers]))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
@@ -468,20 +441,33 @@ def _row_measures(g: CouplingGraph, layers: tuple, holds, bonds: int | None = No
         linked = lab == lab[:, :1]                   # o <-> y under each mask
     for lo in range(0, rows, step):
         part = tuple((m, sms if len(sms) == 1 else sms[lo:lo + step]) for m, sms in layers)
-        for r, w in enumerate(_superposed(g, part), lo):
+        batch = (_superposed_row(g, part),) if rows == 1 else _superposed(g, part)
+        for r, w in enumerate(batch, lo):
             on = linked
-            if holds is not None:
-                w = w[holds[r]]
-                on = None if linked is None else linked[holds[r]]
+            if events is not None:
+                holds = _indicator(g, events[r])
+                w = w[holds]
+                on = None if linked is None else linked[holds]
             total[r] = w.sum()
             if on is not None:
                 ysum[r] = [w[c].sum() for c in on.T]
     return total, ysum
 
 
+def _check_cap(g: CouplingGraph, cap: int | None) -> None:
+    if cap is not None and g.n_bonds > cap:
+        raise CapExceeded(f"{g.n_bonds} bonds exceeds cap {cap}")
+
+
 # ---------------------------------------------------------------------------
 # double-connection weights and through-set measures
 # ---------------------------------------------------------------------------
+
+def _pi0_layers(g: CouplingGraph, xs) -> tuple:
+    """One layer on all bonds sourced at {o, x}, a row per x in ``xs``."""
+    o = g.labels[0]
+    return ((_bonds_arg(g, None), tuple(_source_mask(g, (o, x)) for x in xs)),)
+
 
 def pi0(g: CouplingGraph, x) -> float:
     """Sourced weight of double connection between the origin o and x.
@@ -491,26 +477,22 @@ def pi0(g: CouplingGraph, x) -> float:
     sorts first. Diagonal x == o gives exactly 1 (the sourceless sum is the
     partition sum).
     """
-    o = g.labels[0]
-    return event_measure(g, [Layer(None, (o, x))], double_conn(o, x))
+    return float(_row_measures(g, _pi0_layers(g, (x,)), [double_conn(g.labels[0], x)])[0][0])
 
 
-def pi0_tilde_rows(g: CouplingGraph) -> np.ndarray:
-    """pi0 with the extra demand that o reaches y, for every x != o and every
-    vertex y, shape (n_vertices - 1, n_vertices): one superposition, a row
-    per x."""
-    o, xs, full = g.labels[0], g.labels[1:], _bonds_arg(g, None)
-    layers = ((full, tuple(_source_mask(g, (o, x)) for x in xs)),)
-    holds = [_indicator(g, double_conn(o, x)) for x in xs]
-    return _row_measures(g, layers, holds, full)[1]
+def pi0_rows(g: CouplingGraph) -> tuple:
+    """pi0(g, x) for every x != o, shape (n_vertices - 1,), and pi0-tilde,
+    pi0 with the extra demand that o reaches y, for those x and every vertex
+    y, shape (n_vertices - 1, n_vertices): one superposition, a row per x."""
+    o, xs = g.labels[0], g.labels[1:]
+    events = [double_conn(o, x) for x in xs]
+    return _row_measures(g, _pi0_layers(g, xs), events, _bonds_arg(g, None))
 
 
 def _through_layers(g: CouplingGraph, xs, A) -> tuple:
     """Outer sourceless layer on the bonds avoiding A, inner layer sourced at
     {o, x} on all bonds, a row per x in ``xs``."""
-    o = g.labels[0]
-    return ((_outside_bonds(g, A), (0,)),
-            (_bonds_arg(g, None), tuple(_source_mask(g, (o, x)) for x in xs)))
+    return ((_outside_bonds(g, A), (0,)), *_pi0_layers(g, xs))
 
 
 def theta_prime(g: CouplingGraph, x, A) -> float:
@@ -520,7 +502,8 @@ def theta_prime(g: CouplingGraph, x, A) -> float:
     positive path from o to x meeting A. With A empty this is 0 for x != o;
     on the diagonal it degenerates to 1{o in A}.
     """
-    return _measure(g, _through_layers(g, (x,), A), through(g.labels[0], x, A))
+    layers = _through_layers(g, (x,), A)
+    return float(_row_measures(g, layers, [through(g.labels[0], x, A)])[0][0])
 
 
 def theta_rows(g: CouplingGraph, A) -> tuple:
@@ -529,39 +512,51 @@ def theta_rows(g: CouplingGraph, A) -> tuple:
     in the superposition, for those x and every vertex y, shape
     (n_vertices - 1, n_vertices): one superposition, a row per x."""
     o, xs = g.labels[0], g.labels[1:]
-    holds = [_indicator(g, through(o, x, A)) for x in xs]
-    return _row_measures(g, _through_layers(g, xs, A), holds, _bonds_arg(g, None))
+    events = [through(o, x, A) for x in xs]
+    return _row_measures(g, _through_layers(g, xs, A), events, _bonds_arg(g, None))
+
+
+def _sst_lhs_layers(g: CouplingGraph, xs, B, B_prime) -> tuple:
+    """A sourceless layer on B_prime, none when B_prime is None, then a
+    layer on B sourced at {o, x}, a row per x in ``xs``."""
+    o = g.labels[0]
+    inner = ((_bonds_arg(g, B), tuple(_source_mask(g, (o, x)) for x in xs)),)
+    return inner if B_prime is None else ((_bonds_arg(g, B_prime), (0,)), *inner)
 
 
 def sst_lhs(g: CouplingGraph, x, y, B=None, B_prime=None,
             cap: int | None = None) -> float:
-    """Sourced weight on B of {o connected to y}, optionally with a second
-    sourceless layer on B_prime; the connection only uses positive bonds of B."""
-    o = g.labels[0]
-    ev = conn(o, y, bonds=B)
-    layers = [Layer(ev.bonds, (o, x))]
-    if B_prime is not None:
-        layers.insert(0, Layer(B_prime, ()))
-    return event_measure(g, layers, ev, cap=cap)
+    """Sourced weight on B of {o connected to y}, with a second sourceless
+    layer on B_prime unless it is None; the connection only uses positive
+    bonds of B."""
+    layers = _sst_lhs_layers(g, (x,), B, B_prime)
+    _check_cap(g, cap)
+    return float(_row_measures(g, layers, [conn(g.labels[0], y, bonds=B)])[0][0])
 
 
 def sst_lhs_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
     """sst_lhs(g, x, y, B, B_prime) for every x != o and every vertex y,
-    shape (n_vertices - 1, n_vertices): one superposition, a row per x.
-    B and B_prime are bond indices, or None for all bonds."""
-    o, b = g.labels[0], _bonds_arg(g, B)
-    layers = ((_bonds_arg(g, B_prime), (0,)),
-              (b, tuple(_source_mask(g, (o, x)) for x in g.labels[1:])))
-    return _row_measures(g, layers, None, b)[1]
+    shape (n_vertices - 1, n_vertices): one superposition, a row per x."""
+    layers = _sst_lhs_layers(g, g.labels[1:], B, B_prime)
+    return _row_measures(g, layers, None, _bonds_arg(g, B))[1]
+
+
+def _switch_layers(g: CouplingGraph, xy, B, B_prime) -> tuple:
+    """A layer on B_prime sourced at {o, y}, then one on B sourced at
+    {y, x}, a row per (x, y) in ``xy``."""
+    o = g.labels[0]
+    return ((_bonds_arg(g, B_prime), tuple(_source_mask(g, (o, y)) for _, y in xy)),
+            (_bonds_arg(g, B), tuple(_source_mask(g, (y, x)) for x, y in xy)))
 
 
 def sst_switch_rhs(g: CouplingGraph, x, y, B=None, B_prime=None,
                    cap: int | None = None) -> float:
     """Partner expression of the source-switching identity: sources moved to
-    {o, y} on B_prime and {y, x} on B, same superposed connection event."""
-    o = g.labels[0]
-    ev = conn(o, y, bonds=B)
-    return event_measure(g, [Layer(B_prime, (o, y)), Layer(ev.bonds, (y, x))], ev, cap=cap)
+    {o, y} on B_prime and {y, x} on B, same superposed connection event.
+    Here B_prime None means all bonds, as B does."""
+    layers = _switch_layers(g, ((x, y),), B, B_prime)
+    _check_cap(g, cap)
+    return float(_row_measures(g, layers, [conn(g.labels[0], y, bonds=B)])[0][0])
 
 
 def sst_switch_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
@@ -570,10 +565,8 @@ def sst_switch_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
     row per (x, y)."""
     o = g.labels[0]
     xy = [(x, y) for x in g.labels[1:] for y in g.labels]
-    layers = ((_bonds_arg(g, B_prime), tuple(_source_mask(g, (o, y)) for _, y in xy)),
-              (_bonds_arg(g, B), tuple(_source_mask(g, (y, x)) for x, y in xy)))
-    holds = [_indicator(g, conn(o, y, bonds=B)) for _, y in xy]
-    return _row_measures(g, layers, holds)[0]
+    events = [conn(o, y, bonds=B) for _, y in xy]
+    return _row_measures(g, _switch_layers(g, xy, B, B_prime), events)[0]
 
 
 _ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step

@@ -206,6 +206,31 @@ def test_unusable_corpus_dir_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_one_vertex_corpus_graph_exits_2(tmp_path, capsys):
+    """A corpus graph with one vertex has no x != o to measure to: a config
+    error (exit code 2, no traceback and no report) in every suite that
+    reads the corpus."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_graph(build_graph([0], [], beta=0.5), str(corpus / "dot.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_dir": str(corpus)}))
+    for suite in ("identities", "sst", "theorems"):
+        assert main(["run", suite, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "one vertex" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sampled_layer_pairs_are_distinct():
+    """No corpus graph gets a (B, B') pair twice, not even with one or two
+    bonds, where half the bonds are all of them."""
+    for iid, g in default_corpus():
+        pairs = cli._sampled_layer_pairs(g)
+        assert len(set(pairs)) == len(pairs), iid
+
+
 def test_malformed_outside_input_exits_2(tmp_path, capsys):
     """A corpus graph without couplings, a graph file holding a list, and an
     ill-typed config entry are config errors: exit code 2, no traceback and

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from currentkit import (
-    CapExceeded, Layer,
+    CapExceeded,
     build_graph, conn, correlation, double_conn,
-    event_measure, four_point, partition_function, pi0,
+    four_point, partition_function, pi0,
     sst_lhs, sst_switch_rhs, spin_expectation, theta_prime,
     through, two_point_matrix,
 )
-from currentkit.currents import _indicator, class_weights
-from test_families import conj, pi0_tilde, theta_double_prime
+from currentkit.currents import class_weights
+from test_families import conj, indicator, pi0_tilde, theta_double_prime
 
 
 def triangle(beta=1.0):
@@ -113,7 +113,7 @@ def test_sourceless_connection_closed_form():
     beta = 0.8
     c, s = math.cosh(beta), math.sinh(beta)
     g = triangle(beta)
-    got = event_measure(g, [Layer(None, ())], conn(0, 1))
+    got = sst_lhs(g, 0, 1)          # x = o: one sourceless layer
     want = ((c - 1) * c * c + (c - 1) ** 2 + s ** 3) / (c ** 3 + s ** 3)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -166,15 +166,15 @@ def test_event_holds_primitives():
     assert g.bonds == ((0, 1), (0, 3), (1, 2), (2, 3))
     cycle = 0b1111
     path_012 = (1 << 0) | (1 << 2)
-    assert _indicator(g, conn(0, 2))[path_012]
-    assert not _indicator(g, double_conn(0, 2))[path_012]
-    assert _indicator(g, double_conn(0, 2))[cycle]
-    assert not _indicator(g, through(0, 2, (1,)))[cycle]  # 0-3-2 avoids 1
-    assert _indicator(g, through(0, 2, (1, 3)))[cycle]
-    assert _indicator(g, conj(conn(0, 1), conn(2, 3)))[(1 << 0) | (1 << 3)]
-    assert not _indicator(g, conj(conn(0, 1), conn(2, 3)))[1 << 0]
+    assert indicator(g, conn(0, 2))[path_012]
+    assert not indicator(g, double_conn(0, 2))[path_012]
+    assert indicator(g, double_conn(0, 2))[cycle]
+    assert not indicator(g, through(0, 2, (1,)))[cycle]  # 0-3-2 avoids 1
+    assert indicator(g, through(0, 2, (1, 3)))[cycle]
+    assert indicator(g, conj(conn(0, 1), conn(2, 3)))[(1 << 0) | (1 << 3)]
+    assert not indicator(g, conj(conn(0, 1), conn(2, 3)))[1 << 0]
     # bond-restricted connection ignores positive bonds outside the window
-    assert not _indicator(g, conn(0, 2, bonds=(0,)))[path_012]
+    assert not indicator(g, conn(0, 2, bonds=(0,)))[path_012]
 
 
 def test_theta_prime_degenerate_cases():
@@ -213,7 +213,10 @@ def test_beta_zero_degenerates():
 def test_caps_are_enforced():
     g = triangle(0.5)
     with pytest.raises(CapExceeded):
-        event_measure(g, [Layer(None, ()), Layer(None, ())], conn(0, 1), cap=2)
+        sst_lhs(g, 1, 2, B_prime=(0, 1, 2), cap=2)
+    with pytest.raises(CapExceeded):
+        sst_switch_rhs(g, 1, 2, cap=2)
+    assert sst_switch_rhs(g, 1, 2, cap=3) > 0.0
 
 
 def test_seventeen_bond_ring_is_not_capped():
@@ -243,8 +246,8 @@ def test_pi0_tilde_bounds():
 
 def test_two_layer_measure_against_brute():
     g = path3(0.7)
-    # two full sourceless layers, connection in the superposition
-    got = event_measure(g, [Layer(None, ()), Layer(None, ())], conn(0, 2))
+    # two full sourceless layers (x = o), connection in the superposition
+    got = sst_lhs(g, 0, 2, B_prime=(0, 1))
     Z = brute_Z(g)
     total = 0.0
     for cls1 in itertools.product((0, 1, 2), repeat=2):

@@ -9,7 +9,7 @@ events, and the outer product of the layers' nonzero weights accumulated with
 ``np.add.at`` for the superposition, each layer on its own sweep of its
 bonds. A layer's rows of the one positive table per graph equal that sweep
 bit for bit, and the all-subsets tables, read from the same table, are
-checked against one ``event_measure`` call per bond subset.
+checked against the scalar route per bond subset.
 """
 from __future__ import annotations
 
@@ -20,16 +20,16 @@ import numpy as np
 import pytest
 
 from currentkit import (
-    CapExceeded, Layer, SpreadOut,
-    build_graph, conn, double_conn, embed_on_torus, event_measure,
-    partition_function, spin_expectation, sst_lhs, sst_switch_rhs, through,
+    CapExceeded, SpreadOut,
+    build_graph, conn, double_conn, embed_on_torus, partition_function, pi0,
+    spin_expectation, sst_lhs, sst_switch_rhs, theta_prime, through,
 )
 from currentkit import currents
 from currentkit.cli import (
     CORPUS_SHAPES, UPWARD, RunConfig, _lace_instance, _sampled_layer_pairs, _sst_instance,
     _theorems_instance,
 )
-from test_families import conj
+from test_families import Conj, Layer, conj, event_measure, indicator, layer_key
 
 
 def corpus_graphs(seed=7):
@@ -191,7 +191,7 @@ def _through(g, mask, iu, iv, A_idx):
 
 
 def oracle_holds(g, ev, mask):
-    if ev.kind == "and":
+    if isinstance(ev, Conj):
         return all(oracle_holds(g, p, mask) for p in ev.parts)
     if ev.bonds is not None:
         mask &= sum(1 << b for b in ev.bonds)
@@ -228,7 +228,7 @@ def test_indicator_matches_per_mask_oracle(shape):
     masks = range(1 << g.n_bonds)
     for ev in suite_events(g):
         want = np.array([oracle_holds(g, ev, m) for m in masks])
-        got = currents._indicator(g, ev)
+        got = indicator(g, ev)
         assert got.dtype == bool
         assert np.array_equal(got, want), ev
 
@@ -293,12 +293,6 @@ def layer_stacks(g):
     ]
 
 
-def _key(g, layers):
-    """``_superposed``'s one-row key of ``layers``."""
-    return tuple((currents._bonds_arg(g, l.bonds), (currents._source_mask(g, l.sources),))
-                 for l in layers)
-
-
 @pytest.mark.parametrize("g", corpus_graphs() + [spread_torus()],
                          ids=lambda g: f"n{g.n_vertices}b{g.n_bonds}@{g.beta:g}")
 def test_covering_product_matches_outer_product(g):
@@ -306,7 +300,7 @@ def test_covering_product_matches_outer_product(g):
         if len(layers) > 2 and g.n_bonds > 7:
             continue
         want = outer_superposition(g, layers)
-        got = currents._superposed(g, _key(g, layers))
+        got = currents._superposed(g, layer_key(g, layers))
         assert got.shape == (1, 1 << g.n_bonds)
         np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=0.0)
 
@@ -323,7 +317,7 @@ def test_superposition_rows_are_the_one_row_superpositions(g):
         if len(layers) > 2 and g.n_bonds > 7:
             continue
         *outer, last = layers
-        keys = [_key(g, outer + [Layer(last.bonds, (o, x))]) for x in g.labels]
+        keys = [layer_key(g, outer + [Layer(last.bonds, (o, x))]) for x in g.labels]
         batch = (*keys[0][:-1], (keys[0][-1][0], tuple(k[-1][1][0] for k in keys)))
         got = currents._superposed(g, batch)
         assert got.shape == (len(keys), 1 << g.n_bonds)
@@ -383,20 +377,25 @@ def test_cover_of_a_row_stack_is_the_rows_covered_one_at_a_time():
 
 
 def test_event_measure_matches_per_mask_route():
+    """The four scalar measures against the outer-product superposition
+    summed over the per-mask event oracle."""
     g = spread_torus()
     o, x, y = g.labels[0], g.labels[2], g.labels[3]
     full = tuple(range(g.n_bonds))
     cases = [
-        ([Layer(None, (o, x))], double_conn(o, x)),
-        ([Layer(_bond_tuple(g, currents._outside_bonds(g, (y,))), ()), Layer(None, (o, x))],
+        (pi0(g, x), [Layer(None, (o, x))], double_conn(o, x)),
+        (theta_prime(g, x, (y,)),
+         [Layer(_bond_tuple(g, currents._outside_bonds(g, (y,))), ()), Layer(None, (o, x))],
          through(o, x, (y,))),
-        ([Layer(full, ()), Layer(full, (o, x))], conn(o, y, bonds=full)),
-        ([Layer(full, (o, y)), Layer(full, (y, x))], conn(o, y, bonds=full)),
+        (sst_lhs(g, x, y, B=full, B_prime=full, cap=16),
+         [Layer(full, ()), Layer(full, (o, x))], conn(o, y, bonds=full)),
+        (sst_switch_rhs(g, x, y, B=full, B_prime=full, cap=16),
+         [Layer(full, (o, y)), Layer(full, (y, x))], conn(o, y, bonds=full)),
     ]
-    for layers, ev in cases:
+    for got, layers, ev in cases:
         dense = outer_superposition(g, layers)
         want = sum(w for m, w in enumerate(dense.tolist()) if w and oracle_holds(g, ev, m))
-        assert event_measure(g, layers, ev, cap=16) == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- all-subsets connection tables against per-subset calls ----------------
@@ -475,18 +474,16 @@ def _rows(key):
 
 def test_theorems_instance_builds_each_superposition_once(monkeypatch):
     """A corpus theorems instance builds one batch, a row per x != o, for
-    each anchor set (theta' and theta'') and one for pi0-tilde; beside them
-    only pi0's one-row layers. No key is built twice."""
+    each anchor set (theta' and theta'') and one for pi0 and pi0-tilde, and
+    nothing else. No key is built twice."""
     g = max(corpus_graphs(), key=lambda g: g.n_vertices)
     n = g.n_vertices
     currents.clear_caches()
     keys = _spy_superpositions(monkeypatch)
     _theorems_instance("grid", g, RunConfig())
     monkeypatch.undo()
-    batches = [k for k in keys if _rows(k) > 1]
-    assert len(batches) == (n + 1) + 1                  # n + 1 anchor sets, pi0-tilde
-    assert all(_rows(k) == n - 1 for k in batches)
-    assert len(keys) == len(batches) + (n - 1)          # pi0 at each x != o
+    assert len(keys) == (n + 1) + 1                     # n + 1 anchor sets, pi0
+    assert all(_rows(k) == n - 1 for k in keys)
     assert len(set(keys)) == len(keys)
     currents.clear_caches()
 
@@ -505,6 +502,20 @@ def test_sst_instance_builds_one_superposition_per_layer_pair(monkeypatch):
     monkeypatch.undo()
     assert sorted(map(_rows, keys)) == sorted([n - 1] * len(pairs) + [(n - 1) * n] * len(nested))
     assert len(set(keys)) == len(keys)
+    currents.clear_caches()
+
+
+def test_scalar_calls_on_one_layer_set_build_it_once(monkeypatch):
+    """sst_lhs at one x and three y, as the benchmark's switch steps ask
+    for it on a torus, reads one cached one-row superposition."""
+    g = spread_torus()
+    full = tuple(range(g.n_bonds))
+    far = g.labels[2]
+    currents.clear_caches()
+    keys = _spy_superpositions(monkeypatch)
+    for y in (g.labels[0], g.labels[1], far):
+        sst_lhs(g, far, y, B=full, B_prime=full)
+    assert len(keys) == 1 and _rows(keys[0]) == 1
     currents.clear_caches()
 
 
@@ -676,15 +687,14 @@ def test_side8_two_layer_measure_refused_before_allocation():
 
 def test_oversize_superposition_refused_before_allocation(monkeypatch):
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
-    two = [Layer(None, ()), Layer(None, (0, 2))]
     work = 3 ** g.n_bonds * 32 + (32 << g.n_bonds) + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
-        event_measure(g, two, conn(0, 2))
+        sst_lhs(g, 2, 2, B_prime=(0, 1, 2))
     assert currents._positive_table.cache_info().currsize == 0
     monkeypatch.setattr(currents, "_MEM_LIMIT", work)
-    assert event_measure(g, two, conn(0, 2)) > 0.0
+    assert sst_lhs(g, 2, 2, B_prime=(0, 1, 2)) > 0.0
     # at the real limit the check fires before anything is built
     monkeypatch.undo()
     currents.clear_caches()
@@ -728,7 +738,7 @@ def test_clear_caches_empties_every_cache():
     assert len(caches) >= 6
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
     partition_function(g)
-    event_measure(g, [Layer(None, ()), Layer(None, (0, 1))], conn(0, 2))
+    sst_lhs(g, 1, 2, B_prime=(0, 1, 2))
     assert all(f.cache_info().currsize > 0 for f in caches)
     currents.clear_caches()
     assert all(f.cache_info().currsize == 0 for f in caches)
