@@ -63,6 +63,10 @@ ZERO, EVEN, ODD = 0, 1, 2
 
 _MEM_LIMIT = 1 << 30
 _OVERHEAD = 1 << 16     # interpreter objects and array headers of one call
+# Bytes of superposition per chunk of a family's rows: a working set that no
+# cache holds is slower than the rows one at a time. Below eight bonds every
+# family fits one chunk.
+_ROWS_CHUNK = 1 << 24
 
 
 class CapExceeded(ValueError):
@@ -428,12 +432,14 @@ def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = N
     weights in the same order as the one-row measure of both events. A
     layer without source masks leaves no rows. One row is read from
     ``_superposed_row``'s cache; other batches go in chunks whose
-    superposition fits ``_MEM_LIMIT``, and only a single row that does not
-    fit is refused, before its event's indicator is built.
+    superposition fits both ``_MEM_LIMIT`` and ``_ROWS_CHUNK``, at least one
+    row each, and only a single row that does not fit ``_MEM_LIMIT`` is
+    refused, before its event's indicator is built.
     """
     counts = [len(sms) for _, sms in layers]
     rows = max(counts) if min(counts) else 0
-    step = max(1, (_MEM_LIMIT - _OVERHEAD) // _row_bytes(g.n_bonds, [m for m, _ in layers]))
+    budget = min(_MEM_LIMIT - _OVERHEAD, _ROWS_CHUNK)
+    step = max(1, budget // _row_bytes(g.n_bonds, [m for m, _ in layers]))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
         ysum = np.empty((rows, g.n_vertices))

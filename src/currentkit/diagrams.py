@@ -104,7 +104,9 @@ class DiagramEngine:
         self.psi = self.E @ self.chain0 @ self.E
         self.T3 = triangle_tensor(fields.G) if T3 is None else T3
         self.EC = self.E @ self.chain_prev
-        self._res_cache: dict = {}
+        self._res_cache: dict = {}     # prefix -> chain sum after it, or its refusal
+        self._mids: dict = {}          # anchor -> anchored middle matrix
+        self._cols: dict = {}          # anchor -> anchored terminal columns
 
     # -- kernel middles ----------------------------------------------------
 
@@ -114,96 +116,124 @@ class DiagramEngine:
             return self.psi
         if kind in ("ddotU", "dddotU"):
             anchor = spec[-1]
-            TT = np.einsum("abc,c->ab", self.T3, self.chain_prev[anchor])
-            return self.EC @ TT @ self.EC.T
+            if anchor not in self._mids:
+                TT = np.einsum("abc,c->ab", self.T3, self.chain_prev[anchor])
+                self._mids[anchor] = self.EC @ TT @ self.EC.T
+            return self._mids[anchor]
         raise GraphError(f"unknown kernel {spec!r}")
 
     def apply_kernel(self, P: np.ndarray, spec) -> np.ndarray:
-        """Push a pair field through one chain kernel.
+        """Push a pair field, or a stack of them (k, n, n), through one chain
+        kernel; each field of a stack takes the products of a single one.
 
         spec is ("U",), ("dotU", a), ("ddotU", a) or ("dddotU", a, v): plain or
         anchored prefix, sandwich or anchored-triangle middle.
         """
-        mid = self._mid_matrix(spec)
-        M = P @ mid
+        MT = (P @ self._mid_matrix(spec)).swapaxes(-1, -2)
         kind = spec[0]
         if kind in ("U", "ddotU"):
-            return self.f.G * (M.T @ self.f.Gt)
+            return self.f.G * (MT @ self.f.Gt)
         a = spec[1]
-        t1 = self.f.G * np.outer(M.T @ self.f.G[:, a], self.f.Gt[a])
-        t2 = np.outer(self.f.Gt[:, a], self.f.G[a]) * (M.T @ self.f.Gt)
+        t1 = self.f.G * ((MT @ self.f.G[:, a])[..., None] * self.f.Gt[a])
+        t2 = np.outer(self.f.Gt[:, a], self.f.G[a]) * (MT @ self.f.Gt)
         return t1 + t2
 
     # -- terminals ---------------------------------------------------------
 
-    def _terminal_column(self, spec, x) -> np.ndarray:
-        kind = spec[0]
-        if kind in ("V", "dotV"):
-            return self.chain1[:, x]
+    def _terminal_columns(self, spec) -> np.ndarray:
+        """The terminal kernel's column at every endpoint x, one row per x."""
+        if spec[0] in ("V", "dotV"):
+            return self.chain1.T
         anchor = spec[-1]
-        t = np.einsum("abc,b,c->a", self.T3, self.chain_prev[x],
-                      self.chain_prev[anchor])
-        col = self.EC @ t
-        if self.gate:
-            col = col.copy()
-            col[x] = 0.0
-        return col
+        if anchor not in self._cols:
+            cols = []
+            for x in range(self.f.n):
+                t = np.einsum("abc,b,c->a", self.T3, self.chain_prev[x],
+                              self.chain_prev[anchor])
+                cols.append(self.EC @ t)
+                if self.gate:
+                    cols[-1][x] = 0.0
+            self._cols[anchor] = np.array(cols)
+        return self._cols[anchor]
 
-    def terminal_value(self, P: np.ndarray, spec, x: int) -> float:
-        """Contract a pair field with a terminal kernel at endpoint x.
+    def terminal_value(self, P: np.ndarray, spec, x=None):
+        """Contract a pair field with a terminal kernel at endpoint x, or at
+        every endpoint (an array over x) when x is None; each endpoint takes
+        the products of its own contraction.
 
         spec is ("V",), ("dotV", a), ("ddotV", a) or ("dddotV", a, v).
         """
-        kind = spec[0]
-        col = self._terminal_column(spec, x)
-        if kind in ("V", "ddotV"):
-            left = self.f.Gt[:, x]
-            return float(left @ P @ col)
-        a = spec[1]
-        left = self.f.G[:, a]
-        return float(self.f.Gt[a, x] * (left @ P @ col))
+        cols = self._terminal_columns(spec)[:, :, None]
+        if spec[0] in ("V", "ddotV"):
+            vals = ((self.f.Gt.T[:, None, :] @ P) @ cols)[:, 0, 0]
+        else:
+            a = spec[1]
+            vals = self.f.Gt[a] * ((self.f.G[:, a] @ P) @ cols)[:, 0]
+        return vals if x is None else float(vals[x])
 
     # -- chain sums ----------------------------------------------------------
 
-    def _l1(self, P: np.ndarray) -> float:
-        return float(np.abs(P).sum())
+    def _l1(self, P: np.ndarray) -> np.ndarray:
+        """Total mass of each field of a stack."""
+        return np.abs(P).reshape(len(P), -1).sum(axis=1)
 
     def resolvent(self, P: np.ndarray):
         """Sum of repeated plain-kernel applications, certified upward.
 
-        Iterates until the increment's total mass is below
-        CHAIN_ATOL * (1 - rho) / rho with rho the largest observed step contraction;
-        the residual tail mass is then added to every entry, which dominates
-        the missing terms entrywise. Refuses when a step fails to contract.
+        P is a pair field or a stack of them (k, n, n), each summed on its
+        own: it iterates until its increment's total mass is below
+        CHAIN_ATOL * (1 - rho) / rho with rho its largest observed step
+        contraction; the residual tail mass is then added to every entry,
+        which dominates the missing terms entrywise. A field refuses when a
+        step fails to contract.
+
+        One field gives (total, info) with its iterations, rho and tail, and
+        raises NonContracting on refusal. A stack gives the totals, +inf for
+        a refused field, and info with rho and tail per field (a refused
+        field keeps the rho of its failing step) and the iterations summed
+        over the fields.
         """
-        total = P.copy()
-        mass = self._l1(P)
-        if mass == 0.0:
-            return total, {"iterations": 0, "rho": 0.0, "tail": 0.0}
-        cur = P
-        rho = 0.0
+        rows = P[None] if P.ndim == 2 else P
+        total = rows.copy()
+        mass = self._l1(rows)
+        rho, tail = np.zeros(len(rows)), np.zeros(len(rows))
         iters = 0
-        while True:
+        # the fields still summing, with their last step, sum so far, mass and rho
+        live = np.flatnonzero(mass != 0.0)
+        cur, acc, mass, r = rows[live], total[live], mass[live], rho[live]
+        while live.size:
             cur = self.apply_kernel(cur, ("U",))
-            prev, mass = mass, self._l1(cur)
-            rho = max(rho, mass / prev)
-            if rho >= 1.0:
-                raise NonContracting(f"chain step contraction {rho} >= 1")
-            iters += 1
-            total = total + cur
-            if mass < CHAIN_ATOL * (1.0 - rho) / max(rho, 1e-300):
-                break
-        tail = mass * rho / (1.0 - rho)
-        return total + tail, {"iterations": iters, "rho": rho, "tail": tail}
+            step = self._l1(cur)
+            r = np.maximum(r, step / mass)
+            mass = step
+            out = r >= 1.0
+            if out.any():
+                rho[live[out]], total[live[out]], tail[live[out]] = r[out], math.inf, math.inf
+                keep = ~out
+                live, cur, acc, mass, r = live[keep], cur[keep], acc[keep], mass[keep], r[keep]
+            iters += live.size
+            acc = acc + cur
+            done = mass < CHAIN_ATOL * (1.0 - r) / np.maximum(r, 1e-300)
+            if done.any():
+                fin = live[done]
+                rho[fin] = r[done]
+                tail[fin] = mass[done] * r[done] / (1.0 - r[done])
+                total[fin] = acc[done] + tail[fin][:, None, None]
+                keep = ~done
+                live, cur, acc, mass, r = live[keep], cur[keep], acc[keep], mass[keep], r[keep]
+        if P.ndim == 3:
+            return total, {"iterations": iters, "rho": rho, "tail": tail}
+        if rho[0] >= 1.0:
+            raise NonContracting(_chain_refusal(rho[0]))
+        return total[0], {"iterations": iters, "rho": float(rho[0]),
+                          "tail": float(tail[0])}
 
     def resolvent_exact(self, P: np.ndarray) -> np.ndarray:
         """Same sum by an exact linear solve over pair space (cross-check)."""
         n = self.f.n
-        basis = np.zeros((n * n, n * n))
-        for k in range(n * n):
-            e = np.zeros(n * n)
-            e[k] = 1.0
-            basis[:, k] = self.apply_kernel(e.reshape(n, n), ("U",)).ravel()
+        units = np.eye(n * n).reshape(n * n, n, n)
+        basis = np.ascontiguousarray(
+            self.apply_kernel(units, ("U",)).reshape(n * n, n * n).T)
         op = np.eye(n * n) - basis
         rho = _spectral_radius(basis)
         if rho >= 1.0:
@@ -216,17 +246,41 @@ class DiagramEngine:
         P[0, 0] = 1.0
         return P
 
+    def _resolve(self, prefixes) -> None:
+        """Sum the plain chain after each prefix (a tuple of middle kernel
+        specs) and after each prefix of those, level by level: one stacked
+        resolvent per prefix length. A refusal is kept, and every prefix that
+        extends a refused one inherits it."""
+        todo = dict.fromkeys(p[:k] for p in prefixes for k in range(len(p) + 1))
+        todo = [p for p in todo if p not in self._res_cache]
+        for level in range(1 + max(map(len, todo), default=-1)):
+            keys, seeds = [], []
+            for p in todo:
+                if len(p) != level:
+                    continue
+                prev = self._res_cache[p[:-1]] if p else self._delta_pair()
+                if isinstance(prev, str):
+                    self._res_cache[p] = prev
+                    continue
+                keys.append(p)
+                seeds.append(self.apply_kernel(prev, p[-1]) if p else prev)
+            if keys:
+                totals, info = self.resolvent(np.stack(seeds))
+                rho = np.broadcast_to(info["rho"], len(keys))
+                for p, t, r in zip(keys, totals, rho):
+                    self._res_cache[p] = _chain_refusal(r) if r >= 1.0 else t
+
     def _resolved(self, mids: tuple) -> np.ndarray:
         if mids not in self._res_cache:
-            if mids:
-                seed = self.apply_kernel(self._resolved(mids[:-1]), mids[-1])
-            else:
-                seed = self._delta_pair()
-            self._res_cache[mids], _ = self.resolvent(seed)
-        return self._res_cache[mids]
+            self._resolve([mids])
+        out = self._res_cache[mids]
+        if isinstance(out, str):
+            raise NonContracting(out)
+        return out
 
-    def chain_sum_X(self, x: int, placements) -> float:
-        """Value of a sum of placed chains from the origin, vertex 0, to x.
+    def chain_sum_X(self, placements) -> np.ndarray:
+        """Values of a sum of placed chains from the origin, vertex 0, to
+        every endpoint x, an array over x.
 
         Each placement is (mids, terminal, coefficient): a tuple of middle
         kernel specs, one terminal spec, and a scalar weight. Every gap
@@ -234,9 +288,12 @@ class DiagramEngine:
         """
         total = 0.0
         for mids, term, coeff in placements:
-            P = self._resolved(tuple(mids))
-            total += coeff * self.terminal_value(P, term, x)
+            total += coeff * self.terminal_value(self._resolved(tuple(mids)), term)
         return total
+
+
+def _chain_refusal(rho) -> str:
+    return f"chain step contraction {float(rho)} >= 1"
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +380,23 @@ def reduced_dddotv_value(fields: GraphFields, P: np.ndarray, x: int,
 # theorem right-hand sides
 # ---------------------------------------------------------------------------
 
+# chain table kind -> (placement list of its anchors, number of anchors)
+_TABLES = {"x": (placements_x, 0), "dotx": (placements_dotx, 1),
+           "ddotx": (placements_ddotx, 1), "dddotx": (placements_dddotx, 2)}
+
+
 class TheoremEvaluator:
     """Right-hand sides of the four diagrammatic bound theorems on a graph.
 
     Every bound is from the origin ``g.labels[0]`` to x. Depth-1 engines serve
     the zeroth-order bounds, infinite-depth engines the through-set bounds.
-    Chain values are memoised per depth, endpoint and placement list,
-    engines per depth; a depth whose build was refused raises its refusal
-    again without a rebuild.
+    Each (depth, placement kind) has one chain table over (anchors, x),
+    built when a bound first needs it, +inf where its chain sum is refused;
+    each (theorem, A) has one row of bounds over x, or (x, y), assembled
+    from the tables term by term in the order of the sum, so every entry
+    takes the floating-point steps of its scalar sum. Engines are kept per
+    depth; a depth whose build was refused raises its refusal again without
+    a rebuild.
     """
 
     def __init__(self, g: CouplingGraph):
@@ -338,7 +404,8 @@ class TheoremEvaluator:
         self.fields = fields_from_graph(g)
         self._engines: dict = {}
         self._refused: dict = {}
-        self._values: dict = {}
+        self._chains: dict = {}
+        self._rows: dict = {}
 
     def engine(self, m) -> DiagramEngine:
         if m in self._refused:
@@ -351,66 +418,94 @@ class TheoremEvaluator:
                 raise
         return self._engines[m]
 
-    def _chain(self, m, x: int, placements: list) -> float:
-        key = (m, x, tuple(placements))
-        if key not in self._values:
-            self._values[key] = self.engine(m).chain_sum_X(x, placements)
-        return self._values[key]
+    def _tables(self, m, *kinds) -> list:
+        """Chain values of each placement kind at depth m, indexed by its
+        anchors and then the endpoint x. The tables not built yet are built
+        together: every prefix their placements name is resolved first, one
+        stack per level."""
+        n = self.fields.n
+        lists = {}
+        for kind in kinds:
+            if (m, kind) not in self._chains:
+                place, arity = _TABLES[kind]
+                lists[kind] = [place(*anchors) for anchors in np.ndindex((n,) * arity)]
+        if lists:
+            eng = self.engine(m)
+            eng._resolve([mids for pls in lists.values() for pl in pls for mids, _, _ in pl])
+        for kind, pls in lists.items():
+            out = np.empty((len(pls), n))
+            for row, pl in zip(out, pls):
+                try:
+                    row[:] = eng.chain_sum_X(pl)
+                except NonContracting:
+                    row[:] = math.inf
+            self._chains[m, kind] = out.reshape((n,) * (_TABLES[kind][1] + 1))
+        return [self._chains[m, kind] for kind in kinds]
 
     def theorem_rhs(self, theorem: int, x, A=None, y=None,
                     strict: bool = True) -> float:
         """Evaluate one theorem's bound; +inf when a needed infinite chain
         diverges and strict is off."""
-        try:
-            return self._theorem_rhs(theorem, x, A=A, y=y)
-        except NonContracting:
-            if strict:
-                raise
-            return math.inf
-
-    def _theorem_rhs(self, theorem: int, x, A=None, y=None) -> float:
         g = self.g
         ix = g.index(x)
         if ix == 0:
             raise GraphError("theorem bounds exclude the diagonal x == o")
+        if theorem not in (1, 2, 3, 4):
+            raise GraphError(f"unknown theorem {theorem}")
+        if theorem in (2, 4) and A is None or theorem in (3, 4) and y is None:
+            raise GraphError({2: "theorem 2 needs the through set A",
+                              3: "theorem 3 needs the extra endpoint y",
+                              4: "theorem 4 needs both A and y"}[theorem])
+        key = (theorem, tuple(A) if theorem in (2, 4) else None)
+        at = (ix,) if theorem < 3 else (ix, g.index(y))
+        try:
+            if key not in self._rows:
+                ia = None if key[1] is None else [g.index(a) for a in key[1]]
+                self._rows[key] = self._theorem_rows(theorem, ia)
+        except NonContracting:
+            if strict:
+                raise
+            return math.inf
+        rhs = float(self._rows[key][at])
+        if strict and rhs == math.inf:
+            raise NonContracting(f"theorem {theorem} bound at x={x} needs a "
+                                 "chain sum that does not contract")
+        return rhs
+
+    def _theorem_rows(self, theorem: int, ia) -> np.ndarray:
+        """One theorem's bounds, over x (theorems 1 and 2) or (x, y), for the
+        through set of vertex indices ``ia``; each entry sums its terms in the
+        order of the scalar bound, and inf * 0 counts as +inf."""
+        n = self.fields.n
         if theorem == 1:
-            return 2.0 * self._chain(1, ix, placements_x())
-        if theorem == 2:
-            if A is None:
-                raise GraphError("theorem 2 needs the through set A")
-            tot = 0.0
-            for a in A:
-                ia = g.index(a)
-                if ia == ix:
-                    tot += self._chain(None, ix, placements_x())
-                tot += self._chain(None, ix, placements_dotx(ia))
-            return 2.0 * tot
-        if theorem == 3:
-            if y is None:
-                raise GraphError("theorem 3 needs the extra endpoint y")
-            iy = g.index(y)
-            tot = self._chain(1, ix, placements_dotx(iy))
-            tot += self._chain(1, ix, placements_ddotx(iy))
-            if iy == ix:
-                tot += self._chain(1, ix, placements_x())
-            return 2.0 * tot
-        if theorem == 4:
-            if A is None or y is None:
-                raise GraphError("theorem 4 needs both A and y")
-            iy = g.index(y)
+            tot, = self._tables(1, "x")
+        elif theorem == 2:
+            tot = np.zeros(n)
+            if ia:
+                X, dotX = self._tables(None, "x", "dotx")
+            for a in ia:
+                tot[a] += X[a]
+                tot += dotX[a]
+        elif theorem == 3:
+            X, dotX, ddotX = self._tables(1, "x", "dotx", "ddotx")
+            tot = dotX.T + ddotX.T
+            d = np.arange(n)
+            tot[d, d] += X
+        else:
             chain0 = self.engine(None).chain0
-            tot = 0.0
-            for a in A:
-                ia = g.index(a)
-                if ia == ix:
-                    tot += self._chain(None, ix, placements_ddotx(iy))
-                tot += self._chain(None, ix, placements_dddotx(ia, iy))
-                tot += self._chain(None, ix, placements_ddotx(ia)) * chain0[ix, iy]
-                for iyp in range(g.n_vertices):
-                    tot += (self._chain(None, ix, placements_dddotx(iyp, ia))
-                            * chain0[iyp, iy])
-            return 2.0 * tot
-        raise GraphError(f"unknown theorem {theorem}")
+            tot = np.zeros((n, n))
+            if ia:
+                ddotX, dddotX = self._tables(None, "ddotx", "dddotx")
+            with np.errstate(invalid="ignore"):     # inf * 0, made +inf below
+                for a in ia:
+                    tot[a] += ddotX[:, a]
+                    tot += dddotX[a].T
+                    tot += ddotX[a][:, None] * chain0
+                    for yp in range(n):
+                        tot += dddotX[yp, a][:, None] * chain0[yp]
+        rhs = 2.0 * tot
+        rhs[np.isnan(rhs)] = math.inf
+        return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_resolvent_certificate_dominates_exact():
     assert np.abs(cert - exact).max() <= 1e-8
 
 
+def test_resolvent_exact_basis_is_one_column_per_unit_field():
+    """The pair-space operator, built by one stacked kernel application,
+    has column k the kernel applied to the k-th unit pair field alone, so
+    the exact solve is bit for bit that of the column-by-column basis."""
+    eng = DiagramEngine(fields_from_graph(k4(beta=0.15)), None)
+    n = eng.f.n
+    basis = np.zeros((n * n, n * n))
+    for k in range(n * n):
+        e = np.zeros(n * n)
+        e[k] = 1.0
+        basis[:, k] = eng.apply_kernel(e.reshape(n, n), ("U",)).ravel()
+    P = rand_pair(n, seed=9)
+    want = np.linalg.solve(np.eye(n * n) - basis, P.ravel()).reshape(n, n)
+    assert eng.resolvent_exact(P).tobytes() == want.tobytes()
+
+
 def test_resolvent_vs_exact_rows(monkeypatch):
     """The theorems suite compares the certified chain sum from the origin
     pair field with the exact solve at both depths: it passes on a
@@ -191,8 +207,8 @@ def test_chain0_monotone_in_depth():
 def test_chain_sum_monotone_in_fields():
     f = fields_from_graph(k4(beta=0.1))
     fup = GraphFields(G=f.G * 1.1, Gt=f.Gt * 1.1, Tau=f.Tau)
-    lo = DiagramEngine(f, 1).chain_sum_X(2, placements_x())
-    hi = DiagramEngine(fup, 1).chain_sum_X(2, placements_x())
+    lo = DiagramEngine(f, 1).chain_sum_X(placements_x())[2]
+    hi = DiagramEngine(fup, 1).chain_sum_X(placements_x())[2]
     assert hi >= lo > 0.0
 
 
@@ -200,7 +216,7 @@ def test_theorem2_dominates_plain_chain():
     g = k4(beta=0.15)
     ev = TheoremEvaluator(g)
     rhs = ev.theorem_rhs(2, 2, A=(2,))
-    plain = ev.engine(None).chain_sum_X(2, placements_x())
+    plain = ev.engine(None).chain_sum_X(placements_x())[2]
     assert rhs >= 2.0 * plain - 1e-15
 
 
@@ -209,13 +225,13 @@ def test_theorem3_assembly():
     ev = TheoremEvaluator(g)
     eng = ev.engine(1)
     ix, iy = 2, 3
-    want = 2.0 * (eng.chain_sum_X(ix, placements_dotx(iy))
-                  + eng.chain_sum_X(ix, placements_ddotx(iy)))
+    want = 2.0 * (eng.chain_sum_X(placements_dotx(iy))[ix]
+                  + eng.chain_sum_X(placements_ddotx(iy))[ix])
     assert ev.theorem_rhs(3, 2, y=3) == pytest.approx(want, rel=1e-12)
     # y == x picks up the plain chain as well
-    want_eq = 2.0 * (eng.chain_sum_X(ix, placements_dotx(ix))
-                     + eng.chain_sum_X(ix, placements_ddotx(ix))
-                     + eng.chain_sum_X(ix, placements_x()))
+    want_eq = 2.0 * (eng.chain_sum_X(placements_dotx(ix))[ix]
+                     + eng.chain_sum_X(placements_ddotx(ix))[ix]
+                     + eng.chain_sum_X(placements_x())[ix])
     assert ev.theorem_rhs(3, 2, y=2) == pytest.approx(want_eq, rel=1e-12)
 
 
@@ -276,6 +292,33 @@ def test_refused_engine_is_built_once(monkeypatch):
         assert ev.theorem_rhs(1, x, strict=False) == math.inf
         assert ev.theorem_rhs(3, x, y=0, strict=False) == math.inf
     assert sorted(builds, key=str) == [1, None]
+
+
+def test_refused_chain_is_summed_once(monkeypatch):
+    """A refused chain sum is remembered: at depth one the plain chain from
+    the origin diverges, and every later bound that needs it raises again
+    (or gives inf) without summing it again."""
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                    beta=1.0)
+    rows = []
+    real = DiagramEngine.resolvent
+
+    def counted(self, P):
+        rows.append(len(P) if P.ndim == 3 else 1)
+        return real(self, P)
+
+    monkeypatch.setattr(DiagramEngine, "resolvent", counted)
+    ev = TheoremEvaluator(g)
+    for _ in range(3):
+        with pytest.raises(NonContracting):
+            ev.theorem_rhs(1, 1)
+        with pytest.raises(NonContracting):
+            ev.theorem_rhs(3, 2, y=1)
+    for x in (1, 2):
+        assert ev.theorem_rhs(1, x, strict=False) == math.inf
+        for y in (0, 1, 2):
+            assert ev.theorem_rhs(3, x, y=y, strict=False) == math.inf
+    assert sum(rows) == 1
 
 
 def test_reduced_kernels_match_overridden_engine():

@@ -574,6 +574,31 @@ def test_family_rows_go_in_chunks_that_fit(monkeypatch):
     currents.clear_caches()
 
 
+def test_family_chunks_stay_within_the_row_budget(monkeypatch):
+    """A family's rows go in chunks of at most ``_ROWS_CHUNK`` bytes of
+    superposition, with the values of a single chunk: on the 10-bond torus
+    the 20 switch rows take chunks of 8, 8 and 4. Below eight bonds every
+    family fits one chunk, since a connected graph on nb bonds has at most
+    nb + 1 vertices, so at most nb (nb + 1) rows, none larger than a row of
+    two layers on every bond."""
+    for nb in range(8):
+        every = (1 << nb) - 1
+        assert nb * (nb + 1) * currents._row_bytes(nb, [every, every]) <= currents._ROWS_CHUNK
+    g = spread_torus()
+    full = tuple(range(g.n_bonds))
+    xy = (g.n_vertices - 1) * g.n_vertices
+    keys = _spy_superpositions(monkeypatch)
+    got = currents.sst_switch_rows(g, full, full)
+    assert [_rows(k) for k in keys] == [8, 8, 4]
+    switch_row = currents._row_bytes(g.n_bonds, [(1 << g.n_bonds) - 1] * 2)
+    assert 8 * switch_row <= currents._ROWS_CHUNK < 9 * switch_row
+    monkeypatch.setattr(currents, "_ROWS_CHUNK", currents._MEM_LIMIT)
+    keys.clear()
+    assert currents.sst_switch_rows(g, full, full).tobytes() == got.tobytes()
+    assert [_rows(k) for k in keys] == [xy]
+    currents.clear_caches()
+
+
 def _warm(g, *tables):
     def prepare():
         currents.clear_caches()
