@@ -27,6 +27,8 @@ weights over the indicator. The product splits only the bonds its factors
 use: 3**|both| * 2**|one| branches, where |both| counts the bonds of both
 factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
+A product whose branches pass a cache-sized block runs depth-first below its
+top bonds, one block at a time, with the same sums.
 A family of measures on the same layer bonds, such as theta' at every x, is
 one superposition with a row per source choice: the product runs on the
 stack of rows, and o's connection to each y is summed row by row. A scalar
@@ -63,10 +65,11 @@ ZERO, EVEN, ODD = 0, 1, 2
 
 _MEM_LIMIT = 1 << 30
 _OVERHEAD = 1 << 16     # interpreter objects and array headers of one call
-# Bytes of superposition per chunk of a family's rows: a working set that no
-# cache holds is slower than the rows one at a time. Below eight bonds every
-# family fits one chunk.
-_ROWS_CHUNK = 1 << 24
+# Bytes of one block of a covering product's expansion: the smallest power of
+# two at which every family below eight bonds (at most nb(nb + 1) rows) is one
+# pass. Blocks of half or twice the size take the same time at 12 bonds on a
+# host with 2 MiB of L2 cache.
+_COVER_BLOCK = 1 << 20
 
 
 class CapExceeded(ValueError):
@@ -321,6 +324,45 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
+def _split(f: np.ndarray, h: np.ndarray, bits) -> tuple:
+    """Expand the factors of ``_cover``, each of shape (width, *branches),
+    over the bond levels ``bits``, (in f, in h) pairs from the top bond down.
+    A level halves the width and puts its branch axis in front of the
+    others. A bond in both supports gives f the branches (f0, f0, f1) and h
+    (h0, h1, h0 + h1); a factor without the bond keeps one branch, its zero
+    half dropped, as a view that the product broadcasts."""
+    for in_f, in_h in bits:
+        f, h = (a.reshape(2, -1, *a.shape[1:]) for a in (f, h))
+        if in_f and in_h:
+            f3 = np.empty((f.shape[1], 3, *f.shape[2:]))
+            f3[:, :2] = f[0, :, None]
+            f3[:, 2] = f[1]
+            h3 = np.empty((h.shape[1], 3, *h.shape[2:]))
+            h3[:, :2] = h.swapaxes(0, 1)
+            np.add(h[0], h[1], out=h3[:, 2])
+            f, h = f3, h3
+        else:
+            f = (f if in_f else f[:1]).swapaxes(0, 1)
+            h = (h if in_h else h[:1]).swapaxes(0, 1)
+    return f, h
+
+
+def _join(r: np.ndarray, levels: int) -> np.ndarray:
+    """Sum the product of ``_split``'s factors back over its last ``levels``
+    levels, innermost first: a level's masks without its bond get branch 0,
+    and those with it the sum of the other branches, zero at a bond in
+    neither support. A level's width doubles and its branch axis goes."""
+    for _ in range(levels):
+        out = np.empty((2, r.shape[0], *r.shape[2:]))
+        out[0] = r[:, 0]
+        if r.shape[1] == 3:
+            np.add(r[:, 1], r[:, 2], out=out[1])
+        else:
+            out[1] = r[:, 1] if r.shape[1] == 2 else 0.0
+        r = out.reshape(-1, *out.shape[2:])
+    return r
+
+
 def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     """Covering product r[S] = sum over A | B == S of f[A] * h[B], row by row,
     for f zero off the masks inside the bond mask ``fb`` and h zero off those
@@ -333,38 +375,35 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     only drops the other factor's zero half: r1 = f1*h0 or f0*h1, two
     products. A bit in neither support is not expanded, and r1 = 0. The terms
     dropped are exact zeros, so the result is bit for bit that of the full
-    split. The recursion runs batched, one level per bond, over
-    3**|fb & hb| * 2**|fb ^ hb| branches per row, and every row takes the
-    same elementwise steps, so a stack of rows gives bit for bit the rows
-    covered one at a time.
+    split. The recursion runs one level per bond, over
+    3**|fb & hb| * 2**|fb ^ hb| branches per row, with the branch axes
+    innermost, so the deep levels, which hold most entries, work on long
+    contiguous runs. Every entry takes the same elementwise steps in any
+    batch, so a stack of rows gives bit for bit the rows covered one at a
+    time.
+
+    A product whose expansion fits ``_COVER_BLOCK`` bytes runs in one pass.
+    A larger one expands its top levels over the whole stack, until one
+    row's branch below them fits, runs each (branch, row) through the
+    remaining levels, the product and their sums alone, in cache, and then
+    sums the top levels. That is the same recursion, taken depth-first
+    below the top levels, so the result is the one-pass result bit for bit.
     """
     nb = f.shape[1].bit_length() - 1
-    f, h = f[:, None], h[:, None]          # (rows, batch, width)
-    ways = []
-    for k in reversed(range(nb)):
-        f = f.reshape(len(f), -1, 2, f.shape[2] // 2)
-        h = h.reshape(len(h), -1, 2, h.shape[2] // 2)
-        in_f, in_h = fb >> k & 1, hb >> k & 1
-        if in_f and in_h:
-            f = np.concatenate((f[:, :, :1], f), axis=2)
-            h = np.concatenate((h, h[:, :, :1] + h[:, :, 1:]), axis=2)
-        elif in_f:
-            h = h[:, :, (0, 0)]
-        elif in_h:
-            f = f[:, :, (0, 0)]
-        else:
-            f, h = f[:, :, :1], h[:, :, :1]
-        ways.append(f.shape[2])
-        f = f.reshape(len(f), -1, f.shape[3])
-        h = h.reshape(len(h), -1, h.shape[3])
-    r = f * h
-    del f, h
-    for w in reversed(ways):
-        r = r.reshape(len(r), -1, w, r.shape[2])
-        hi = (r[:, :, 1] + r[:, :, 2] if w == 3 else r[:, :, 1] if w == 2
-              else np.zeros_like(r[:, :, 0]))
-        r = np.concatenate((r[:, :, 0], hi), axis=2)
-    return r.reshape(len(r), -1)
+    bits = [(fb >> k & 1, hb >> k & 1) for k in reversed(range(nb))]
+    rows = max(len(f), len(h))
+    f, h = f.T, h.T                        # (width, rows)
+    if 8 * rows * _cover_batch(nb, fb, hb) <= _COVER_BLOCK:
+        return np.ascontiguousarray(_join(np.multiply(*_split(f, h, bits)), nb).T)
+    top = next(t for t in range(nb + 1) if 8 * _cover_batch(nb - t, fb, hb) <= _COVER_BLOCK)
+    f, h = _split(f, h, bits[:top])
+    lead = np.broadcast_shapes(f.shape[1:], h.shape[1:])
+    f, h = (np.broadcast_to(a, a.shape[:1] + lead) for a in (f, h))
+    r = np.empty((1 << (nb - top), *lead))
+    for i in np.ndindex(lead):
+        i = (slice(None), *i)
+        r[i] = _join(np.multiply(*_split(f[i], h[i], bits[top:])), nb - top)
+    return np.ascontiguousarray(_join(r, top).T)
 
 
 def _cover_batch(nb: int, fb: int, hb: int) -> int:
@@ -379,9 +418,13 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
 
 def _row_bytes(nb: int, masks: list) -> int:
     """Bytes one row of a superposition of layers on the bond ``masks`` holds
-    at its peak: ``_cover`` peaks at three vectors of its largest batch (the
-    expanded factors and the product), counted as four, and four mask
-    vectors (the product so far, the layer and its two gathers) sit beside."""
+    at its peak, at most: four mask vectors (the product so far, the layer
+    and its two gathers) and four vectors of ``_cover``'s largest batch, the
+    peak of its one-pass form (the expanded factors and the product, counted
+    as four). A product larger than ``_COVER_BLOCK`` runs in blocks and
+    peaks lower, at its top levels' expansion and about three blocks, but
+    the count stays the unblocked bound, so refusals and chunks do not
+    depend on the block size."""
     seen = list(accumulate(masks, or_))
     batch = max((_cover_batch(nb, s, m) for s, m in zip(seen, masks[1:])), default=0)
     return 32 * batch + (32 << nb)
@@ -432,14 +475,12 @@ def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = N
     weights in the same order as the one-row measure of both events. A
     layer without source masks leaves no rows. One row is read from
     ``_superposed_row``'s cache; other batches go in chunks whose
-    superposition fits both ``_MEM_LIMIT`` and ``_ROWS_CHUNK``, at least one
-    row each, and only a single row that does not fit ``_MEM_LIMIT`` is
-    refused, before its event's indicator is built.
+    superposition fits ``_MEM_LIMIT``, and only a single row that does not
+    fit is refused, before its event's indicator is built.
     """
     counts = [len(sms) for _, sms in layers]
     rows = max(counts) if min(counts) else 0
-    budget = min(_MEM_LIMIT - _OVERHEAD, _ROWS_CHUNK)
-    step = max(1, budget // _row_bytes(g.n_bonds, [m for m, _ in layers]))
+    step = max(1, (_MEM_LIMIT - _OVERHEAD) // _row_bytes(g.n_bonds, [m for m, _ in layers]))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
         ysum = np.empty((rows, g.n_vertices))

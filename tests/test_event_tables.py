@@ -340,29 +340,77 @@ def _masked(rng, nb, mask):
     return w
 
 
+def breadth_first_cover(f, fb, h, hb):
+    """The covering product that ``currents._cover`` replaced, kept as its
+    oracle: the same split, one level per bond over the whole stack with the
+    mask bits innermost in memory, each level one copy of both factors, and
+    a bond in one support duplicating the other factor's zero half."""
+    nb = f.shape[1].bit_length() - 1
+    f, h = f[:, None], h[:, None]          # (rows, batch, width)
+    ways = []
+    for k in reversed(range(nb)):
+        f = f.reshape(len(f), -1, 2, f.shape[2] // 2)
+        h = h.reshape(len(h), -1, 2, h.shape[2] // 2)
+        in_f, in_h = fb >> k & 1, hb >> k & 1
+        if in_f and in_h:
+            f = np.concatenate((f[:, :, :1], f), axis=2)
+            h = np.concatenate((h, h[:, :, :1] + h[:, :, 1:]), axis=2)
+        elif in_f:
+            h = h[:, :, (0, 0)]
+        elif in_h:
+            f = f[:, :, (0, 0)]
+        else:
+            f, h = f[:, :, :1], h[:, :, :1]
+        ways.append(f.shape[2])
+        f = f.reshape(len(f), -1, f.shape[3])
+        h = h.reshape(len(h), -1, h.shape[3])
+    r = f * h
+    del f, h
+    for w in reversed(ways):
+        r = r.reshape(len(r), -1, w, r.shape[2])
+        hi = (r[:, :, 1] + r[:, :, 2] if w == 3 else r[:, :, 1] if w == 2
+              else np.zeros_like(r[:, :, 0]))
+        r = np.concatenate((r[:, :, 0], hi), axis=2)
+    return r.reshape(len(r), -1)
+
+
+def _support_pairs(rng, nb, n_random):
+    """(fb, hb) bond-mask pairs: empty, disjoint, nested, equal, theta'-like
+    (the outer layer on two thirds of the bonds, 8 of 12 at nb = 12, the
+    inner on all) and random supports."""
+    full = (1 << nb) - 1
+    odd, low, theta = full & 0xAAA, full >> (nb // 2), full & ~0x924
+    pairs = [(0, 0), (0, full), (full, 0), (odd, full ^ odd), (low, full & ~low),
+             (odd, full), (full, low), (low & odd, low), (odd, odd), (full, full),
+             (theta, full)]
+    return pairs + [tuple(int(b) for b in rng.integers(0, 1 << nb, size=2))
+                    for _ in range(n_random)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_support_aware_cover_is_bitwise_the_full_cover():
     """Splitting only the bonds in the factors' supports drops exact zeros:
     the result equals the cover told both supports are every bond, bit for
-    bit, on empty, disjoint, nested, equal and random supports."""
+    bit, on empty, disjoint, nested, equal, theta'-like and random supports,
+    nb <= 12, so on the blocked path too."""
     rng = np.random.default_rng(12)
-    for nb in range(9):
+    for nb in range(13):
         full = (1 << nb) - 1
-        odd, low = full & 0xAA, full >> (nb // 2)
-        pairs = [(0, 0), (0, full), (full, 0), (odd, full ^ odd), (low, full & ~low),
-                 (odd, full), (full, low), (low & odd, low), (odd, odd), (full, full)]
-        pairs += [tuple(int(b) for b in rng.integers(0, 1 << nb, size=2)) for _ in range(30)]
-        for fb, hb in pairs:
+        for fb, hb in _support_pairs(rng, nb, 30 if nb < 10 else 4):
             f, h = _masked(rng, nb, fb), _masked(rng, nb, hb)
             got = currents._cover(f[None], fb, h[None], hb)
             assert np.array_equal(got, currents._cover(f[None], full, h[None], full)), (nb, fb, hb)
 
 
 def test_cover_of_a_row_stack_is_the_rows_covered_one_at_a_time():
-    """1-5 rows on random supports, nb <= 8: a stack of rows, and one row
+    """1-5 rows on random supports, nb <= 12: a stack of rows, and one row
     against a stack, give the rows covered one at a time, bit for bit."""
     rng = np.random.default_rng(13)
-    for nb in range(9):
-        for _ in range(12):
+    for nb in range(13):
+        for _ in range(12 if nb < 10 else 3):
             fb, hb = (int(b) for b in rng.integers(0, 1 << nb, size=2))
             rows = int(rng.integers(1, 6))
             f = np.array([_masked(rng, nb, fb) for _ in range(rows)])
@@ -374,6 +422,64 @@ def test_cover_of_a_row_stack_is_the_rows_covered_one_at_a_time():
                 assert np.array_equal(got[r], want), (nb, fb, hb, r)
                 one = currents._cover(f[:1], fb, h, hb)[r]
                 assert np.array_equal(one, currents._cover(f[:1], fb, h[r:r + 1], hb)[0])
+
+
+@pytest.mark.parametrize("block, max_nb", [(None, 12), (1 << 14, 12), (1 << 9, 9), (8, 6)],
+                         ids=["default", "16KiB", "512B", "8B"])
+def test_cover_is_bitwise_the_breadth_first_cover(monkeypatch, block, max_nb):
+    """The blocked covering product against the breadth-first one, by int64
+    view: nb 0-12 on every kind of support pair, stacks of 1-5 rows, and
+    one row against a stack. At the default block the 12-bond products
+    span several blocks; the smaller blocks move the depth at which the
+    blocks start through every level, down to blocks of one entry."""
+    if block is not None:
+        monkeypatch.setattr(currents, "_COVER_BLOCK", block)
+    rng = np.random.default_rng(14)
+    for nb in range(max_nb + 1):
+        for k, (fb, hb) in enumerate(_support_pairs(rng, nb, 4)):
+            rows = 1 + k % 5
+            f = np.array([_masked(rng, nb, fb) for _ in range(rows)])
+            h = np.array([_masked(rng, nb, hb) for _ in range(rows)])
+            for a, b in ((f, h), (f[:1], h), (f, h[:1])):
+                got = currents._cover(a, fb, b, hb)
+                assert got.flags.c_contiguous
+                assert _same_bits(got, breadth_first_cover(a, fb, b, hb)), (nb, fb, hb, k)
+
+
+def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
+    """A covering product whose expansion fits ``_COVER_BLOCK`` is one pass,
+    one split of all its levels; one that does not goes in blocks of one
+    row. Below eight bonds every family's product is one pass, since a
+    connected graph on nb bonds has at most nb + 1 vertices, so at most
+    nb (nb + 1) rows, none with more branches than both supports on every
+    bond. The exact fill and the first row past it agree with the oracle."""
+    for nb in range(8):
+        every = (1 << nb) - 1
+        assert 8 * nb * (nb + 1) * currents._cover_batch(nb, every, every) <= currents._COVER_BLOCK
+    splits = []
+    real = currents._split
+
+    def spy(f, h, bits):
+        splits.append(len(bits))
+        return real(f, h, bits)
+
+    monkeypatch.setattr(currents, "_split", spy)
+    rng = np.random.default_rng(15)
+    nb, full = 12, (1 << 12) - 1
+    fill = currents._COVER_BLOCK // (8 << nb)            # one-support rows that fill a block
+    assert 8 * fill * currents._cover_batch(nb, 0, full) == currents._COVER_BLOCK
+    f = _masked(rng, nb, 0)[None]
+    for rows, want_splits in ((fill, [nb]), (fill + 1, [0] + [nb] * (fill + 1))):
+        h = np.array([_masked(rng, nb, full) for _ in range(rows)])
+        splits.clear()
+        got = currents._cover(f, 0, h, full)
+        assert splits == want_splits
+        assert _same_bits(got, breadth_first_cover(f, 0, h, full))
+    splits.clear()
+    f, h = (_masked(rng, nb, full)[None] for _ in range(2))
+    got = currents._cover(f, full, h, full)             # 3**12 branches: 9 blocks of 3**10
+    assert splits == [2] + [nb - 2] * 9
+    assert _same_bits(got, breadth_first_cover(f, full, h, full))
 
 
 def test_event_measure_matches_per_mask_route():
@@ -574,31 +680,6 @@ def test_family_rows_go_in_chunks_that_fit(monkeypatch):
     currents.clear_caches()
 
 
-def test_family_chunks_stay_within_the_row_budget(monkeypatch):
-    """A family's rows go in chunks of at most ``_ROWS_CHUNK`` bytes of
-    superposition, with the values of a single chunk: on the 10-bond torus
-    the 20 switch rows take chunks of 8, 8 and 4. Below eight bonds every
-    family fits one chunk, since a connected graph on nb bonds has at most
-    nb + 1 vertices, so at most nb (nb + 1) rows, none larger than a row of
-    two layers on every bond."""
-    for nb in range(8):
-        every = (1 << nb) - 1
-        assert nb * (nb + 1) * currents._row_bytes(nb, [every, every]) <= currents._ROWS_CHUNK
-    g = spread_torus()
-    full = tuple(range(g.n_bonds))
-    xy = (g.n_vertices - 1) * g.n_vertices
-    keys = _spy_superpositions(monkeypatch)
-    got = currents.sst_switch_rows(g, full, full)
-    assert [_rows(k) for k in keys] == [8, 8, 4]
-    switch_row = currents._row_bytes(g.n_bonds, [(1 << g.n_bonds) - 1] * 2)
-    assert 8 * switch_row <= currents._ROWS_CHUNK < 9 * switch_row
-    monkeypatch.setattr(currents, "_ROWS_CHUNK", currents._MEM_LIMIT)
-    keys.clear()
-    assert currents.sst_switch_rows(g, full, full).tobytes() == got.tobytes()
-    assert [_rows(k) for k in keys] == [xy]
-    currents.clear_caches()
-
-
 def _warm(g, *tables):
     def prepare():
         currents.clear_caches()
@@ -685,8 +766,8 @@ def test_refusal_counts_bound_traced_peak(monkeypatch, case):
 
 
 def test_side7_two_layer_switch_identity_runs_uncapped():
-    """d=1, L=2 at side 7 has 14 bonds; its two-layer working set is about
-    150 MB, which the bond-count caps used to refuse."""
+    """d=1, L=2 at side 7 has 14 bonds; its two-layer working set is counted
+    at about 150 MB, which the bond-count caps used to refuse."""
     g = embed_on_torus(SpreadOut(1, 2.0), 7, beta=0.4)
     full = tuple(range(g.n_bonds))
     far = g.labels[3]
