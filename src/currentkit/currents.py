@@ -28,7 +28,10 @@ use: 3**|both| * 2**|one| branches, where |both| counts the bonds of both
 factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
 A product whose branches pass a cache-sized block runs depth-first below its
-top bonds, one block at a time, with the same sums.
+top bonds, one block at a time, with the same sums. Its temporaries live in
+a workspace that successive products reuse, so they write into pages that
+are already mapped; building another graph's positive table, or clearing
+the caches, releases it.
 A family of measures on the same layer bonds, such as theta' at every x, is
 one superposition with a row per source choice: the product runs on the
 stack of rows, and o's connection to each y is summed row by row. A scalar
@@ -157,7 +160,9 @@ def _source_table(g: CouplingGraph, bonds: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _positive_table(g: CouplingGraph) -> np.ndarray:
     """Positive table over all bonds; a layer on B reads its rows ``_inside(g, B)``.
-    Only the last graph's table is kept: ``_fits`` counts one table at a time."""
+    Only the last graph's table is kept: ``_fits`` counts one table at a time.
+    A new table releases the covering product's workspace first."""
+    _work.clear()
     return _sweep(g, (1 << g.n_bonds) - 1, with_positive=True)
 
 
@@ -324,43 +329,77 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
-def _split(f: np.ndarray, h: np.ndarray, bits) -> tuple:
+def _split(f: np.ndarray, h: np.ndarray, bits, work) -> tuple:
     """Expand the factors of ``_cover``, each of shape (width, *branches),
     over the bond levels ``bits``, (in f, in h) pairs from the top bond down.
     A level halves the width and puts its branch axis in front of the
     others. A bond in both supports gives f the branches (f0, f0, f1) and h
     (h0, h1, h0 + h1); a factor without the bond keeps one branch, its zero
-    half dropped, as a view that the product broadcasts."""
+    half dropped, as a view that the product broadcasts.
+
+    Only a bond in both supports writes: the k-th such level puts f's
+    expansion and then h's in ``_region(work, k, ...)``, so each one lies
+    in the other workspace array (``_work``) from the one it reads, or in
+    fresh arrays when ``work`` is None."""
+    k = 0
     for in_f, in_h in bits:
         f, h = (a.reshape(2, -1, *a.shape[1:]) for a in (f, h))
         if in_f and in_h:
-            f3 = np.empty((f.shape[1], 3, *f.shape[2:]))
+            nf, nh = 3 * f.size // 2, 3 * h.size // 2
+            out = _region(work, k, nf + nh)
+            f3 = out[:nf].reshape(f.shape[1], 3, *f.shape[2:])
+            h3 = out[nf:].reshape(h.shape[1], 3, *h.shape[2:])
             f3[:, :2] = f[0, :, None]
             f3[:, 2] = f[1]
-            h3 = np.empty((h.shape[1], 3, *h.shape[2:]))
             h3[:, :2] = h.swapaxes(0, 1)
             np.add(h[0], h[1], out=h3[:, 2])
-            f, h = f3, h3
+            f, h, k = f3, h3, k + 1
         else:
             f = (f if in_f else f[:1]).swapaxes(0, 1)
             h = (h if in_h else h[:1]).swapaxes(0, 1)
     return f, h
 
 
-def _join(r: np.ndarray, levels: int) -> np.ndarray:
+def _join(r: np.ndarray, levels: int, out: np.ndarray, work, k: int) -> None:
     """Sum the product of ``_split``'s factors back over its last ``levels``
-    levels, innermost first: a level's masks without its bond get branch 0,
-    and those with it the sum of the other branches, zero at a bond in
-    neither support. A level's width doubles and its branch axis goes."""
-    for _ in range(levels):
-        out = np.empty((2, r.shape[0], *r.shape[2:]))
-        out[0] = r[:, 0]
-        if r.shape[1] == 3:
-            np.add(r[:, 1], r[:, 2], out=out[1])
+    levels, innermost first, into ``out``: a level's masks without its bond
+    get branch 0, and those with it the sum of the other branches, zero at
+    a bond in neither support. A level's width doubles and its branch axis
+    goes. Level j but the last writes into ``_region(work, k + j, ...)``,
+    so r must not lie in ``work[k % 2]``."""
+    for j in range(levels):
+        shape = (2, r.shape[0], *r.shape[2:])
+        if j == levels - 1:
+            o = out.reshape(shape, copy=False)
         else:
-            out[1] = r[:, 1] if r.shape[1] == 2 else 0.0
-        r = out.reshape(-1, *out.shape[2:])
-    return r
+            o = _region(work, k + j, 2 * r.size // r.shape[1]).reshape(shape)
+        o[0] = r[:, 0]
+        if r.shape[1] == 3:
+            np.add(r[:, 1], r[:, 2], out=o[1])
+        else:
+            o[1] = r[:, 1] if r.shape[1] == 2 else 0.0
+        r = o.reshape(-1, *shape[2:])
+    if not levels:
+        out[...] = r
+
+
+# The covering product's workspace: two float64 arrays of one size, which
+# every ``_cover`` reuses for its temporaries, so successive products write
+# into pages that are already mapped. They grow only when a product needs
+# more. ``_positive_table`` releases them before it builds another graph's
+# table, and ``clear_caches`` with the caches, so they never outlive the
+# graph whose superpositions sized them. Products must run one at a time:
+# two threads covering at once would share them. Two arrays, not one twice as
+# long: glibc returns a freed heap top only past twice the largest mapping
+# freed so far, and with one array the corpus benchmark's peak RSS read
+# 2.7% higher, with two no higher than before (CHANGES.md).
+_work: list = []
+
+
+def _region(work, k: int, entries: int) -> np.ndarray:
+    """Flat room for ``entries`` values at the start of ``work[k % 2]``, or
+    a fresh array when ``work`` is None."""
+    return np.empty(entries) if work is None else work[k % 2][:entries]
 
 
 def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
@@ -388,22 +427,61 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     remaining levels, the product and their sums alone, in cache, and then
     sums the top levels. That is the same recursion, taken depth-first
     below the top levels, so the result is the one-pass result bit for bit.
+
+    A pass keeps its temporaries in the workspace (``_cover_pass``), which
+    outlives the call until another graph's positive table or
+    ``clear_caches`` releases it, so the only new arrays are the result
+    and, when the product runs in blocks, the top levels' expansion, their
+    sums and the block results.
     """
     nb = f.shape[1].bit_length() - 1
     bits = [(fb >> k & 1, hb >> k & 1) for k in reversed(range(nb))]
-    rows = max(len(f), len(h))
+    out = np.empty((max(len(f), len(h)), 1 << nb))
     f, h = f.T, h.T                        # (width, rows)
-    if 8 * rows * _cover_batch(nb, fb, hb) <= _COVER_BLOCK:
-        return np.ascontiguousarray(_join(np.multiply(*_split(f, h, bits)), nb).T)
+    if 8 * len(out) * _cover_batch(nb, fb, hb) <= _COVER_BLOCK:
+        _cover_pass(f, h, bits, out.T)
+        return out
     top = next(t for t in range(nb + 1) if 8 * _cover_batch(nb - t, fb, hb) <= _COVER_BLOCK)
-    f, h = _split(f, h, bits[:top])
+    f, h = _split(f, h, bits[:top], None)
     lead = np.broadcast_shapes(f.shape[1:], h.shape[1:])
     f, h = (np.broadcast_to(a, a.shape[:1] + lead) for a in (f, h))
     r = np.empty((1 << (nb - top), *lead))
     for i in np.ndindex(lead):
         i = (slice(None), *i)
-        r[i] = _join(np.multiply(*_split(f[i], h[i], bits[top:])), nb - top)
-    return np.ascontiguousarray(_join(r, top).T)
+        _cover_pass(f[i], h[i], bits[top:], r[i])
+    _join(r, top, out.T, None, 0)
+    return out
+
+
+def _cover_pass(f: np.ndarray, h: np.ndarray, bits, out: np.ndarray) -> None:
+    """``_cover``'s recursion over the levels ``bits`` in one pass, into
+    ``out``. The split levels, the product and the sums but the last write
+    into the workspace, each into the other array from the one it reads.
+    A workspace too small is freed before the larger one is allocated."""
+    n, k = _pass_entries(f.size, h.size, out.size, bits)
+    if not _work or _work[0].size < n:
+        _work.clear()
+        _work.extend(np.empty(n) for _ in range(2))
+    f, h = _split(f, h, bits, _work)
+    both = np.broadcast(f, h)
+    r = np.multiply(f, h, out=_region(_work, k, both.size).reshape(both.shape))
+    _join(r, len(bits), out, _work, k + 1)
+
+
+def _pass_entries(nf: int, nh: int, nr: int, bits) -> tuple:
+    """Entries of the largest write of ``_cover_pass`` for factors of ``nf``
+    and ``nh`` entries and a result of ``nr`` (both expansions of a split
+    level, the product, or a sum but the last), and the number of split
+    levels that write, k; the product then goes into ``_region(work, k)``."""
+    most = k = 0
+    for in_f, in_h in bits:
+        nf = nf * (1 + in_f + in_f * in_h) // 2
+        nh = nh * (1 + in_h + in_f * in_h) // 2
+        nr = nr * (1 + in_f + in_h) // 2
+        if in_f and in_h:
+            most, k = max(most, nf + nh), k + 1
+        most = max(most, nr)
+    return max(most, nr), k
 
 
 def _cover_batch(nb: int, fb: int, hb: int) -> int:
@@ -419,12 +497,15 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
 def _row_bytes(nb: int, masks: list) -> int:
     """Bytes one row of a superposition of layers on the bond ``masks`` holds
     at its peak, at most: four mask vectors (the product so far, the layer
-    and its two gathers) and four vectors of ``_cover``'s largest batch, the
-    peak of its one-pass form (the expanded factors and the product, counted
-    as four). A product larger than ``_COVER_BLOCK`` runs in blocks and
-    peaks lower, at its top levels' expansion and about three blocks, but
-    the count stays the unblocked bound, so refusals and chunks do not
-    depend on the block size."""
+    and its two gathers, or the cover's result) and four vectors of
+    ``_cover``'s largest batch, the peak of its one-pass form: the two
+    workspace arrays, each at most a split level's two expansions. A
+    product larger than ``_COVER_BLOCK`` runs in blocks and peaks lower, at
+    its top levels' expansion, the block results and a workspace of at most
+    four blocks, but the count stays the unblocked bound, so refusals and
+    chunks do not depend on the block size. The workspace, at most four
+    blocks since every pass fits one, outlives the call until another
+    graph's positive table or ``clear_caches`` releases it."""
     seen = list(accumulate(masks, or_))
     batch = max((_cover_batch(nb, s, m) for s, m in zip(seen, masks[1:])), default=0)
     return 32 * batch + (32 << nb)
@@ -659,3 +740,4 @@ def clear_caches() -> None:
     for cached in (_source_table, _positive_table, _inside,
                    _component_table, _indicator, _superposed_row, _explorations):
         cached.cache_clear()
+    _work.clear()

@@ -13,6 +13,7 @@ checked against the scalar route per bond subset.
 """
 from __future__ import annotations
 
+import resource
 import tracemalloc
 import weakref
 
@@ -459,9 +460,9 @@ def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
     splits = []
     real = currents._split
 
-    def spy(f, h, bits):
+    def spy(f, h, bits, work):
         splits.append(len(bits))
-        return real(f, h, bits)
+        return real(f, h, bits, work)
 
     monkeypatch.setattr(currents, "_split", spy)
     rng = np.random.default_rng(15)
@@ -480,6 +481,52 @@ def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
     got = currents._cover(f, full, h, full)             # 3**12 branches: 9 blocks of 3**10
     assert splits == [2] + [nb - 2] * 9
     assert _same_bits(got, breadth_first_cover(f, full, h, full))
+
+
+def test_cover_results_outlive_later_covers():
+    """The covering product reuses one workspace, but every result owns its
+    memory: a one-row result and a cached ``_superposed_row`` row keep their
+    bits through later covers, larger (12/12, in blocks) and smaller, and a
+    run of big, small and big covers (12/12 on three rows in blocks, 6 of 10
+    bonds, then theta'-like 8 of 12) matches the breadth-first cover by
+    int64 view at every step."""
+    rng = np.random.default_rng(16)
+    currents.clear_caches()
+    g = spread_torus()
+    every = (1 << g.n_bonds) - 1
+    key = ((every, (0,)), (every, (currents._source_mask(g, (g.labels[0], g.labels[2])),)))
+    row = currents._superposed_row(g, key)
+    nb, full = 12, (1 << 12) - 1
+    theta = full & ~0x924
+    one = currents._cover(_masked(rng, nb, theta)[None], theta, _masked(rng, nb, full)[None], full)
+    assert one.base is None
+    kept = row.copy(), one.copy()
+    for nb, fb, hb, rows in ((12, full, full, 3), (10, 0x36C, (1 << 10) - 1, 2),
+                             (12, theta, full, 1)):
+        f = _masked(rng, nb, fb)[None]
+        h = np.array([_masked(rng, nb, hb) for _ in range(rows)])
+        assert _same_bits(currents._cover(f, fb, h, hb), breadth_first_cover(f, fb, h, hb))
+        assert _same_bits(row, kept[0]) and _same_bits(one, kept[1])
+    assert currents._superposed_row(g, key) is row
+    currents.clear_caches()
+
+
+def test_repeated_cover_maps_no_new_pages():
+    """After one warm-up call, the same one-row cover shaped as theta' on the
+    side-6 spread-out torus (outer layer on 8 of 12 bonds) writes only into
+    pages that are already mapped: a few dozen minor page faults at most,
+    where fresh temporaries took hundreds."""
+    rng = np.random.default_rng(17)
+    nb, full = 12, (1 << 12) - 1
+    theta = full & ~0x924
+    f, h = _masked(rng, nb, theta)[None], _masked(rng, nb, full)[None]
+    currents.clear_caches()
+    currents._cover(f, theta, h, full)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    currents._cover(f, theta, h, full)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    currents.clear_caches()
+    assert faults <= 48
 
 
 def test_event_measure_matches_per_mask_route():
@@ -697,6 +744,8 @@ def _refusal_cases():
     layers = ((full, (0,)), (full, (currents._source_mask(s6, (s6.labels[0], s6.labels[3])),)))
     theta = ((currents._outside_bonds(s6, s6.labels[2:3]), (0,)), layers[1])
     theta_rows = currents._through_layers(s6, s6.labels[1:], s6.labels[2:3])
+    switch_rows = currents._switch_layers(s6, [(s6.labels[3], y) for y in s6.labels[:4]],
+                                          None, None)
     return [
         ("source", "source table", lambda: currents._sweep(path, (1 << 15) - 1, False),
          currents.clear_caches),
@@ -709,6 +758,8 @@ def _refusal_cases():
         ("theta_cover", "superposition", lambda: currents._superposed(s6, theta),
          _warm(s6, currents._positive_table)),
         ("theta_batch", "superposition", lambda: currents._superposed(s6, theta_rows),
+         _warm(s6, currents._positive_table)),
+        ("blocked_batch", "superposition", lambda: currents._superposed(s6, switch_rows),
          _warm(s6, currents._positive_table)),
         ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
          _warm(s6, currents._positive_table, currents._component_table)),
@@ -813,15 +864,21 @@ def test_oversize_superposition_refused_before_allocation(monkeypatch):
 
 def test_tables_held_for_one_graph_at_a_time():
     """Building a second graph's positive and component tables releases the
-    first graph's: ``_fits`` counts one table at a time."""
+    first graph's: ``_fits`` counts one table at a time. The second positive
+    table also releases the covering product's workspace, which the first
+    graph's superpositions sized."""
     g1, g2 = corpus_graphs()[-2:]
     currents.clear_caches()
     first = [weakref.ref(table(g1))
              for table in (currents._positive_table, currents._component_table)]
+    sst_lhs(g1, g1.labels[1], g1.labels[2], B_prime=range(g1.n_bonds))
+    work = [weakref.ref(a) for a in currents._work]
+    assert len(work) == 2
     for table in (currents._positive_table, currents._component_table):
         table(g2)
         assert table.cache_info().currsize == 1
-    assert [ref() for ref in first] == [None, None]
+    assert [ref() for ref in first + work] == [None] * 4
+    assert currents._work == []
     currents.clear_caches()
 
 
@@ -846,5 +903,7 @@ def test_clear_caches_empties_every_cache():
     partition_function(g)
     sst_lhs(g, 1, 2, B_prime=(0, 1, 2))
     assert all(f.cache_info().currsize > 0 for f in caches)
+    assert currents._work
     currents.clear_caches()
     assert all(f.cache_info().currsize == 0 for f in caches)
+    assert currents._work == []

@@ -32,8 +32,8 @@ def test_cover_without_f0_h1_fails_every_switch_identity(monkeypatch):
     does."""
     real = currents._split
 
-    def split(f, h, bits):
-        f, h = real(f, h, bits)
+    def split(f, h, bits, work):
+        f, h = real(f, h, bits, work)
         f = f.copy()
         for axis in range(1, len(bits) + 1):
             if f.shape[axis] == 3:                   # (f0, f0, f1): zero the f0 facing h1

@@ -6,9 +6,10 @@ On the d=1, L=2 spread-out torus of side 6 (12 bonds, beta 0.4) this times
 ``sst_switch_rows(g, all, all)``, 30 rows with both layers on every bond
 ("family"), or the same 30 values by ``sst_switch_rhs`` ("scalars"), with
 the positive and component tables warm and the one-row cache cleared before
-each timing. Time each route in its own process: the heap that one route
-leaves behind changes the other's time. Prints every timing and a digest of
-the values' ``float.hex``, which both routes share.
+each timing. Time each route in its own process, so that neither starts
+on caches the other filled; run in one process, in either order, neither
+route's time moved beyond the spread between runs. Prints every timing and
+a digest of the values' ``float.hex``, which both routes share.
 """
 from __future__ import annotations
 
