@@ -343,7 +343,7 @@ def _split(f: np.ndarray, h: np.ndarray, bits, work) -> tuple:
     fresh arrays when ``work`` is None."""
     k = 0
     for in_f, in_h in bits:
-        f, h = (a.reshape(2, -1, *a.shape[1:]) for a in (f, h))
+        f, h = f.reshape(2, -1, *f.shape[1:]), h.reshape(2, -1, *h.shape[1:])
         if in_f and in_h:
             nf, nh = 3 * f.size // 2, 3 * h.size // 2
             out = _region(work, k, nf + nh)
@@ -370,7 +370,8 @@ def _join(r: np.ndarray, levels: int, out: np.ndarray, work, k: int) -> None:
     for j in range(levels):
         shape = (2, r.shape[0], *r.shape[2:])
         if j == levels - 1:
-            o = out.reshape(shape, copy=False)
+            o = out.reshape(shape)
+            assert np.may_share_memory(o, out)  # a view: out's leading axis split
         else:
             o = _region(work, k + j, 2 * r.size // r.shape[1]).reshape(shape)
         o[0] = r[:, 0]
@@ -435,30 +436,48 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     sums and the block results.
     """
     nb = f.shape[1].bit_length() - 1
-    bits = [(fb >> k & 1, hb >> k & 1) for k in reversed(range(nb))]
+    bits, top, n, k = _cover_plan(nb, fb, hb, len(f), len(h), _COVER_BLOCK)
     out = np.empty((max(len(f), len(h)), 1 << nb))
     f, h = f.T, h.T                        # (width, rows)
-    if 8 * len(out) * _cover_batch(nb, fb, hb) <= _COVER_BLOCK:
-        _cover_pass(f, h, bits, out.T)
+    if top is None:
+        _cover_pass(f, h, bits, out.T, n, k)
         return out
-    top = next(t for t in range(nb + 1) if 8 * _cover_batch(nb - t, fb, hb) <= _COVER_BLOCK)
     f, h = _split(f, h, bits[:top], None)
     lead = np.broadcast_shapes(f.shape[1:], h.shape[1:])
     f, h = (np.broadcast_to(a, a.shape[:1] + lead) for a in (f, h))
     r = np.empty((1 << (nb - top), *lead))
     for i in np.ndindex(lead):
         i = (slice(None), *i)
-        _cover_pass(f[i], h[i], bits[top:], r[i])
+        _cover_pass(f[i], h[i], bits[top:], r[i], n, k)
     _join(r, top, out.T, None, 0)
     return out
 
 
-def _cover_pass(f: np.ndarray, h: np.ndarray, bits, out: np.ndarray) -> None:
+@lru_cache(maxsize=256)
+def _cover_plan(nb: int, fb: int, hb: int, rf: int, rh: int, block: int) -> tuple:
+    """How ``_cover`` runs the product of ``rf`` rows on the bond mask ``fb``
+    and ``rh`` rows on ``hb``, over ``nb`` bonds, with ``block`` bytes to a
+    block: its (in f, in h) levels from the top bond down; the top levels
+    it expands before the passes, None when it runs in one pass; and a
+    pass's largest write and split levels that write (``_pass_entries``).
+    Cached, since every measure of a family covers the same shapes, so the
+    walks over the levels run once per shape, not once per product."""
+    bits = tuple((fb >> k & 1, hb >> k & 1) for k in reversed(range(nb)))
+    rows = max(rf, rh)
+    if 8 * rows * _cover_batch(nb, fb, hb) <= block:
+        return bits, None, *_pass_entries(rf << nb, rh << nb, rows << nb, bits)
+    top = next(t for t in range(nb + 1) if 8 * _cover_batch(nb - t, fb, hb) <= block)
+    width = 1 << (nb - top)                # a pass covers one (branch, row)
+    return bits, top, *_pass_entries(width, width, width, bits[top:])
+
+
+def _cover_pass(f: np.ndarray, h: np.ndarray, bits, out: np.ndarray, n: int, k: int) -> None:
     """``_cover``'s recursion over the levels ``bits`` in one pass, into
     ``out``. The split levels, the product and the sums but the last write
     into the workspace, each into the other array from the one it reads.
-    A workspace too small is freed before the larger one is allocated."""
-    n, k = _pass_entries(f.size, h.size, out.size, bits)
+    ``n`` is the pass's largest write and ``k`` its split levels that
+    write; a workspace smaller than ``n`` is freed before the larger one
+    is allocated."""
     if not _work or _work[0].size < n:
         _work.clear()
         _work.extend(np.empty(n) for _ in range(2))
@@ -737,7 +756,7 @@ def subset_connection_tables(g: CouplingGraph) -> tuple:
 
 def clear_caches() -> None:
     from .laces import _explorations      # laces imports this module
-    for cached in (_source_table, _positive_table, _inside,
-                   _component_table, _indicator, _superposed_row, _explorations):
+    for cached in (_source_table, _positive_table, _inside, _component_table,
+                   _indicator, _superposed_row, _cover_plan, _explorations):
         cached.cache_clear()
     _work.clear()

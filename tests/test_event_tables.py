@@ -13,9 +13,12 @@ checked against the scalar route per bond subset.
 """
 from __future__ import annotations
 
-import resource
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,18 +518,28 @@ def test_repeated_cover_maps_no_new_pages():
     """After one warm-up call, the same one-row cover shaped as theta' on the
     side-6 spread-out torus (outer layer on 8 of 12 bonds) writes only into
     pages that are already mapped: a few dozen minor page faults at most,
-    where fresh temporaries took hundreds."""
-    rng = np.random.default_rng(17)
-    nb, full = 12, (1 << 12) - 1
-    theta = full & ~0x924
-    f, h = _masked(rng, nb, theta)[None], _masked(rng, nb, full)[None]
-    currents.clear_caches()
-    currents._cover(f, theta, h, full)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    currents._cover(f, theta, h, full)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    currents.clear_caches()
-    assert faults <= 48
+    where fresh temporaries took hundreds. Both calls run in a fresh
+    process, since the heap that earlier tests leave behind in this one
+    decides whether fresh temporaries fault."""
+    code = """if True:
+        import resource
+        import numpy as np
+        from currentkit import currents
+        nb, full = 12, (1 << 12) - 1
+        theta = full & ~0x924
+        rng = np.random.default_rng(17)
+        f, h = rng.random((2, 1, 1 << nb))
+        f[:, (np.arange(1 << nb) & ~theta) != 0] = 0.0
+        currents._cover(f, theta, h, full)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        currents._cover(f, theta, h, full)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    src = str(Path(currents.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(run.stdout) <= 48
 
 
 def test_event_measure_matches_per_mask_route():
