@@ -27,11 +27,11 @@ weights over the indicator. The product splits only the bonds its factors
 use: 3**|both| * 2**|one| branches, where |both| counts the bonds of both
 factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
-A product whose branches pass a cache-sized block runs depth-first below its
-top bonds, one block at a time, with the same sums. Its temporaries live in
-a workspace that successive products reuse, so they write into pages that
-are already mapped; building another graph's positive table, or clearing
-the caches, releases it.
+A product whose branches pass a cache-sized block splits on its top bond
+into half-size products, until each fits, with the same sums. A product
+that fits keeps its temporaries in a workspace that successive products
+reuse, so they write into pages that are already mapped; building another
+graph's positive table, or clearing the caches, releases it.
 A family of measures on the same layer bonds, such as theta' at every x, is
 one superposition with a row per source choice: the product runs on the
 stack of rows, and o's connection to each y is summed row by row. A scalar
@@ -48,7 +48,8 @@ Below the public argument check (``_bonds_arg``) a bond set is an int mask,
 bit b for bond b, as are the positive masks that index every table.
 
 Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
-allocation when the table's traced peak would pass ``_MEM_LIMIT``. A family's
+allocation when the table's traced peak would pass ``_MEM_LIMIT``. A
+superposition counts five mask vectors a row and the workspace; a family's
 rows go in chunks that fit, so only a single row that does not fit is refused.
 """
 from __future__ import annotations
@@ -329,7 +330,7 @@ def _indicator(g: CouplingGraph, ev: Event) -> np.ndarray:
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
-def _split(f: np.ndarray, h: np.ndarray, bits, work) -> tuple:
+def _split(f: np.ndarray, h: np.ndarray, bits) -> tuple:
     """Expand the factors of ``_cover``, each of shape (width, *branches),
     over the bond levels ``bits``, (in f, in h) pairs from the top bond down.
     A level halves the width and puts its branch axis in front of the
@@ -338,15 +339,14 @@ def _split(f: np.ndarray, h: np.ndarray, bits, work) -> tuple:
     half dropped, as a view that the product broadcasts.
 
     Only a bond in both supports writes: the k-th such level puts f's
-    expansion and then h's in ``_region(work, k, ...)``, so each one lies
-    in the other workspace array (``_work``) from the one it reads, or in
-    fresh arrays when ``work`` is None."""
+    expansion and then h's at the start of ``_work[k % 2]``, so each one
+    lies in the other workspace array from the one it reads."""
     k = 0
     for in_f, in_h in bits:
         f, h = f.reshape(2, -1, *f.shape[1:]), h.reshape(2, -1, *h.shape[1:])
         if in_f and in_h:
             nf, nh = 3 * f.size // 2, 3 * h.size // 2
-            out = _region(work, k, nf + nh)
+            out = _work[k % 2][:nf + nh]
             f3 = out[:nf].reshape(f.shape[1], 3, *f.shape[2:])
             h3 = out[nf:].reshape(h.shape[1], 3, *h.shape[2:])
             f3[:, :2] = f[0, :, None]
@@ -360,20 +360,20 @@ def _split(f: np.ndarray, h: np.ndarray, bits, work) -> tuple:
     return f, h
 
 
-def _join(r: np.ndarray, levels: int, out: np.ndarray, work, k: int) -> None:
+def _join(r: np.ndarray, levels: int, out: np.ndarray, k: int) -> None:
     """Sum the product of ``_split``'s factors back over its last ``levels``
     levels, innermost first, into ``out``: a level's masks without its bond
     get branch 0, and those with it the sum of the other branches, zero at
     a bond in neither support. A level's width doubles and its branch axis
-    goes. Level j but the last writes into ``_region(work, k + j, ...)``,
-    so r must not lie in ``work[k % 2]``."""
+    goes. Level j but the last writes at the start of ``_work[(k + j) % 2]``,
+    so r must not lie in ``_work[k % 2]``."""
     for j in range(levels):
         shape = (2, r.shape[0], *r.shape[2:])
         if j == levels - 1:
             o = out.reshape(shape)
             assert np.may_share_memory(o, out)  # a view: out's leading axis split
         else:
-            o = _region(work, k + j, 2 * r.size // r.shape[1]).reshape(shape)
+            o = _work[(k + j) % 2][:2 * r.size // r.shape[1]].reshape(shape)
         o[0] = r[:, 0]
         if r.shape[1] == 3:
             np.add(r[:, 1], r[:, 2], out=o[1])
@@ -385,8 +385,8 @@ def _join(r: np.ndarray, levels: int, out: np.ndarray, work, k: int) -> None:
 
 
 # The covering product's workspace: two float64 arrays of one size, which
-# every ``_cover`` reuses for its temporaries, so successive products write
-# into pages that are already mapped. They grow only when a product needs
+# every pass of ``_cover`` reuses for its temporaries, so successive passes
+# write into pages that are already mapped. They grow only when a pass needs
 # more. ``_positive_table`` releases them before it builds another graph's
 # table, and ``clear_caches`` with the caches, so they never outlive the
 # graph whose superpositions sized them. Products must run one at a time:
@@ -397,17 +397,12 @@ def _join(r: np.ndarray, levels: int, out: np.ndarray, work, k: int) -> None:
 _work: list = []
 
 
-def _region(work, k: int, entries: int) -> np.ndarray:
-    """Flat room for ``entries`` values at the start of ``work[k % 2]``, or
-    a fresh array when ``work`` is None."""
-    return np.empty(entries) if work is None else work[k % 2][:entries]
-
-
-def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
+def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int, out=None) -> np.ndarray:
     """Covering product r[S] = sum over A | B == S of f[A] * h[B], row by row,
     for f zero off the masks inside the bond mask ``fb`` and h zero off those
     inside ``hb``. Both are stacks of rows, shape (rows, 2**nb); a stack of
-    one row serves every row of the other.
+    one row serves every row of the other. The result goes into ``out``, a
+    new array unless given.
 
     Splitting every mask on its top bit gives r0 = f0*h0 and
     r1 = f0*h1 + f1*(h0 + h1): three half-size products and no subtraction,
@@ -416,82 +411,80 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int) -> np.ndarray:
     products. A bit in neither support is not expanded, and r1 = 0. The terms
     dropped are exact zeros, so the result is bit for bit that of the full
     split. The recursion runs one level per bond, over
-    3**|fb & hb| * 2**|fb ^ hb| branches per row, with the branch axes
-    innermost, so the deep levels, which hold most entries, work on long
-    contiguous runs. Every entry takes the same elementwise steps in any
-    batch, so a stack of rows gives bit for bit the rows covered one at a
-    time.
+    3**|fb & hb| * 2**|fb ^ hb| branches per row.
 
-    A product whose expansion fits ``_COVER_BLOCK`` bytes runs in one pass.
-    A larger one expands its top levels over the whole stack, until one
-    row's branch below them fits, runs each (branch, row) through the
-    remaining levels, the product and their sums alone, in cache, and then
-    sums the top levels. That is the same recursion, taken depth-first
-    below the top levels, so the result is the one-pass result bit for bit.
-
-    A pass keeps its temporaries in the workspace (``_cover_pass``), which
-    outlives the call until another graph's positive table or
-    ``clear_caches`` releases it, so the only new arrays are the result
-    and, when the product runs in blocks, the top levels' expansion, their
-    sums and the block results.
+    A product whose branches fit ``_COVER_BLOCK`` bytes runs breadth first
+    in one pass (``_cover_pass``), with all its rows, in the workspace. A
+    larger one splits on its top bit and covers its halves into the halves
+    of ``out``, each by the same rule, so every entry takes the same
+    elementwise steps as in one pass, and a stack of rows gives bit for bit
+    the rows covered one at a time. Its only new arrays are the result,
+    h0 + h1 and f1*(h0 + h1), which over all levels add up to less than
+    one row vector each.
     """
     nb = f.shape[1].bit_length() - 1
-    bits, top, n, k = _cover_plan(nb, fb, hb, len(f), len(h), _COVER_BLOCK)
-    out = np.empty((max(len(f), len(h)), 1 << nb))
-    f, h = f.T, h.T                        # (width, rows)
-    if top is None:
-        _cover_pass(f, h, bits, out.T, n, k)
+    if out is None:
+        out = np.empty((max(len(f), len(h)), 1 << nb))
+    plan = _cover_plan(nb, fb, hb, len(f), len(h), _COVER_BLOCK)
+    if plan is not None:
+        _cover_pass(f.T, h.T, *plan, out.T)
         return out
-    f, h = _split(f, h, bits[:top], None)
-    lead = np.broadcast_shapes(f.shape[1:], h.shape[1:])
-    f, h = (np.broadcast_to(a, a.shape[:1] + lead) for a in (f, h))
-    r = np.empty((1 << (nb - top), *lead))
-    for i in np.ndindex(lead):
-        i = (slice(None), *i)
-        _cover_pass(f[i], h[i], bits[top:], r[i], n, k)
-    _join(r, top, out.T, None, 0)
+    half = 1 << (nb - 1)                   # the masks from half on hold the top bond
+    in_f, in_h, fb, hb = fb >= half, hb >= half, fb % half, hb % half
+    f0, f1, h0, h1 = f[:, :half], f[:, half:], h[:, :half], h[:, half:]
+    r1 = out[:, half:]
+    _cover(f0, fb, h0, hb, out[:, :half])
+    if in_f and in_h:
+        _cover(f0, fb, h1, hb, r1)
+        r1 += _cover(f1, fb, h0 + h1, hb)
+    elif in_f:
+        _cover(f1, fb, h0, hb, r1)
+    elif in_h:
+        _cover(f0, fb, h1, hb, r1)
+    else:
+        r1[...] = 0.0
     return out
 
 
 @lru_cache(maxsize=256)
-def _cover_plan(nb: int, fb: int, hb: int, rf: int, rh: int, block: int) -> tuple:
+def _cover_plan(nb: int, fb: int, hb: int, rf: int, rh: int, block: int) -> tuple | None:
     """How ``_cover`` runs the product of ``rf`` rows on the bond mask ``fb``
     and ``rh`` rows on ``hb``, over ``nb`` bonds, with ``block`` bytes to a
-    block: its (in f, in h) levels from the top bond down; the top levels
-    it expands before the passes, None when it runs in one pass; and a
-    pass's largest write and split levels that write (``_pass_entries``).
-    Cached, since every measure of a family covers the same shapes, so the
-    walks over the levels run once per shape, not once per product."""
-    bits = tuple((fb >> k & 1, hb >> k & 1) for k in reversed(range(nb)))
+    pass: its (in f, in h) levels from the top bond down, the pass's largest
+    write and its split levels that write (``_pass_entries``); or None when
+    its branches pass the block and it splits on its top bit. A product on
+    no bonds is a pass whatever its rows, so the recursion ends. Cached,
+    since every measure of a family covers the same shapes, so the walks
+    over the levels run once per shape, not once per product."""
     rows = max(rf, rh)
-    if 8 * rows * _cover_batch(nb, fb, hb) <= block:
-        return bits, None, *_pass_entries(rf << nb, rh << nb, rows << nb, bits)
-    top = next(t for t in range(nb + 1) if 8 * _cover_batch(nb - t, fb, hb) <= block)
-    width = 1 << (nb - top)                # a pass covers one (branch, row)
-    return bits, top, *_pass_entries(width, width, width, bits[top:])
+    if nb and 8 * rows * _cover_batch(nb, fb, hb) > block:
+        return None
+    bits = tuple((fb >> k & 1, hb >> k & 1) for k in reversed(range(nb)))
+    return bits, *_pass_entries(rf << nb, rh << nb, rows << nb, bits)
 
 
-def _cover_pass(f: np.ndarray, h: np.ndarray, bits, out: np.ndarray, n: int, k: int) -> None:
+def _cover_pass(f: np.ndarray, h: np.ndarray, bits, n: int, k: int, out: np.ndarray) -> None:
     """``_cover``'s recursion over the levels ``bits`` in one pass, into
-    ``out``. The split levels, the product and the sums but the last write
-    into the workspace, each into the other array from the one it reads.
-    ``n`` is the pass's largest write and ``k`` its split levels that
-    write; a workspace smaller than ``n`` is freed before the larger one
-    is allocated."""
+    ``out``, with the branch axes innermost, so the deep levels, which hold
+    most entries, work on long contiguous runs. The split levels, the
+    product and the sums but the last write into the workspace, each into
+    the other array from the one it reads. ``n`` is the pass's largest
+    write and ``k`` its split levels that write; a workspace smaller than
+    ``n`` is freed before the larger one is allocated."""
     if not _work or _work[0].size < n:
         _work.clear()
         _work.extend(np.empty(n) for _ in range(2))
-    f, h = _split(f, h, bits, _work)
+    f, h = _split(f, h, bits)
     both = np.broadcast(f, h)
-    r = np.multiply(f, h, out=_region(_work, k, both.size).reshape(both.shape))
-    _join(r, len(bits), out, _work, k + 1)
+    r = np.multiply(f, h, out=_work[k % 2][:both.size].reshape(both.shape))
+    _join(r, len(bits), out, k + 1)
 
 
 def _pass_entries(nf: int, nh: int, nr: int, bits) -> tuple:
     """Entries of the largest write of ``_cover_pass`` for factors of ``nf``
     and ``nh`` entries and a result of ``nr`` (both expansions of a split
     level, the product, or a sum but the last), and the number of split
-    levels that write, k; the product then goes into ``_region(work, k)``."""
+    levels that write, k; the product then goes into ``_work[k % 2]``."""
     most = k = 0
     for in_f, in_h in bits:
         nf = nf * (1 + in_f + in_f * in_h) // 2
@@ -513,21 +506,16 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
     return peak
 
 
-def _row_bytes(nb: int, masks: list) -> int:
-    """Bytes one row of a superposition of layers on the bond ``masks`` holds
-    at its peak, at most: four mask vectors (the product so far, the layer
-    and its two gathers, or the cover's result) and four vectors of
-    ``_cover``'s largest batch, the peak of its one-pass form: the two
-    workspace arrays, each at most a split level's two expansions. A
-    product larger than ``_COVER_BLOCK`` runs in blocks and peaks lower, at
-    its top levels' expansion, the block results and a workspace of at most
-    four blocks, but the count stays the unblocked bound, so refusals and
-    chunks do not depend on the block size. The workspace, at most four
-    blocks since every pass fits one, outlives the call until another
-    graph's positive table or ``clear_caches`` releases it."""
-    seen = list(accumulate(masks, or_))
-    batch = max((_cover_batch(nb, s, m) for s, m in zip(seen, masks[1:])), default=0)
-    return 32 * batch + (32 << nb)
+def _row_bytes(nb: int) -> int:
+    """Bytes one row of a superposition over ``nb`` bonds holds at its peak,
+    at most: five mask vectors. A layer is built beside the product so far
+    and its predecessor as a zeroed vector and two gathers; a cover holds
+    the product so far, the layer and the result, and its recursion's
+    h0 + h1 and f1*(h0 + h1), less than one vector each (``_cover``). The
+    workspace, at most four blocks since every pass fits one, is counted
+    once per superposition; it outlives the call until another graph's
+    positive table or ``clear_caches`` releases it."""
+    return 40 << nb
 
 
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
@@ -541,13 +529,12 @@ def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     the union of the bonds combined so far and the new layer's bonds.
     """
     nb = g.n_bonds
-    masks = [m for m, _ in layers]
     rows = max(len(sms) for _, sms in layers)
-    _fits(rows * _row_bytes(nb, masks),
+    _fits(rows * _row_bytes(nb) + 4 * _COVER_BLOCK,
           f"superposition of {len(layers)} layers on {nb} bonds, {rows} rows")
     P = _positive_table(g)
     out = None
-    for (m, sms), s in zip(layers, [0, *accumulate(masks, or_)]):
+    for (m, sms), s in zip(layers, [0, *accumulate((m for m, _ in layers), or_)]):
         inside = _inside(g, m)
         dense = np.zeros((len(sms), 1 << nb))
         dense[:, inside] = (P[inside[:, None], list(sms)] / P[inside, 0].sum()).T
@@ -580,7 +567,7 @@ def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = N
     """
     counts = [len(sms) for _, sms in layers]
     rows = max(counts) if min(counts) else 0
-    step = max(1, (_MEM_LIMIT - _OVERHEAD) // _row_bytes(g.n_bonds, [m for m, _ in layers]))
+    step = max(1, (_MEM_LIMIT - _OVERHEAD - 4 * _COVER_BLOCK) // _row_bytes(g.n_bonds))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
         ysum = np.empty((rows, g.n_vertices))

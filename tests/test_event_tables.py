@@ -399,7 +399,7 @@ def test_support_aware_cover_is_bitwise_the_full_cover():
     """Splitting only the bonds in the factors' supports drops exact zeros:
     the result equals the cover told both supports are every bond, bit for
     bit, on empty, disjoint, nested, equal, theta'-like and random supports,
-    nb <= 12, so on the blocked path too."""
+    nb <= 12, so on the recursive path too."""
     rng = np.random.default_rng(12)
     for nb in range(13):
         full = (1 << nb) - 1
@@ -431,11 +431,11 @@ def test_cover_of_a_row_stack_is_the_rows_covered_one_at_a_time():
 @pytest.mark.parametrize("block, max_nb", [(None, 12), (1 << 14, 12), (1 << 9, 9), (8, 6)],
                          ids=["default", "16KiB", "512B", "8B"])
 def test_cover_is_bitwise_the_breadth_first_cover(monkeypatch, block, max_nb):
-    """The blocked covering product against the breadth-first one, by int64
-    view: nb 0-12 on every kind of support pair, stacks of 1-5 rows, and
-    one row against a stack. At the default block the 12-bond products
-    span several blocks; the smaller blocks move the depth at which the
-    blocks start through every level, down to blocks of one entry."""
+    """The covering product against the breadth-first one, by int64 view:
+    nb 0-12 on every kind of support pair, stacks of 1-5 rows, and one row
+    against a stack. At the default block the 12-bond products split into
+    several passes; the smaller blocks move the depth at which the passes
+    start through every level, down to passes on no bonds."""
     if block is not None:
         monkeypatch.setattr(currents, "_COVER_BLOCK", block)
     rng = np.random.default_rng(14)
@@ -452,20 +452,21 @@ def test_cover_is_bitwise_the_breadth_first_cover(monkeypatch, block, max_nb):
 
 def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
     """A covering product whose expansion fits ``_COVER_BLOCK`` is one pass,
-    one split of all its levels; one that does not goes in blocks of one
-    row. Below eight bonds every family's product is one pass, since a
-    connected graph on nb bonds has at most nb + 1 vertices, so at most
-    nb (nb + 1) rows, none with more branches than both supports on every
-    bond. The exact fill and the first row past it agree with the oracle."""
+    one split of all its levels; one that does not splits on its top bit
+    until the halves fit, with all their rows. Below eight bonds every
+    family's product is one pass, since a connected graph on nb bonds has at
+    most nb + 1 vertices, so at most nb (nb + 1) rows, none with more
+    branches than both supports on every bond. The exact fill and the first
+    row past it agree with the oracle."""
     for nb in range(8):
         every = (1 << nb) - 1
         assert 8 * nb * (nb + 1) * currents._cover_batch(nb, every, every) <= currents._COVER_BLOCK
     splits = []
     real = currents._split
 
-    def spy(f, h, bits, work):
+    def spy(f, h, bits):
         splits.append(len(bits))
-        return real(f, h, bits, work)
+        return real(f, h, bits)
 
     monkeypatch.setattr(currents, "_split", spy)
     rng = np.random.default_rng(15)
@@ -473,7 +474,7 @@ def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
     fill = currents._COVER_BLOCK // (8 << nb)            # one-support rows that fill a block
     assert 8 * fill * currents._cover_batch(nb, 0, full) == currents._COVER_BLOCK
     f = _masked(rng, nb, 0)[None]
-    for rows, want_splits in ((fill, [nb]), (fill + 1, [0] + [nb] * (fill + 1))):
+    for rows, want_splits in ((fill, [nb]), (fill + 1, [nb - 1] * 2)):
         h = np.array([_masked(rng, nb, full) for _ in range(rows)])
         splits.clear()
         got = currents._cover(f, 0, h, full)
@@ -481,8 +482,8 @@ def test_cover_runs_in_one_pass_when_its_expansion_fits_a_block(monkeypatch):
         assert _same_bits(got, breadth_first_cover(f, 0, h, full))
     splits.clear()
     f, h = (_masked(rng, nb, full)[None] for _ in range(2))
-    got = currents._cover(f, full, h, full)             # 3**12 branches: 9 blocks of 3**10
-    assert splits == [2] + [nb - 2] * 9
+    got = currents._cover(f, full, h, full)             # 3**12 branches: 9 passes of 3**10
+    assert splits == [nb - 2] * 9
     assert _same_bits(got, breadth_first_cover(f, full, h, full))
 
 
@@ -686,7 +687,9 @@ def test_scalar_calls_on_one_layer_set_build_it_once(monkeypatch):
 
 
 def test_superposition_counts_every_row(monkeypatch):
-    """A batch's refusal counts rows * (32 * batch + 32 * 2**nb) bytes."""
+    """A batch's refusal counts rows * 40 * 2**nb bytes, five mask vectors a
+    row, and the covering product's workspace of four blocks once, whatever
+    the layers' bonds."""
     g = spread_torus()
     nb = g.n_bonds
     counted = []
@@ -702,9 +705,8 @@ def test_superposition_counts_every_row(monkeypatch):
         layers = currents._through_layers(g, g.labels[1:], A)
         counted.clear()
         currents._superposed(g, layers)
-        outside = layers[0][0].bit_count()
-        batch = max(1 << nb, 3 ** outside * 2 ** (nb - outside))
-        assert counted == [(g.n_vertices - 1) * (32 * batch + (32 << nb))], A
+        want = (g.n_vertices - 1) * (40 << nb) + 4 * currents._COVER_BLOCK
+        assert counted == [want], A
     currents.clear_caches()
 
 
@@ -715,24 +717,22 @@ def test_family_rows_go_in_chunks_that_fit(monkeypatch):
     g = spread_torus()
     A = (g.labels[2],)
     full = tuple(range(g.n_bonds))
-    layers = currents._through_layers(g, g.labels[1:], A)
-    per_row = currents._row_bytes(g.n_bonds, [m for m, _ in layers])
+    per_row = currents._row_bytes(g.n_bonds)
+    fixed = 4 * currents._COVER_BLOCK + currents._OVERHEAD
     want_theta = currents.theta_rows(g, A)
     want_switch = currents.sst_switch_rows(g, full, full)
-    switch_row = currents._row_bytes(g.n_bonds, [(1 << g.n_bonds) - 1] * 2)
     keys = _spy_superpositions(monkeypatch)
     xs, xy = g.n_vertices - 1, (g.n_vertices - 1) * g.n_vertices
     for rows in (3, 1):
-        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * per_row + currents._OVERHEAD)
+        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * per_row + fixed)
         keys.clear()
         got = currents.theta_rows(g, A)
         assert [_rows(k) for k in keys] == [min(rows, xs - lo) for lo in range(0, xs, rows)]
         assert np.array_equal(got[0], want_theta[0]) and np.array_equal(got[1], want_theta[1])
-        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * switch_row + currents._OVERHEAD)
         keys.clear()
         assert np.array_equal(currents.sst_switch_rows(g, full, full), want_switch)
         assert [_rows(k) for k in keys] == [min(rows, xy - lo) for lo in range(0, xy, rows)]
-    monkeypatch.setattr(currents, "_MEM_LIMIT", per_row + currents._OVERHEAD - 1)
+    monkeypatch.setattr(currents, "_MEM_LIMIT", per_row + fixed - 1)
     with pytest.raises(CapExceeded):
         currents.theta_rows(g, A)
     with pytest.raises(CapExceeded):
@@ -741,10 +741,14 @@ def test_family_rows_go_in_chunks_that_fit(monkeypatch):
 
 
 def _warm(g, *tables):
+    """Set-up that builds ``tables`` for ``g``, or keeps them when they are
+    g's already, and empties the mask cache and the covering product's
+    workspace, so that the call allocates everything else it reads."""
     def prepare():
-        currents.clear_caches()
         for table in tables:
             table(g)
+        currents._inside.cache_clear()
+        currents._work.clear()
     return prepare
 
 
@@ -759,6 +763,7 @@ def _refusal_cases():
     theta_rows = currents._through_layers(s6, s6.labels[1:], s6.labels[2:3])
     switch_rows = currents._switch_layers(s6, [(s6.labels[3], y) for y in s6.labels[:4]],
                                           None, None)
+    side8 = currents._switch_layers(s8, [(s8.labels[4], s8.labels[1])], None, None)
     return [
         ("source", "source table", lambda: currents._sweep(path, (1 << 15) - 1, False),
          currents.clear_caches),
@@ -774,6 +779,8 @@ def _refusal_cases():
          _warm(s6, currents._positive_table)),
         ("blocked_batch", "superposition", lambda: currents._superposed(s6, switch_rows),
          _warm(s6, currents._positive_table)),
+        ("side8_cover", "superposition", lambda: currents._superposed(s8, side8),
+         _warm(s8, currents._positive_table)),
         ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
          _warm(s6, currents._positive_table, currents._component_table)),
         ("spin", "spin sum", lambda: spin_expectation(path, (0, 2)), currents.clear_caches),
@@ -830,25 +837,29 @@ def test_refusal_counts_bound_traced_peak(monkeypatch, case):
 
 
 def test_side7_two_layer_switch_identity_runs_uncapped():
-    """d=1, L=2 at side 7 has 14 bonds; its two-layer working set is counted
-    at about 150 MB, which the bond-count caps used to refuse."""
-    g = embed_on_torus(SpreadOut(1, 2.0), 7, beta=0.4)
-    full = tuple(range(g.n_bonds))
-    far = g.labels[3]
-    for y in (g.labels[0], g.labels[1], far):
-        lhs = sst_lhs(g, far, y, B=full, B_prime=full)
-        assert lhs == pytest.approx(sst_switch_rhs(g, far, y), rel=1e-10, abs=0.0)
+    """d=1, L=2 at side 7 has 14 bonds and at side 8 16. A two-layer
+    measure with both layers on every bond is counted at 5 MB and 7 MB
+    there; the bond-count caps used to refuse both, and counting the
+    product's full expansion refused side 8."""
+    for side, ys in ((7, (0, 1, 3)), (8, (1,))):
+        g = embed_on_torus(SpreadOut(1, 2.0), side, beta=0.4)
+        full = tuple(range(g.n_bonds))
+        far = g.labels[side // 2]
+        for y in (g.labels[i] for i in ys):
+            lhs = sst_lhs(g, far, y, B=full, B_prime=full)
+            assert lhs == pytest.approx(sst_switch_rhs(g, far, y), rel=1e-10, abs=0.0)
     currents.clear_caches()
 
 
-def test_side8_two_layer_measure_refused_before_allocation():
-    g = embed_on_torus(SpreadOut(1, 2.0), 8, beta=0.4)
-    far = g.labels[4]
+def test_two_layer_measure_past_the_limit_refused_before_allocation():
+    """Two layers on the 25 bonds of a ring count 1.34 GB of mask vectors:
+    the superposition's own count refuses them before any table is built."""
+    g = build_graph(list(range(25)), [(i, (i + 1) % 25, 1.0) for i in range(25)], beta=0.1)
     currents.clear_caches()
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded):
-            sst_switch_rhs(g, far, g.labels[1])
+        with pytest.raises(CapExceeded, match="^superposition"):
+            sst_switch_rhs(g, 12, 1)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -857,7 +868,7 @@ def test_side8_two_layer_measure_refused_before_allocation():
 
 def test_oversize_superposition_refused_before_allocation(monkeypatch):
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
-    work = 3 ** g.n_bonds * 32 + (32 << g.n_bonds) + currents._OVERHEAD
+    work = (40 << g.n_bonds) + 4 * currents._COVER_BLOCK + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
@@ -865,14 +876,7 @@ def test_oversize_superposition_refused_before_allocation(monkeypatch):
     assert currents._positive_table.cache_info().currsize == 0
     monkeypatch.setattr(currents, "_MEM_LIMIT", work)
     assert sst_lhs(g, 2, 2, B_prime=(0, 1, 2)) > 0.0
-    # at the real limit the check fires before anything is built
-    monkeypatch.undo()
     currents.clear_caches()
-    ring = build_graph(list(range(17)), [(i, (i + 1) % 17, 1.0) for i in range(17)], beta=0.1)
-    full = (1 << 17) - 1
-    with pytest.raises(CapExceeded):
-        currents._superposed(ring, ((full, (0,)), (full, (0,))))
-    assert currents._positive_table.cache_info().currsize == 0
 
 
 def test_tables_held_for_one_graph_at_a_time():

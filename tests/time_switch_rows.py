@@ -1,15 +1,16 @@
-"""Time the switch family, or its rows one at a time, on a 12-bond torus.
+"""Time the switch family, or its rows one at a time, on a spread-out torus.
 
-    PYTHONPATH=src python tests/time_switch_rows.py family|scalars [repeats]
+    PYTHONPATH=src python tests/time_switch_rows.py family|scalars [repeats] [side]
 
-On the d=1, L=2 spread-out torus of side 6 (12 bonds, beta 0.4) this times
-``sst_switch_rows(g, all, all)``, 30 rows with both layers on every bond
-("family"), or the same 30 values by ``sst_switch_rhs`` ("scalars"), with
-the positive and component tables warm and the one-row cache cleared before
-each timing. Time each route in its own process, so that neither starts
-on caches the other filled; run in one process, in either order, neither
-route's time moved beyond the spread between runs. Prints every timing and
-a digest of the values' ``float.hex``, which both routes share.
+On the d=1, L=2 spread-out torus of the given side (default 6: 12 bonds,
+beta 0.4) this times ``sst_switch_rows(g, all, all)``, a row per (x, y)
+with both layers on every bond (30 rows at side 6, 42 at side 7), or the
+same values by ``sst_switch_rhs`` ("scalars"), with the positive and
+component tables warm and the one-row cache cleared before each timing.
+Time each route in its own process, so that neither starts on caches the
+other filled; run in one process, in either order, neither route's time
+moved beyond the spread between runs. Prints every timing and a digest of
+the values' ``float.hex``, which both routes share.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import time
 from currentkit import SpreadOut, currents, embed_on_torus
 
 
-def main(route: str, repeats: str = "3") -> None:
-    g = embed_on_torus(SpreadOut(1, 2.0), 6, beta=0.4)
+def main(route: str, repeats: str = "3", side: str = "6") -> None:
+    g = embed_on_torus(SpreadOut(1, 2.0), int(side), beta=0.4)
     full = tuple(range(g.n_bonds))
     currents.sst_switch_rhs(g, g.labels[1], g.labels[0], full, full)
     if route == "family":
