@@ -18,7 +18,7 @@ from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
     NonContracting,
-    _dct, _idct, _minus_delta, _mirror, _pair_product, _weights, hyp1_report,
+    _dct, _idct, _minus_delta, _mirror, _weights, hyp1_report,
     rw_green_proxy, tilde_g, triangle_tensor, weighted_norm, wrap_mass,
 )
 
@@ -529,9 +529,12 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
 
     All fields are reflection-symmetric, and a probe shifts along axis 0
     only, so the per-probe products are unfolded on axis 0 and stay on the
-    fundamental domain in the others: each probe costs an rfft/irfft pair
+    fundamental domain in the others: each probe costs rfft/irfft pairs
     along axis 0 and cosine transforms along the rest, and its sum weights
-    each point by its multiplicity.
+    each point by its multiplicity. The radius loop runs in a workspace of
+    two such products, allocated once per call, next to psi, Gt, Gt^2 and
+    G's spectrum on the fundamental domain; only slices are allocated per
+    radius.
     """
     G, tau = rw_green_proxy(SpreadOut(d, L), side, p)
     Gt = tilde_g(G, tau)
@@ -541,6 +544,7 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     theta = float(L) ** (-2)
     hyp1 = hyp1_report(G, tau, L)
     flat = Gt.total() / side ** d
+    wrap = wrap_mass(Gt)
     g2 = Gt * Gt
     # psi = (d+t2) * (d+g2) * (d+t2) with the delta 1 on the spectrum
     E = _dct(tau.data * tau.data, side)
@@ -550,28 +554,45 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     S *= E
     S *= E
     psi = _idct(S, side)
-    del S, E
     # G's spectrum is real and even, so its cosine transform is also its
     # half spectrum along axis 0
     Ghat = _dct(G.data, side)
     axes = range(1, d)
     unfold = _mirror(side)
-    psi0, Gt0, g20 = psi[unfold], Gt.data[unfold], g2.data[unfold]
+    del G, tau, E, S
     W = _weights(d - 1, side)
     if radii is None:
         radii = list(range(1, side // 2 + 1))
     rows = {}
-    A, B = np.empty_like(psi0), np.empty_like(psi0)
+
+    def pair(F, H, r, out):
+        """x -> F(x) H(x - r) on the whole torus along axis 0, row by row
+        from F and H on the fundamental domain."""
+        for i in range(side):
+            np.multiply(F[unfold[i]], H[unfold[(i - r) % side]], out=out[i:i + 1])
+
+    # The workspace: each radius writes its pair products and transforms
+    # into A and P alone, so the radius loop maps no new pages for them.
+    # The rfft/irfft pairs run on one index of axis 1 at a time (on the
+    # whole field at d = 1), so their outputs are slices, and each irfft
+    # output is copied into the workspace.
+    A, P = np.empty((2, side) + psi.shape[1:])
+    H = Ghat.reshape(side // 2 + 1, -1, math.prod(psi.shape[2:]))
     for r in radii:
         x = (r,) + (0,) * (d - 1)
         term0 = Gt.value(x) ** 3
         core = Gt.value(x) - flat
-        _pair_product(psi0, (0,), Gt0, (r,), out=A)
-        S = np.fft.rfft(_dct(A, side, axes), axis=0)
-        S *= Ghat
-        conv = _idct(np.fft.irfft(S, n=side, axis=0), side, axes)
-        del S
-        _pair_product(Gt0, (0,), g20, (r,), out=B)
+        pair(psi, Gt.data, r, A)
+        D = _dct(A, side, axes, (P, A))
+        F = P if D is A else A
+        D3, F3 = D.reshape((side,) + H.shape[1:]), F.reshape((side,) + H.shape[1:])
+        for j in range(H.shape[1]):
+            S = np.fft.rfft(D3[:, j], axis=0)
+            S *= H[:, j]
+            F3[:, j] = np.fft.irfft(S, n=side, axis=0)
+        conv = _idct(F, side, axes, (D, F))
+        B = P if conv is A else A
+        pair(Gt.data, g2.data, r, B)
         B *= conv
         B *= W
         term1 = float(B.sum())
@@ -608,6 +629,6 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
         "fit_radii": list(fit_radii),
         "hyp1": hyp1,
         "proxy_identity_err": ident_err,
-        "wrap_mass": wrap_mass(Gt),
+        "wrap_mass": wrap,
         "theta": theta,
     }

@@ -20,7 +20,9 @@ products on the spectrum, where the delta is 1. Four-point sums over
 reflection-symmetric fields are dot products of two pair products
 x -> A(x-a) B(x-b). The probes move along the leading axes only, so each
 sum runs over those axes in full and over the others on the fundamental
-domain, with their multiplicities (at d = 5, side 32: 32^2 * 17^3 entries).
+domain, with their multiplicities, and it is streamed slice by slice along
+the first axis the probes do not move along (at d = 5, side 32: 17 slices
+of 32^2 * 17^2 entries, where the fields take 17^5 entries each).
 """
 from __future__ import annotations
 
@@ -120,12 +122,6 @@ def _mirror(side: int) -> np.ndarray:
     return np.minimum(k, side - k)
 
 
-def _unfold(f: SymField, k: int) -> np.ndarray:
-    """f on the whole torus along axes 0..k-1 and on the fundamental domain
-    along the others."""
-    return f.data[np.ix_(*(_mirror(f.side),) * k)]
-
-
 @functools.lru_cache(maxsize=None)
 def _axis_weights(side: int) -> np.ndarray:
     """Multiplicities 1, 2, ..., 2, 1 along one axis (a trailing 2 for odd side)."""
@@ -168,17 +164,21 @@ def _cosines(side: int) -> np.ndarray:
     return M
 
 
-def _dct(a: np.ndarray, side: int, axes: Sequence[int] | None = None) -> np.ndarray:
+def _dct(a: np.ndarray, side: int, axes: Sequence[int] | None = None,
+         bufs: tuple | None = None) -> np.ndarray:
     """Fourier transform of a field on the fundamental domain along ``axes``
     (default all): one matrix product per axis, batched over the axes
     before it. Index 0, whose cosines are all 1, is added after the product,
     so that a spike there (the delta in a field, the mean in a spectrum)
     does not set the rounding scale of the sums over the other indices.
-    The axes write in turn into two buffers, whatever their number.
+    The axes write in turn into two buffers of a's shape, whatever their
+    number: ``bufs`` if given (the first must not be a, the second may be),
+    else two new arrays.
     """
     M = _cosines(side)[:, 1:]
     shape = a.shape
-    bufs = np.empty(shape), np.empty(shape)
+    if bufs is None:
+        bufs = np.empty(shape), np.empty(shape)
     for i, ax in enumerate(range(a.ndim) if axes is None else axes):
         b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
         out = bufs[i % 2].reshape(b.shape)
@@ -191,15 +191,17 @@ def _dct(a: np.ndarray, side: int, axes: Sequence[int] | None = None) -> np.ndar
     return a
 
 
-def _idct(S: np.ndarray, side: int, axes: Sequence[int] | None = None) -> np.ndarray:
-    """Inverse of ``_dct`` along the same axes. The zero mode along them,
-    the mean of a near-critical field, is added once after the transform."""
+def _idct(S: np.ndarray, side: int, axes: Sequence[int] | None = None,
+          bufs: tuple | None = None) -> np.ndarray:
+    """Inverse of ``_dct`` along the same axes, written into ``bufs`` as
+    there; S is overwritten. The zero mode along the axes, the mean of a
+    near-critical field, is added once after the transform."""
     axes = range(S.ndim) if axes is None else axes
     zero = tuple(slice(0, 1) if ax in axes else slice(None) for ax in range(S.ndim))
-    rest = S.copy()
-    rest[zero] = 0.0
-    a = _dct(rest, side, axes)
-    a += S[zero]
+    mean = S[zero].copy()
+    S[zero] = 0.0
+    a = _dct(S, side, axes, bufs)
+    a += mean
     a /= float(side) ** len(axes)
     return a
 
@@ -435,7 +437,7 @@ def hyp3_report(Gt: SymField, tau: SymField) -> dict:
     S = _dct(Gt.data, Gt.side)
     for j in (1, 2):
         S *= T
-        out[f"ratio_{j}"] = float((_idct(S, Gt.side)[mask] / base).max())
+        out[f"ratio_{j}"] = float((_idct(S.copy(), Gt.side)[mask] / base).max())
     return out
 
 
@@ -487,7 +489,7 @@ def psi1_report(Gt: SymField, tau: SymField) -> dict:
     del T2
     G2 = _dct(g2, side)
     EG2 = E * G2
-    e_g2 = _idct(EG2, side)                 # (d+t2) * g2
+    e_g2 = _idct(EG2.copy(), side)          # (d+t2) * g2
     EG2 *= E
     ee_g2 = _idct(EG2, side)                # (d+t2) * (d+t2) * g2
     del EG2
@@ -507,7 +509,7 @@ def psi1_report(Gt: SymField, tau: SymField) -> dict:
     s_tau = _idct(S, side)                  # (d+tau) * tau
     S = _dct(Gt.data, side)
     S *= P
-    s_gt = _idct(S, side)                   # (d+tau) * Gt
+    s_gt = _idct(S.copy(), side)            # (d+tau) * Gt
     S *= P
     s2_gt = _idct(S, side)                  # (d+tau) * (d+tau) * Gt
     del S, P
@@ -555,44 +557,31 @@ def _pair_product(F: np.ndarray, a, H: np.ndarray, b,
     return out
 
 
-_DOT_CHUNK = 1 << 16
-
-
-def _dot(a: np.ndarray, b: np.ndarray, w: np.ndarray, period: int,
-         buf: np.ndarray) -> float:
-    """sum_i a_i b_i w_(i mod period) over the flattened arrays: each chunk
-    of len(buf) products is weighted, then summed pairwise, and so are the
-    chunk sums. ``w`` is the weight pattern repeated to cover len(buf)
-    entries from any start below ``period``. The weights are powers of 2,
-    so a weighted product is exact and the same whichever factor carried
-    the weight."""
-    a, b, n = a.ravel(), b.ravel(), len(buf)
-    parts = []
-    for i in range(0, len(a), n):
-        c = np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)])
-        c *= w[i % period:i % period + len(c)]
-        parts.append(c.sum())
-    return float(np.sum(parts))
-
-
-def _four_point_sums(fields: dict, w: np.ndarray, quads: list) -> list:
+def _four_point_sums(fields: dict, k: int, quads: list) -> list:
     """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each quad of legs
-    ((A, u), (B, u'), (C, v), (D, v')), where A to D name arrays in ``fields``.
+    ((A, u), (B, u'), (C, v), (D, v')), where A to D name SymFields in
+    ``fields``.
 
-    The arrays are reflection-symmetric fields unfolded along the leading
-    axes, along which the probes move; w holds the multiplicities of the
-    other axes. Each sum is the weighted dot product of its left pair
-    x -> A(x-u) B(x-u') and its right pair x -> C(x-v) D(x-v'). IEEE
-    products commute, so a pair is keyed by its unordered legs and a dot
-    product by its unordered pairs, and each is computed once per call.
-    The sums run grouped by their right pair, in the order the right pairs
-    first appear in ``quads``; each pair is built at its first use, and its
-    array is reused once its last use has passed. Each dot product is summed
-    pairwise, chunk by chunk through one small buffer: a running dot product
-    (einsum) drifts by 7e-15 relative at side 16.
+    The probes move along the k leading axes only, so each sum runs over
+    those axes on the whole torus and over the others on the fundamental
+    domain, each point weighted by its multiplicity. It is streamed over
+    axis k, the first axis the probes do not move along: for each index of
+    that axis, the fields' slices are unfolded along the leading axes into
+    one buffer per field, and each sum adds the weighted dot product of its
+    left pair x -> A(x-u) B(x-u') and its right pair x -> C(x-v) D(x-v') on
+    the slice. With k = d there is no such axis and the whole field is one
+    slice. IEEE products commute, so a pair is keyed by its unordered legs
+    and a dot product by its unordered pairs, and each is computed once per
+    slice. The sums run grouped by their right pair, in the order the right
+    pairs first appear in ``quads``; each pair is built at its first use,
+    into an array whose last use has passed, so a call holds a handful of
+    slice-sized arrays. The weights are powers of 2, so each weighted
+    product is exact; each slice's products are summed pairwise, and so are
+    the slice sums of each dot product. A running dot product (einsum)
+    drifts by 7e-15 relative at side 16.
     """
-    arr = next(iter(fields.values()))
-    k = arr.ndim - w.ndim
+    first = next(iter(fields.values()))
+    d, side = first.d, first.side
 
     def pair(leg, other):
         return tuple(sorted((name, tuple(shift[:k])) for name, shift in (leg, other)))
@@ -603,23 +592,35 @@ def _four_point_sums(fields: dict, w: np.ndarray, quads: list) -> list:
         rank.setdefault(right, len(rank))
     order = sorted(range(len(quads)), key=lambda i: rank[sides[i][1]])
     last = {p: i for i in order for p in sides[i]}
-    buf = np.empty(min(arr.size, _DOT_CHUNK))
-    period = w.size
-    wrep = np.tile(w.ravel(), -(-(len(buf) + period - 1) // period))
-    live, spare, dots = {}, [], {}
-    for i in order:
-        for p in sides[i]:
-            if p not in live:
-                (F, a), (H, b) = p
-                live[p] = _pair_product(fields[F], a, fields[H], b,
-                                        out=spare.pop() if spare else None)
-        pq = tuple(sorted(sides[i]))
-        if pq not in dots:
-            dots[pq] = _dot(live[pq[0]], live[pq[1]], wrep, period, buf)
-        for p in set(sides[i]):
-            if last[p] == i:
-                spare.append(live.pop(p))
-    return [dots[tuple(sorted(s))] for s in sides]
+    m = side // 2 + 1
+    w = _weights(d - k, side)
+    cuts = [((slice(None),) * k + (c,), w[c]) for c in range(m)] if d > k else [((), w)]
+    idx = np.ravel_multi_index(np.ix_(*(_mirror(side),) * k), (m,) * k)
+    shape = idx.shape + (m,) * (d - k - 1)
+    unfolded = {name: np.empty(shape) for name in fields}
+    buf = np.empty(shape)
+    spare, parts = [], {}
+    for cut, wc in cuts:
+        for name, f in fields.items():
+            np.take(f.data[cut].reshape(m ** k, -1), idx, axis=0, mode="wrap",
+                    out=unfolded[name].reshape(idx.shape + (-1,)))
+        live, done = {}, set()
+        for i in order:
+            for p in sides[i]:
+                if p not in live:
+                    (F, a), (H, b) = p
+                    live[p] = _pair_product(unfolded[F], a, unfolded[H], b,
+                                            out=spare.pop() if spare else None)
+            pq = tuple(sorted(sides[i]))
+            if pq not in done:
+                done.add(pq)
+                np.multiply(live[pq[0]], live[pq[1]], out=buf)
+                buf *= wc
+                parts.setdefault(pq, []).append(buf.sum())
+            for p in set(sides[i]):
+                if last[p] == i:
+                    spare.append(live.pop(p))
+    return [float(np.sum(parts[tuple(sorted(s))])) for s in sides]
 
 
 def depicted_ratios(G: SymField, Gt: SymField) -> dict:
@@ -638,14 +639,15 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
     The probes move along axes 0 and 1 only, so the sums run over those axes
     on the whole torus and over the others on the fundamental domain, each
     point weighted by its multiplicity. All families' sums go through one
-    ``_four_point_sums`` call, so a pair product that several families use
-    is built once (23 in place of 56 at d >= 2), and at most five are held
-    at a time.
+    ``_four_point_sums`` call, streamed over axis 2 (at d <= 2 the whole
+    field is one slice), so a pair product that several families use is
+    built once per slice (23 in place of 56 at d >= 2), and at most five
+    slice-sized pair arrays exist at a time: no unfolded field and no pair
+    product of the whole field is held.
     """
     d = G.d
     probes = _probe_pairs(d)
     k = min(d, 2)
-    fields = {"G": _unfold(G, k), "Gt": _unfold(Gt, k)}
 
     def gt(a, b):
         return Gt.value(tuple(q - p for p, q in zip(a, b)))
@@ -676,7 +678,7 @@ def depicted_ratios(G: SymField, Gt: SymField) -> dict:
     triangles = [(x, a) for x in probes[1:4] for a in probes[1:4] if x != a]
     legs = [tuple(zip(names, q)) for names, qs, _ in families for q in qs]
     legs += [q for x, a in triangles for q in _triangle_quads(x, a)]
-    sums = _four_point_sums(fields, _weights(d - k, G.side), legs)
+    sums = _four_point_sums({"G": G, "Gt": Gt}, k, legs)
     out = {}
     for j, (_, qs, target) in enumerate(families):
         s, sums = sums[:len(qs)], sums[len(qs):]

@@ -14,11 +14,16 @@ the exact values.
 from __future__ import annotations
 
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +38,8 @@ from currentkit import (
 from currentkit import currents, fields
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _DOT_CHUNK, _cosines, _dct, _four_point_sums, _hat, _inv, _pair_product,
-    _probe_pairs, _triangle, _triangle_quads, _unfold, _weights,
+    _cosines, _dct, _four_point_sums, _hat, _inv, _mirror, _pair_product,
+    _probe_pairs, _triangle, _triangle_quads, _weights,
     centered_norm_grid, default_probes,
 )
 
@@ -51,6 +56,12 @@ def delta(d, side):
 
 def linf(f):
     return float(np.abs(f.data).max())
+
+
+def _unfold(f, k):
+    """f on the whole torus along axes 0..k-1 and on the fundamental domain
+    along the others."""
+    return f.data[np.ix_(*(_mirror(f.side),) * k)]
 
 
 def full(f):
@@ -249,7 +260,7 @@ def test_triangle_field_matches_direct_sum():
             G.value(x) * gzy
             + G.value(y) * g(z0 - x[0], z1 - x[1], z2)
             + gz * g(y[0] - x[0], y[1] - x[1], 0))
-    s = _four_point_sums({"G": _unfold(G, 2)}, _weights(1, 5), _triangle_quads(x, y))
+    s = _four_point_sums({"G": G}, 2, _triangle_quads(x, y))
     got = _triangle(G.value, x, y, s)
     assert got == pytest.approx(want, rel=1e-10)
     assert triangle_oracle(full(G), x, y) == pytest.approx(want, rel=1e-10)
@@ -372,8 +383,10 @@ def test_depicted_ratios_refuses_asymmetric_field():
 
 
 def test_depicted_ratios_traced_peak():
-    """At d=5, side 16, depicted_ratios allocates less than two fields on
-    the whole torus (16 MiB)."""
+    """At d=5, side 16, depicted_ratios holds slices, not fields: two
+    unfolded field slices, five pair products and one product buffer, each
+    16^2 * 9^2 entries, and ufunc buffers and small arrays under four
+    slices besides (a field unfolded on axes 0 and 1 is nine slices)."""
     G, tau = rw_green_proxy(SpreadOut(5, 2.0), 16, 0.99)
     Gt = tilde_g(G, tau)
     tracemalloc.start()
@@ -382,7 +395,52 @@ def test_depicted_ratios_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * 16 ** 5
+    assert peak < 12 * 8 * 16 ** 2 * 9 ** 2
+
+
+def test_decay_trend_traced_peak():
+    """At d=5, side 16, decay_trend's radius loop holds its two workspace
+    arrays of 16 * 9^4 entries, one rfft and one irfft output (1.125 and 1
+    of those) and five arrays on the fundamental domain (psi, Gt, Gt^2, G's
+    spectrum and the cached multiplicities, 9/16 of one each): under 7.5
+    workspace arrays in all."""
+    tracemalloc.start()
+    try:
+        decay_trend(d=5, L=2.0, side=16, p=0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 8 * 16 * 9 ** 4
+
+
+def test_repeated_decay_trend_maps_few_new_pages():
+    """After one warm-up call, decay_trend's radius loop at d=5, side 16
+    writes only into pages that are already mapped: a call with all eight
+    radii takes a few dozen minor page faults more than a call with one,
+    where fresh per-radius temporaries took about 30 pages a radius, and a
+    call maps no more pages than six arrays of 16 * 9^4 entries (its
+    workspace is two). The calls run in a fresh process, since the heap
+    that earlier tests leave behind decides whether fresh temporaries
+    fault."""
+    code = """if True:
+        import resource
+        from currentkit.diagrams import decay_trend
+
+        def faults(radii):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            decay_trend(d=5, L=2.0, side=16, p=0.99, radii=radii)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(None)
+        print(faults(None), faults([1]))
+    """
+    src = str(Path(fields.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    all_radii, one = map(int, run.stdout.split())
+    assert all_radii <= one + 48
+    assert all_radii <= 6 * 8 * 16 * 9 ** 4 // resource.getpagesize()
 
 
 def test_psi1_report_flags_step2_violation():
@@ -413,8 +471,9 @@ def transforms(monkeypatch):
 
 
 def test_transform_counts(transforms):
-    """The proxy block runs on cosine transforms alone; decay_trend adds one
-    rfft/irfft pair along the probe axis per radius."""
+    """The proxy block runs on cosine transforms alone; decay_trend adds
+    rfft/irfft pairs along the probe axis alone, one for each radius and
+    index of axis 1 (5 at side 8)."""
     G, tau = rw_green_proxy(SpreadOut(2, 1.0), 8, 0.5)
     Gt = tilde_g(G, tau)
     psi1_report(Gt, tau)
@@ -426,7 +485,7 @@ def test_transform_counts(transforms):
     radii = [1, 2, 3, 4]
     decay_trend(d=2, L=1.0, side=8, p=0.5, radii=radii)
     assert set(transforms) <= {"rfft", "irfft"}
-    assert transforms["rfft"] + transforms["irfft"] <= 2 * len(radii) + 1
+    assert transforms["rfft"] == transforms["irfft"] == 5 * len(radii)
 
 
 # -- oracles: the full-torus routes ----------------------------------------------
@@ -665,8 +724,7 @@ def test_four_point_sums_against_long_double():
     z = (0,) * 5
     quads = [(z, probes[1], z, probes[2]), (z, probes[2], probes[1], probes[3]),
              (z, probes[1], probes[2], probes[4])]
-    Gu, Gtu = _unfold(G, 2), _unfold(Gt, 2)
-    got = _four_point_sums({"G": Gu, "Gt": Gtu}, _weights(3, 16),
+    got = _four_point_sums({"G": G, "Gt": Gt}, 2,
                            [tuple(zip(("G", "Gt", "G", "Gt"), q)) for q in quads])
     G, Gt = full(G), full(Gt)
     for s, (u, up, v, vp) in zip(got, quads):
@@ -748,27 +806,24 @@ def per_axis_dct(a, side, axes=None):
 
 
 def family_four_point_sums(A, B, C, D, w, quads):
-    """The four-point sums of one family on their own: its weighted left
-    pairs kept, each right pair built once for them, every dot product
-    summed chunk by chunk."""
+    """The four-point sums of one family on their own, from fields unfolded
+    on the whole torus: its weighted left pairs kept, each right pair built
+    once for them, every dot product summed slice by slice along the first
+    folded axis (the whole field is one slice when there is none)."""
     k = A.ndim - w.ndim
     lefts = {}
     for u, up, _, _ in quads:
         if (u, up) not in lefts:
             lefts[(u, up)] = _pair_product(A, u[:k], B, up[:k])
             lefts[(u, up)] *= w
-    n = min(A.size, _DOT_CHUNK)
-    buf = np.empty(n)
+    cuts = [(slice(None),) * k + (c,) for c in range(w.shape[0])] if w.ndim else [()]
     R = np.empty_like(C)
     sums = {}
     for v, vp in dict.fromkeys((v, vp) for _, _, v, vp in quads):
         _pair_product(C, v[:k], D, vp[:k], out=R)
         for q in quads:
             if q[2:] == (v, vp):
-                a, b = lefts[q[:2]].ravel(), R.ravel()
-                sums[q] = float(np.sum([
-                    np.multiply(a[i:i + n], b[i:i + n], out=buf[:min(n, len(a) - i)]).sum()
-                    for i in range(0, len(a), n)]))
+                sums[q] = float(np.sum([(lefts[q[:2]][c] * R[c]).sum() for c in cuts]))
     return [sums[q] for q in quads]
 
 
@@ -899,13 +954,15 @@ def test_depicted_ratios_bitwise_against_per_family_route(side):
 
 def test_depicted_ratios_builds_each_pair_once(monkeypatch):
     """At d=5 the six families need 23 distinct pair products (56 when each
-    family and triangle builds its own): each is built once, and no more
-    than five pair-product arrays exist at a time."""
+    family and triangle builds its own): each is built once for each of the
+    7 slices along axis 2 at side 12, on a slice alone, and no more than
+    five pair-product arrays exist at a time."""
     G, tau = rw_green_proxy(SpreadOut(5, 2.0), 12, 0.99)
     Gt = tilde_g(G, tau)
     built, alive, most = [], set(), [0]
 
     def counted(F, a, H, b, out=None):
+        assert F.shape == H.shape == (12, 12, 7, 7)
         built.append(tuple(sorted([(id(F), tuple(a)), (id(H), tuple(b))])))
         res = _pair_product(F, a, H, b, out=out)
         if id(res) not in alive:
@@ -916,5 +973,7 @@ def test_depicted_ratios_builds_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(fields, "_pair_product", counted)
     depicted_ratios(G, Gt)
-    assert len(built) == len(set(built)) <= 31
+    assert len(built) == 7 * 23
+    for c in range(7):
+        assert len(set(built[23 * c:23 * (c + 1)])) == 23
     assert most[0] <= 5
