@@ -4,13 +4,14 @@ Pair fields (matrices indexed by two vertices) are pushed through chain
 kernels built from the two-point matrix G, its smeared companion, and the
 triangle tensor. Kernels factorize into a prefix (plain or anchored), a middle
 block, and a terminal contraction, so applying one costs a few matrix
-products; geometric chain sums are certified by measured contraction with an
-entrywise upper tail, and cross-checkable against an exact linear solve.
+products. Every geometric chain sum, and the infinite-depth bubble chain, is
+one linear solve with a proved upward enclosure of the exact sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,24 +54,75 @@ def fields_from_graph(g: CouplingGraph) -> GraphFields:
     return GraphFields(G=G, Gt=Gt, Tau=Tau)
 
 
-# Mass below which the plain-chain resolvent stops adding kernel terms.
-CHAIN_ATOL = 1e-12
+_U = 2.0 ** -53      # unit roundoff of float64
 
 
-def _spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings on
+    exact nonnegative data away from underflow (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _up(x, k: int):
+    """x, within gamma_k of a nonnegative exact value (k roundings), raised
+    past that value; three spare roundings cover the scaling itself."""
+    return x * (1.0 + _gamma(k + 3))
+
+
+class _ChainSolve:
+    """Certified sums (I - K)^-1 p = sum_j K^j p of a nonnegative operator K,
+    computed with each entry within gamma_k of the exact one.
+
+    With A = I - K inverted once and v = A^-1 1 from the inverse: if v > 0
+    and r, the largest (K v)_i / v_i rounded upward, is below 1, then
+    K v <= r v bounds K's spectral radius by r (Collatz-Wielandt), so
+    A^-1 = sum_j K^j >= 0 and A^-1 v <= v / (1 - r). A computed solution x
+    of A x = p with residual R = p - A x then has |A^-1 p - x| <= A^-1 |R|
+    <= v max_i(|R|_i / v_i) / (1 - r) (Rump, Acta Numerica 19, 2010), and x
+    plus that bound, rounded upward, is a proved upper bound for p >= 0.
+    Otherwise ``refusal`` says why, and every nonzero field sums to +inf.
+    """
+
+    def __init__(self, K: np.ndarray, k: int, name: str):
+        self.K, self.k = K, k
+        self.inv = np.linalg.inv(np.eye(len(K)) - K)
+        v = self.v = self.inv.sum(axis=1)
+        # the exact K v / v: K's k roundings, then the product and the quotient;
+        # no bound unless v > 0
+        self.r = float(np.max(_up(K @ v / v, k + len(K) + 1))) if np.all(v > 0.0) else math.inf
+        self.refusal = f"{name} contraction bound {self.r:.6g} >= 1" if self.r >= 1.0 else None
+
+    def __call__(self, P: np.ndarray):
+        """Upper sums of the fields P (rows), each taking the products of a
+        single one, and per field the width: the exact sum lies within it
+        below the upper sum at every entry."""
+        if self.refusal:
+            zero = ~P.any(axis=1)
+            return np.where(zero[:, None], P, math.inf), np.where(zero, 0.0, math.inf)
+        K, N = self.K, len(self.K)
+        X = (self.inv @ P[..., None])[..., 0]
+        aX = np.abs(X)
+        R = np.abs((P - X) + (K @ X[..., None])[..., 0])
+        # K's error and the roundings of R move the exact residual by at
+        # most gamma_(k+N+1) (|p| + |x| + K |x|)
+        R += _gamma(self.k + N + 2) * (np.abs(P) + aX + (K @ aX[..., None])[..., 0])
+        s = _up(_up(R, N + 4) / self.v, 1).max(axis=1)
+        w = _up(self.v * s[:, None] / (1.0 - self.r), 3)
+        total = _up(X + w, 1)
+        return total, _up(total - X + w, 2).max(axis=1)
 
 
 class DiagramEngine:
     """Kernel applications and certified chain sums at a fixed chain depth m.
 
     ``m`` is a positive integer or None for the infinite depth, in which case
-    the inner bubble chains are summed exactly by a linear solve (refused when
-    the bubble matrix does not contract). ``E`` (the sandwich matrix, default
-    I + Tau o Tau) and ``T3`` (the triangle tensor, default that of G) may be
-    given instead, and ``gate`` False keeps the endpoint entry that the
-    anchored terminal columns otherwise zero; the reduced closed forms are
-    cross-checked through them.
+    ``chain0`` is the certified upper sum of the bubble chain (I - Gt o Gt)^-1
+    (refused when the bubble matrix does not provably contract). ``E`` (the
+    sandwich matrix, default I + Tau o Tau) and ``T3`` (the triangle tensor,
+    default that of G) may be given instead, and ``gate`` False keeps the
+    endpoint entry that the anchored terminal columns otherwise zero; the
+    reduced closed forms are cross-checked through them.
     """
 
     def __init__(self, fields: GraphFields, m, E=None, T3=None, gate=True):
@@ -86,12 +138,11 @@ class DiagramEngine:
         I = np.eye(n)
         self.B2 = fields.Gt * fields.Gt
         if m is None:
-            rho = _spectral_radius(self.B2)
-            if rho >= 1.0:
-                raise NonContracting(f"bubble matrix spectral radius {rho:.3g} >= 1")
-            inv = np.linalg.solve(I - self.B2, I)
-            self.chain0 = inv
-            self.chain_prev = inv
+            bubble = _ChainSolve(self.B2, 1, "bubble matrix")
+            if bubble.refusal:
+                raise NonContracting(bubble.refusal)
+            self.chain0 = self.chain_prev = bubble(I)[0].T
+            rounds = 0          # an upper bound, taken as exact data
         else:
             self.chain_prev = I.copy()
             P = I.copy()
@@ -99,12 +150,16 @@ class DiagramEngine:
                 P = P @ self.B2
                 self.chain_prev = self.chain_prev + P
             self.chain0 = self.chain_prev + P @ self.B2
+            rounds = m * (n + 1) + 1    # j (n + 1) for B2^j, one for the sum
         self.chain1 = self.chain0 - I
         self.E = I + fields.Tau * fields.Tau if E is None else E
         self.psi = self.E @ self.chain0 @ self.E
+        # the pair-space kernel entries G[v,w] psi[z,v] Gt[y,w]: psi takes
+        # chain0's roundings, two for E and n per product; the kernel two more
+        self._rounds = rounds + 2 * n + 6
         self.T3 = triangle_tensor(fields.G) if T3 is None else T3
         self.EC = self.E @ self.chain_prev
-        self._res_cache: dict = {}     # prefix -> chain sum after it, or its refusal
+        self._res_cache: dict = {}     # prefix -> chain sum after it
         self._mids: dict = {}          # anchor -> anchored middle matrix
         self._cols: dict = {}          # anchor -> anchored terminal columns
 
@@ -173,72 +228,29 @@ class DiagramEngine:
 
     # -- chain sums ----------------------------------------------------------
 
-    def _l1(self, P: np.ndarray) -> np.ndarray:
-        """Total mass of each field of a stack."""
-        return np.abs(P).reshape(len(P), -1).sum(axis=1)
+    @cached_property
+    def _pair(self) -> _ChainSolve:
+        """The certified solve over pair space, built on the first chain sum:
+        column k of its operator is the plain kernel on the k-th unit field."""
+        n = self.f.n
+        K = self.apply_kernel(np.eye(n * n).reshape(n * n, n, n), ("U",)).reshape(n * n, -1)
+        return _ChainSolve(np.ascontiguousarray(K.T), self._rounds, "chain operator")
 
     def resolvent(self, P: np.ndarray):
-        """Sum of repeated plain-kernel applications, certified upward.
-
-        P is a pair field or a stack of them (k, n, n), each summed on its
-        own: it iterates until its increment's total mass is below
-        CHAIN_ATOL * (1 - rho) / rho with rho its largest observed step
-        contraction; the residual tail mass is then added to every entry,
-        which dominates the missing terms entrywise. A field refuses when a
-        step fails to contract.
-
-        One field gives (total, info) with its iterations, rho and tail, and
-        raises NonContracting on refusal. A stack gives the totals, +inf for
-        a refused field, and info with rho and tail per field (a refused
-        field keeps the rho of its failing step) and the iterations summed
-        over the fields.
-        """
-        rows = P[None] if P.ndim == 2 else P
-        total = rows.copy()
-        mass = self._l1(rows)
-        rho, tail = np.zeros(len(rows)), np.zeros(len(rows))
-        iters = 0
-        # the fields still summing, with their last step, sum so far, mass and rho
-        live = np.flatnonzero(mass != 0.0)
-        cur, acc, mass, r = rows[live], total[live], mass[live], rho[live]
-        while live.size:
-            cur = self.apply_kernel(cur, ("U",))
-            step = self._l1(cur)
-            r = np.maximum(r, step / mass)
-            mass = step
-            out = r >= 1.0
-            if out.any():
-                rho[live[out]], total[live[out]], tail[live[out]] = r[out], math.inf, math.inf
-                keep = ~out
-                live, cur, acc, mass, r = live[keep], cur[keep], acc[keep], mass[keep], r[keep]
-            iters += live.size
-            acc = acc + cur
-            done = mass < CHAIN_ATOL * (1.0 - r) / np.maximum(r, 1e-300)
-            if done.any():
-                fin = live[done]
-                rho[fin] = r[done]
-                tail[fin] = mass[done] * r[done] / (1.0 - r[done])
-                total[fin] = acc[done] + tail[fin][:, None, None]
-                keep = ~done
-                live, cur, acc, mass, r = live[keep], cur[keep], acc[keep], mass[keep], r[keep]
+        """The plain chain sum after a nonnegative pair field, or after each
+        of a stack (k, n, n), certified upward; each field of a stack gets
+        the bits it gets alone. Gives (totals, info): info has the proved
+        contraction rho, the enclosure width tail (per field for a stack)
+        and the number of fields solved. A refused field is +inf in a stack;
+        one field raises NonContracting."""
+        solve = self._pair
+        totals, tails = solve(P.reshape(-1, P.shape[-1] ** 2))
+        info = {"iterations": int(np.isfinite(tails).sum()), "rho": solve.r, "tail": tails}
         if P.ndim == 3:
-            return total, {"iterations": iters, "rho": rho, "tail": tail}
-        if rho[0] >= 1.0:
-            raise NonContracting(_chain_refusal(rho[0]))
-        return total[0], {"iterations": iters, "rho": float(rho[0]),
-                          "tail": float(tail[0])}
-
-    def resolvent_exact(self, P: np.ndarray) -> np.ndarray:
-        """Same sum by an exact linear solve over pair space (cross-check)."""
-        n = self.f.n
-        units = np.eye(n * n).reshape(n * n, n, n)
-        basis = np.ascontiguousarray(
-            self.apply_kernel(units, ("U",)).reshape(n * n, n * n).T)
-        op = np.eye(n * n) - basis
-        rho = _spectral_radius(basis)
-        if rho >= 1.0:
-            raise NonContracting(f"chain operator spectral radius {rho} >= 1")
-        return np.linalg.solve(op, P.ravel()).reshape(n, n)
+            return totals.reshape(P.shape), {**info, "rho": np.full(len(tails), solve.r)}
+        if tails[0] == math.inf:
+            raise NonContracting(solve.refusal)
+        return totals.reshape(P.shape), {**info, "tail": float(tails[0])}
 
     def _delta_pair(self) -> np.ndarray:
         """The pair field 1 at (o, o), o the origin vertex 0."""
@@ -246,37 +258,21 @@ class DiagramEngine:
         P[0, 0] = 1.0
         return P
 
-    def _resolve(self, prefixes) -> None:
-        """Sum the plain chain after each prefix (a tuple of middle kernel
-        specs) and after each prefix of those, level by level: one stacked
-        resolvent per prefix length. A refusal is kept, and every prefix that
-        extends a refused one inherits it."""
+    def _resolve(self, prefixes) -> list:
+        """The plain chain sum after each prefix (a tuple of middle kernel
+        specs), summed with every prefix of those, level by level: one
+        stacked resolvent per prefix length. Raises NonContracting when the
+        pair operator is refused, which refuses every chain from the origin."""
+        if self._pair.refusal:
+            raise NonContracting(self._pair.refusal)
         todo = dict.fromkeys(p[:k] for p in prefixes for k in range(len(p) + 1))
         todo = [p for p in todo if p not in self._res_cache]
-        for level in range(1 + max(map(len, todo), default=-1)):
-            keys, seeds = [], []
-            for p in todo:
-                if len(p) != level:
-                    continue
-                prev = self._res_cache[p[:-1]] if p else self._delta_pair()
-                if isinstance(prev, str):
-                    self._res_cache[p] = prev
-                    continue
-                keys.append(p)
-                seeds.append(self.apply_kernel(prev, p[-1]) if p else prev)
-            if keys:
-                totals, info = self.resolvent(np.stack(seeds))
-                rho = np.broadcast_to(info["rho"], len(keys))
-                for p, t, r in zip(keys, totals, rho):
-                    self._res_cache[p] = _chain_refusal(r) if r >= 1.0 else t
-
-    def _resolved(self, mids: tuple) -> np.ndarray:
-        if mids not in self._res_cache:
-            self._resolve([mids])
-        out = self._res_cache[mids]
-        if isinstance(out, str):
-            raise NonContracting(out)
-        return out
+        for level in sorted(set(map(len, todo))):
+            keys = [p for p in todo if len(p) == level]
+            seeds = [self.apply_kernel(self._res_cache[p[:-1]], p[-1]) if p
+                     else self._delta_pair() for p in keys]
+            self._res_cache.update(zip(keys, self.resolvent(np.stack(seeds))[0]))
+        return [self._res_cache[p] for p in prefixes]
 
     def chain_sum_X(self, placements) -> np.ndarray:
         """Values of a sum of placed chains from the origin, vertex 0, to
@@ -288,12 +284,8 @@ class DiagramEngine:
         """
         total = 0.0
         for mids, term, coeff in placements:
-            total += coeff * self.terminal_value(self._resolved(tuple(mids)), term)
+            total += coeff * self.terminal_value(self._resolve([tuple(mids)])[0], term)
         return total
-
-
-def _chain_refusal(rho) -> str:
-    return f"chain step contraction {float(rho)} >= 1"
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +423,13 @@ class TheoremEvaluator:
                 lists[kind] = [place(*anchors) for anchors in np.ndindex((n,) * arity)]
         if lists:
             eng = self.engine(m)
-            eng._resolve([mids for pls in lists.values() for pl in pls for mids, _, _ in pl])
+            try:
+                eng._resolve([mids for pls in lists.values() for pl in pls for mids, _, _ in pl])
+            except NonContracting:
+                eng = None
         for kind, pls in lists.items():
-            out = np.empty((len(pls), n))
-            for row, pl in zip(out, pls):
-                try:
-                    row[:] = eng.chain_sum_X(pl)
-                except NonContracting:
-                    row[:] = math.inf
+            out = (np.array([eng.chain_sum_X(pl) for pl in pls]) if eng
+                   else np.full((len(pls), n), math.inf))
             self._chains[m, kind] = out.reshape((n,) * (_TABLES[kind][1] + 1))
         return [self._chains[m, kind] for kind in kinds]
 

@@ -78,7 +78,7 @@ def test_criterion_4_theorem_bounds():
              "with singleton and full through sets and every extra endpoint",
              not bad and dt <= 600.0 and len(insts) == 22
              and fams == {"diagonal_rejected", "thm1", "thm2", "thm3", "thm4",
-                          "resolvent_vs_exact"}
+                          "chain_enclosure"}
              and singletons and full and ys,
              f"{len(rows)} checks on {len(insts)} instances, {len(bad)} failed, "
              f"{dt:.1f}s of 600s")

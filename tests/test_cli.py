@@ -310,7 +310,7 @@ def test_summary_counts_statuses_and_skips_gate_margins(tmp_path, capsys):
     assert vacuous == 374
     assert f", 0 failed, {vacuous} vacuous, worst margin " in line
     bounds = [float(r[5]) for r in rows
-              if r[2].startswith(("thm", "resolvent_vs_exact")) and r[5] != "inf"]
+              if r[2].startswith(("thm", "chain_enclosure")) and r[5] != "inf"]
     assert any(r[2] == "diagonal_rejected" and float(r[5]) == 0.0 for r in rows)
     assert f"worst margin {min(bounds):.12g}," in line
     assert min(bounds) != 0.0
