@@ -19,7 +19,7 @@ from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
     NonContracting,
-    _dct, _idct, _minus_delta, _mirror, _weights, hyp1_report,
+    _dct, _idct, _minus_delta, _mirror, _turns, _weights, hyp1_report,
     rw_green_proxy, tilde_g, triangle_tensor, weighted_norm, wrap_mass,
 )
 
@@ -388,7 +388,8 @@ class TheoremEvaluator:
     from the tables term by term in the order of the sum, so every entry
     takes the floating-point steps of its scalar sum. Engines are kept per
     depth; a depth whose build was refused raises its refusal again without
-    a rebuild.
+    a rebuild, and so does a (theorem, A) whose row needs it, without
+    rebuilding the row.
     """
 
     def __init__(self, g: CouplingGraph):
@@ -449,13 +450,15 @@ class TheoremEvaluator:
                               4: "theorem 4 needs both A and y"}[theorem])
         key = (theorem, tuple(A) if theorem in (2, 4) else None)
         at = (ix,) if theorem < 3 else (ix, g.index(y))
-        try:
-            if key not in self._rows:
-                ia = None if key[1] is None else [g.index(a) for a in key[1]]
+        if key not in self._rows:
+            ia = None if key[1] is None else [g.index(a) for a in key[1]]
+            try:
                 self._rows[key] = self._theorem_rows(theorem, ia)
-        except NonContracting:
+            except NonContracting as exc:
+                self._rows[key] = str(exc)
+        if isinstance(self._rows[key], str):
             if strict:
-                raise
+                raise NonContracting(self._rows[key])
             return math.inf
         rhs = float(self._rows[key][at])
         if strict and rhs == math.inf:
@@ -523,9 +526,10 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     fundamental domain in the others: each probe costs rfft/irfft pairs
     along axis 0 and cosine transforms along the rest, and its sum weights
     each point by its multiplicity. The radius loop runs in a workspace of
-    two such products, allocated once per call, next to psi, Gt, Gt^2 and
-    G's spectrum on the fundamental domain; only slices are allocated per
-    radius.
+    two such products, allocated once per call, next to psi, Gt, Gt^2
+    (with the multiplicities folded in: they are powers of 2, so the
+    products keep their bits) and G's spectrum on the fundamental domain;
+    only slices are allocated per radius.
     """
     G, tau = rw_green_proxy(SpreadOut(d, L), side, p)
     Gt = tilde_g(G, tau)
@@ -536,11 +540,11 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     hyp1 = hyp1_report(G, tau, L)
     flat = Gt.total() / side ** d
     wrap = wrap_mass(Gt)
-    g2 = Gt * Gt
+    g2 = Gt.data * Gt.data
     # psi = (d+t2) * (d+g2) * (d+t2) with the delta 1 on the spectrum
     E = _dct(tau.data * tau.data, side)
     E += 1.0
-    S = _dct(g2.data, side)
+    S = _dct(g2, side)
     S += 1.0
     S *= E
     S *= E
@@ -548,10 +552,9 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     # G's spectrum is real and even, so its cosine transform is also its
     # half spectrum along axis 0
     Ghat = _dct(G.data, side)
-    axes = range(1, d)
+    g2 *= _weights(d - 1, side)             # exact: the weights are powers of 2
     unfold = _mirror(side)
     del G, tau, E, S
-    W = _weights(d - 1, side)
     if radii is None:
         radii = list(range(1, side // 2 + 1))
     rows = {}
@@ -564,28 +567,31 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
 
     # The workspace: each radius writes its pair products and transforms
     # into A and P alone, so the radius loop maps no new pages for them.
-    # The rfft/irfft pairs run on one index of axis 1 at a time (on the
-    # whole field at d = 1), so their outputs are slices, and each irfft
-    # output is copied into the workspace.
-    A, P = np.empty((2, side) + psi.shape[1:])
-    H = Ghat.reshape(side // 2 + 1, -1, math.prod(psi.shape[2:]))
+    # Each holds, for each index of axis 0, a field on the fundamental
+    # domain of the other axes in the padded layout of ``_turns`` (at d = 1
+    # a single entry). The rfft/irfft pairs run on one index of axis 1 at
+    # a time (on the whole field at d = 1), so their outputs are slices,
+    # and each irfft output is copied into the workspace.
+    m = side // 2 + 1
+    A, P = np.empty((2, side, m + 1 if d > 1 else 1, m ** max(d - 2, 0)))
+    shape = (side,) + psi.shape[1:]
+    H = Ghat.reshape(m, -1, A.shape[2])
     for r in radii:
         x = (r,) + (0,) * (d - 1)
         term0 = Gt.value(x) ** 3
         core = Gt.value(x) - flat
-        pair(psi, Gt.data, r, A)
-        D = _dct(A, side, axes, (P, A))
+        pair(psi, Gt.data, r, A[:, :m].reshape(shape))
+        D = _turns(A, P, side, d - 1)
         F = P if D is A else A
-        D3, F3 = D.reshape((side,) + H.shape[1:]), F.reshape((side,) + H.shape[1:])
         for j in range(H.shape[1]):
-            S = np.fft.rfft(D3[:, j], axis=0)
+            S = np.fft.rfft(D[:, j], axis=0)
             S *= H[:, j]
-            F3[:, j] = np.fft.irfft(S, n=side, axis=0)
-        conv = _idct(F, side, axes, (D, F))
-        B = P if conv is A else A
-        pair(Gt.data, g2.data, r, B)
-        B *= conv
-        B *= W
+            F[:, j] = np.fft.irfft(S, n=side, axis=0)
+        conv = _turns(F, D, side, d - 1, inverse=True)
+        # unpadded and contiguous: B.sum() is one pairwise sum of the product
+        B = (P if conv is A else A).reshape(-1)[:math.prod(shape)].reshape(shape)
+        pair(Gt.data, g2, r, B)
+        B *= conv[:, :m].reshape(shape)
         term1 = float(B.sum())
         rho = term1 / term0 if term0 > 0 else math.inf
         if rho < 1.0:

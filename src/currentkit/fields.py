@@ -13,8 +13,10 @@ psi and their squares), by its values on the fundamental domain
 [0, side//2]^d; sums over the torus weight each point by its multiplicity.
 Its Fourier transform is real, even and lives on the same domain: a DCT-I
 along each axis (``_dct``/``_idct``, one cached cosine matrix per side;
-Martucci, IEEE Trans. Signal Process. 42, 1994). At d = 5 and side 32 that
-is 17^5 entries in place of 32^5. The proxy pair and the reports take
+Martucci, IEEE Trans. Signal Process. 42, 1994), one matrix product per
+axis that moves the axis last (``_turns``; Van Loan, Computational
+Frameworks for the FFT, 1992, sections 3.2-3.3). At d = 5 and side 32
+that is 17^5 entries in place of 32^5. The proxy pair and the reports take
 SymFields, transform each operand once per call and form their convolution
 products on the spectrum, where the delta is 1. Four-point sums over
 reflection-symmetric fields are dot products of two pair products
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Sequence
@@ -122,6 +125,11 @@ def _mirror(side: int) -> np.ndarray:
     return np.minimum(k, side - k)
 
 
+# entries one matrix product of ``_turns`` writes at most (64 KiB): such a
+# product stays in cache and, at the sides used here, on one BLAS thread
+_TURN_BLOCK = 1 << 13
+
+
 @functools.lru_cache(maxsize=None)
 def _axis_weights(side: int) -> np.ndarray:
     """Multiplicities 1, 2, ..., 2, 1 along one axis (a trailing 2 for odd side)."""
@@ -164,46 +172,76 @@ def _cosines(side: int) -> np.ndarray:
     return M
 
 
-def _dct(a: np.ndarray, side: int, axes: Sequence[int] | None = None,
-         bufs: tuple | None = None) -> np.ndarray:
-    """Fourier transform of a field on the fundamental domain along ``axes``
-    (default all): one matrix product per axis, batched over the axes
-    before it. Index 0, whose cosines are all 1, is added after the product,
-    so that a spike there (the delta in a field, the mean in a spectrum)
-    does not set the rounding scale of the sums over the other indices.
-    The axes write in turn into two buffers of a's shape, whatever their
-    number: ``bufs`` if given (the first must not be a, the second may be),
-    else two new arrays.
+@functools.lru_cache(maxsize=None)
+def _turn_matrix(side: int) -> np.ndarray:
+    """The cosines ``_turns`` multiplies by: row j - 1 is column j of
+    ``_cosines`` for j = 1..side//2, and the last row is its column 0, all
+    ones."""
+    M = _cosines(side)
+    C = np.vstack([M[:, 1:].T, M[:, :1].T])
+    C.flags.writeable = False
+    return C
+
+
+def _turns(X: np.ndarray, Y: np.ndarray, side: int, n: int,
+           inverse: bool = False) -> np.ndarray:
+    """Cosine transform of a stack of fields along their first n axes, one
+    matrix product per axis.
+
+    X has shape (B, m + 1, N), m = side // 2 + 1: B fields, each with the
+    axis to transform leading, a spare row after its m rows, and its other
+    axes flattened into N; Y is a buffer of the same shape. Each axis copies
+    row 0 into the spare row and multiplies rows 1..m, read in place through
+    the transposed view, by ``_turn_matrix``, writing (N, m) into the other
+    buffer: the axis moves last and the next one leads. Index 0 (cosine 1)
+    is the last term of each dot product, so it is rounded once onto the sum
+    of the others, and a spike there (the delta in a field, the mean in a
+    spectrum) does not set the rounding scale of that sum. A product writes
+    at most ``_TURN_BLOCK`` entries; fields of one axis are the rows of one
+    product, and a lone one is a vector-matrix product to which index 0 is
+    added. ``inverse`` inverts fields of n axes, adding the zero mode of
+    each, the mean of a near-critical field, once after the transform. X is
+    overwritten; returns the buffer that holds the result.
     """
-    M = _cosines(side)[:, 1:]
-    shape = a.shape
-    if bufs is None:
-        bufs = np.empty(shape), np.empty(shape)
-    for i, ax in enumerate(range(a.ndim) if axes is None else axes):
-        b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
-        out = bufs[i % 2].reshape(b.shape)
-        if ax == a.ndim - 1:
-            np.matmul(a[..., 1:], M.T, out=bufs[i % 2])
+    B, N, m = X.shape[0], X.shape[2], side // 2 + 1
+    rows = N
+    while rows * m > _TURN_BLOCK and rows % m == 0:
+        rows //= m
+    C = _turn_matrix(side)
+    if inverse:
+        mean = X[:, 0, :1].copy()
+        X[:, 0, 0] = 0.0
+    for _ in range(n):
+        X[:, m] = X[:, 0]
+        if N > 1:
+            np.matmul(X[:, 1:].reshape(B, m, -1, rows).transpose(0, 2, 3, 1), C,
+                      out=Y[:, :m].reshape(B, -1, rows, m))
+        elif B > 1:
+            np.matmul(X[:, 1:, 0], C, out=Y[:, :m, 0])
         else:
-            np.matmul(M, b[:, 1:], out=out)
-        out += b[:, :1]
-        a = bufs[i % 2]
-    return a
+            np.matmul(X[0, 1:m, 0], _cosines(side)[:, 1:].T, out=Y[0, :m, 0])
+            Y[0, :m, 0] += X[0, 0, 0]
+        X, Y = Y, X
+    if inverse:
+        out = X[:, :m]
+        out += mean[:, :, None]
+        out /= float(side) ** n
+    return X
 
 
-def _idct(S: np.ndarray, side: int, axes: Sequence[int] | None = None,
-          bufs: tuple | None = None) -> np.ndarray:
-    """Inverse of ``_dct`` along the same axes, written into ``bufs`` as
-    there; S is overwritten. The zero mode along the axes, the mean of a
-    near-critical field, is added once after the transform."""
-    axes = range(S.ndim) if axes is None else axes
-    zero = tuple(slice(0, 1) if ax in axes else slice(None) for ax in range(S.ndim))
-    mean = S[zero].copy()
-    S[zero] = 0.0
-    a = _dct(S, side, axes, bufs)
-    a += mean
-    a /= float(side) ** len(axes)
-    return a
+def _dct(a: np.ndarray, side: int, inverse: bool = False) -> np.ndarray:
+    """Fourier transform of a field on the fundamental domain (its inverse
+    with ``inverse``): the field is copied into a padded buffer and
+    transformed along every axis by ``_turns``; a is not changed."""
+    m = side // 2 + 1
+    X = np.empty((1, m + 1, a.size // m))
+    X[0, :m] = a.reshape(m, -1)
+    return _turns(X, np.empty_like(X), side, a.ndim, inverse)[0, :m].reshape(a.shape)
+
+
+def _idct(S: np.ndarray, side: int) -> np.ndarray:
+    """Inverse of ``_dct``."""
+    return _dct(S, side, inverse=True)
 
 
 def _hat(a: np.ndarray) -> np.ndarray:
@@ -373,14 +411,25 @@ def convolution_bound_check(d: int, a: float, b: float, L: float, R: int) -> dic
         raise GraphError("the marginal case a == d is rejected")
     probes = default_probes(d, R)
     # Squared norms on the box are integers, so each power is taken once per
-    # value and gathered: the same floats as raising the whole grid.
+    # value and gathered: the same floats as raising the whole grid. The sum
+    # is streamed over the box's first axis y0, a block of slices at a time:
+    # each slice is summed pairwise, and the slice sums are added in order.
     top = max([d * R * R] + [sum((R + abs(c)) ** 2 for c in x) for x in probes])
     norm = np.maximum(np.sqrt(np.arange(top + 1, dtype=float)), float(L))
     powA, powB = norm ** (-a), norm ** (-b)
-    wY = powB[_box_sq_norms(R, (0,) * d)]
+    offs = np.arange(-R, R + 1)
+    restY = _box_sq_norms(R, (0,) * (d - 1))
+    step = max(1, (1 << 16) // restY.size)
     ratios = {}
     for x in probes:
-        lhs = float((powA[_box_sq_norms(R, x)] * wY).sum())
+        restX = _box_sq_norms(R, x[1:])
+        lhs = 0.0
+        for lo in range(0, 2 * R + 1, step):
+            y0 = offs[lo:lo + step]
+            terms = powA[np.add.outer((x[0] - y0) ** 2, restX)]
+            terms *= powB[np.add.outer(y0 ** 2, restY)]
+            for part in terms.reshape(len(y0), -1).sum(axis=1):
+                lhs += float(part)
         nx = weighted_norm(x, L)
         env = (L ** (d - a)) * nx ** (-b) if a > d else nx ** (d - a - b)
         ratios[x] = lhs / env
@@ -437,7 +486,7 @@ def hyp3_report(Gt: SymField, tau: SymField) -> dict:
     S = _dct(Gt.data, Gt.side)
     for j in (1, 2):
         S *= T
-        out[f"ratio_{j}"] = float((_idct(S.copy(), Gt.side)[mask] / base).max())
+        out[f"ratio_{j}"] = float((_idct(S, Gt.side)[mask] / base).max())
     return out
 
 
@@ -489,7 +538,7 @@ def psi1_report(Gt: SymField, tau: SymField) -> dict:
     del T2
     G2 = _dct(g2, side)
     EG2 = E * G2
-    e_g2 = _idct(EG2.copy(), side)          # (d+t2) * g2
+    e_g2 = _idct(EG2, side)                 # (d+t2) * g2
     EG2 *= E
     ee_g2 = _idct(EG2, side)                # (d+t2) * (d+t2) * g2
     del EG2
@@ -509,7 +558,7 @@ def psi1_report(Gt: SymField, tau: SymField) -> dict:
     s_tau = _idct(S, side)                  # (d+tau) * tau
     S = _dct(Gt.data, side)
     S *= P
-    s_gt = _idct(S.copy(), side)            # (d+tau) * Gt
+    s_gt = _idct(S, side)                   # (d+tau) * Gt
     S *= P
     s2_gt = _idct(S, side)                  # (d+tau) * (d+tau) * Gt
     del S, P
@@ -557,6 +606,26 @@ def _pair_product(F: np.ndarray, a, H: np.ndarray, b,
     return out
 
 
+def _scaled_pairs(dots: list) -> set:
+    """The pairs that ``_four_point_sums`` scales by the multiplicities, for
+    dot products ``dots`` of two pairs. Scaling a pair is one pass, and so
+    is weighting a dot product whose factors are both scaled or neither.
+    From none, each pair in turn, the most used first, is flipped while that
+    saves passes."""
+    uses = Counter(p for dot in dots for p in dot)
+    scaled, changed = set(), True
+    while changed:
+        changed = False
+        for p in sorted(uses, key=uses.get, reverse=True):
+            change = (-1 if p in scaled else 1) + sum(
+                1 if (x in scaled) != (y in scaled) else -1
+                for x, y in dots if x != y and p in (x, y))
+            if change < 0:
+                scaled ^= {p}
+                changed = True
+    return scaled
+
+
 def _four_point_sums(fields: dict, k: int, quads: list) -> list:
     """sum_x A(u-x) B(x-u') C(v-x) D(x-v') for each quad of legs
     ((A, u), (B, u'), (C, v), (D, v')), where A to D name SymFields in
@@ -575,10 +644,13 @@ def _four_point_sums(fields: dict, k: int, quads: list) -> list:
     slice. The sums run grouped by their right pair, in the order the right
     pairs first appear in ``quads``; each pair is built at its first use,
     into an array whose last use has passed, so a call holds a handful of
-    slice-sized arrays. The weights are powers of 2, so each weighted
-    product is exact; each slice's products are summed pairwise, and so are
-    the slice sums of each dot product. A running dot product (einsum)
-    drifts by 7e-15 relative at side 16.
+    slice-sized arrays. The weights are powers of 2, so scaling a factor by
+    them gives the bits of scaling the product: the pairs of
+    ``_scaled_pairs`` are scaled when built, and only a dot product whose
+    factors are both scaled (or neither) is divided (or multiplied) by them.
+    Each slice's products are summed pairwise, and so are the slice sums of
+    each dot product. A running dot product (einsum) drifts by 7e-15
+    relative at side 16.
     """
     first = next(iter(fields.values()))
     d, side = first.d, first.side
@@ -592,6 +664,7 @@ def _four_point_sums(fields: dict, k: int, quads: list) -> list:
         rank.setdefault(right, len(rank))
     order = sorted(range(len(quads)), key=lambda i: rank[sides[i][1]])
     last = {p: i for i in order for p in sides[i]}
+    scaled = _scaled_pairs(list(dict.fromkeys(tuple(sorted(s)) for s in sides)))
     m = side // 2 + 1
     w = _weights(d - k, side)
     cuts = [((slice(None),) * k + (c,), w[c]) for c in range(m)] if d > k else [((), w)]
@@ -611,11 +684,16 @@ def _four_point_sums(fields: dict, k: int, quads: list) -> list:
                     (F, a), (H, b) = p
                     live[p] = _pair_product(unfolded[F], a, unfolded[H], b,
                                             out=spare.pop() if spare else None)
+                    if p in scaled:
+                        live[p] *= wc
             pq = tuple(sorted(sides[i]))
             if pq not in done:
                 done.add(pq)
                 np.multiply(live[pq[0]], live[pq[1]], out=buf)
-                buf *= wc
+                if pq[0] in scaled and pq[1] in scaled:
+                    buf /= wc
+                elif pq[0] not in scaled and pq[1] not in scaled:
+                    buf *= wc
                 parts.setdefault(pq, []).append(buf.sum())
             for p in set(sides[i]):
                 if last[p] == i:

@@ -7,6 +7,7 @@ matrices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +375,38 @@ def test_refused_engine_is_built_once(monkeypatch):
         assert ev.theorem_rhs(1, x, strict=False) == math.inf
         assert ev.theorem_rhs(3, x, y=0, strict=False) == math.inf
     assert sorted(builds, key=str) == [1, None]
+
+
+def test_refused_theorem_row_is_built_once(monkeypatch):
+    """A (theorem, A) whose row needs a refused engine is remembered: its
+    row is built once, every later bound on it raises the same refusal (or
+    gives inf) without another build, and the other keys still get theirs."""
+    g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                    beta=1.0)
+    builds = Counter()
+    real = TheoremEvaluator._theorem_rows
+
+    def counted(self, theorem, ia):
+        builds[theorem, None if ia is None else tuple(ia)] += 1
+        return real(self, theorem, ia)
+
+    monkeypatch.setattr(TheoremEvaluator, "_theorem_rows", counted)
+    ev = TheoremEvaluator(g)
+    with pytest.raises(NonContracting) as first:
+        ev.theorem_rhs(2, 1, A=(1,))
+    for _ in range(3):
+        for x in (1, 2):
+            with pytest.raises(NonContracting) as again:
+                ev.theorem_rhs(2, x, A=(1,))
+            assert str(again.value) == str(first.value)
+            assert ev.theorem_rhs(2, x, A=(1,), strict=False) == math.inf
+            for A in ((0,), (0, 1, 2)):
+                assert ev.theorem_rhs(2, x, A=A, strict=False) == math.inf
+                assert ev.theorem_rhs(4, x, A=A, y=0, strict=False) == math.inf
+            assert ev.theorem_rhs(1, x, strict=False) == math.inf
+    assert set(builds.values()) == {1}
+    assert set(builds) == {(2, (1,)), (2, (0,)), (2, (0, 1, 2)), (4, (0,)), (4, (0, 1, 2)),
+                           (1, None)}
 
 
 def test_refused_chain_is_summed_once(monkeypatch):

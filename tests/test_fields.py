@@ -22,7 +22,6 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +37,8 @@ from currentkit import (
 from currentkit import currents, fields
 from currentkit.diagrams import decay_trend
 from currentkit.fields import (
-    _cosines, _dct, _four_point_sums, _hat, _inv, _mirror, _pair_product,
-    _probe_pairs, _triangle, _triangle_quads, _weights,
+    _cosines, _dct, _four_point_sums, _hat, _idct, _inv, _mirror, _pair_product,
+    _probe_pairs, _triangle, _triangle_quads, _turns, _weights,
     centered_norm_grid, default_probes,
 )
 
@@ -290,17 +289,37 @@ def box_norm_grid(d, R, L, shift):
 
 def test_convolution_bound_power_table_matches_grid_powers():
     """Gathering from the table of powers per squared norm gives the same
-    floats, summed in the same order, as raising each grid to its power."""
-    for d, a, b in ((3, 2.0, 2.0), (5, 6.0, 3.0)):
+    floats, summed in the same order (each slice along the first axis
+    pairwise, the slice sums in turn), as raising each grid to its power;
+    and that sum is within 1e-15 relative of the pairwise sum of the whole
+    box."""
+    for d, a, b in ((1, 2.0, 1.0), (3, 2.0, 2.0), (5, 6.0, 3.0)):
         for R in (4, 6):
             for L in (1.0, 2.0, 4.0):
                 got = convolution_bound_check(d, a, b, L, R)
                 wY = box_norm_grid(d, R, L, (0,) * d) ** (-b)
                 for x in default_probes(d, R):
-                    lhs = float((box_norm_grid(d, R, L, x) ** (-a) * wY).sum())
+                    terms = box_norm_grid(d, R, L, x) ** (-a) * wY
+                    lhs = 0.0
+                    for part in terms:
+                        lhs += float(part.sum())
                     nx = weighted_norm(x, L)
                     env = (L ** (d - a)) * nx ** (-b) if a > d else nx ** (d - a - b)
                     assert got["ratios"][x] == lhs / env, (d, R, L, x)
+                    assert abs(lhs - terms.sum()) <= 1e-15 * lhs, (d, R, L, x)
+
+
+def test_convolution_bound_check_streams_the_box():
+    """At d = 5, R = 10 the box has 21^5 entries; the check holds one slice
+    of 21^4 entries at a time, two index grids and two gathers of it: a
+    traced peak under six slices."""
+    tracemalloc.start()
+    try:
+        convolution_bound_check(5, 6.0, 3.0, 1.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * 21 ** 4
 
 
 def test_convolution_bound_finite_constant():
@@ -793,7 +812,10 @@ def rolled_convolve(f, g):
 
 
 def per_axis_dct(a, side, axes=None):
-    """_dct with a fresh product and a fresh index-0 sum for every axis."""
+    """The cosine transform along ``axes`` (default all) with a fresh
+    product and a fresh index-0 sum for every axis, the axes in place: a
+    batched matmul by the cosines of indices 1..m-1 over the axes before
+    it, or a vector-matrix product for the last axis."""
     M = _cosines(side)[:, 1:]
     shape = a.shape
     for ax in range(a.ndim) if axes is None else axes:
@@ -803,6 +825,54 @@ def per_axis_dct(a, side, axes=None):
             b = a.reshape(math.prod(shape[:ax]), shape[ax], -1)
             a = (np.matmul(M, b[:, 1:]) + b[:, :1]).reshape(shape)
     return a
+
+
+def per_axis_idct(S, side, axes=None):
+    """Inverse of per_axis_dct: the zero mode along ``axes`` taken out
+    before the transform and added once after it."""
+    axes = range(S.ndim) if axes is None else axes
+    zero = tuple(slice(0, 1) if ax in axes else slice(None) for ax in range(S.ndim))
+    S = S.copy()
+    mean = S[zero].copy()
+    S[zero] = 0.0
+    a = per_axis_dct(S, side, axes)
+    a += mean
+    a /= float(side) ** len(axes)
+    return a
+
+
+def decay_layout_turns(b, side, inverse=False):
+    """``_turns`` along axes 1.. of b, an array of shape (side, m, ..., m),
+    in decay_trend's workspace layout; the result in b's shape."""
+    d, m = b.ndim, side // 2 + 1
+    X = np.empty((side, m + 1 if d > 1 else 1, m ** max(d - 2, 0)))
+    X[:, :m].reshape(b.shape)[...] = b
+    return _turns(X, np.empty_like(X), side, d - 1, inverse)[:, :m].reshape(b.shape)
+
+
+def weighted_four_point_oracle(fields, k, quads):
+    """Each sum of ``_four_point_sums`` on its own, as the route before the
+    weights were folded: for each slice along axis k, its left and right
+    pair products of the fields unfolded on the k leading axes, multiplied,
+    weighted by the multiplicities and summed pairwise; the slice sums
+    summed pairwise."""
+    first = next(iter(fields.values()))
+    d, side = first.d, first.side
+    w = _weights(d - k, side)
+    cuts = ([((slice(None),) * k + (c,), w[c]) for c in range(side // 2 + 1)]
+            if d > k else [((), w)])
+    unfolded = {name: _unfold(f, k) for name, f in fields.items()}
+    sums = []
+    for (A, u), (B, up), (C, v), (D, vp) in quads:
+        left = _pair_product(unfolded[A], u[:k], unfolded[B], up[:k])
+        right = _pair_product(unfolded[C], v[:k], unfolded[D], vp[:k])
+        parts = []
+        for cut, wc in cuts:
+            buf = left[cut] * right[cut]
+            buf *= wc
+            parts.append(buf.sum())
+        sums.append(float(np.sum(parts)))
+    return sums
 
 
 def family_four_point_sums(A, B, C, D, w, quads):
@@ -927,21 +997,116 @@ def test_direct_convolution_refused_before_allocation(monkeypatch):
 
 
 def test_dct_matches_per_axis_products_bitwise():
-    """Every subset of axes at d = 1 to 5, odd and even sides, and the
-    layout decay_trend transforms: axis 0 unfolded to the full side."""
+    """At d = 1 to 5, odd and even sides: _dct and _idct of a field, and
+    _turns forward and inverse in the layout decay_trend transforms (axis 0
+    unfolded to the full side, the other axes transformed), give the bits
+    of the per-axis route."""
     rng = np.random.default_rng(19)
     for d in range(1, 6):
-        for side in (9, 16):
+        for side in (8, 9, 12, 16):
             m = side // 2 + 1
             a = rng.normal(size=(m,) * d)
-            assert _dct(a, side).tobytes() == per_axis_dct(a, side).tobytes()
-            for r in range(1, d + 1):
-                for axes in combinations(range(d), r):
-                    got = _dct(a, side, axes)
-                    assert got.tobytes() == per_axis_dct(a, side, axes).tobytes(), axes
+            kept = a.copy()
+            assert _dct(a, side).tobytes() == per_axis_dct(a, side).tobytes(), (d, side)
+            assert _idct(a, side).tobytes() == per_axis_idct(a, side).tobytes(), (d, side)
+            assert a.tobytes() == kept.tobytes()
             b = rng.normal(size=(side,) + (m,) * (d - 1))
             axes = range(1, d)
-            assert _dct(b, side, axes).tobytes() == per_axis_dct(b, side, axes).tobytes()
+            got = decay_layout_turns(b, side)
+            assert got.tobytes() == per_axis_dct(b, side, axes).tobytes(), (d, side)
+            got = decay_layout_turns(b, side, inverse=True)
+            assert got.tobytes() == per_axis_idct(b, side, axes).tobytes(), (d, side)
+
+
+def test_turns_split_products_in_row_blocks(monkeypatch):
+    """A field whose products would write more than _TURN_BLOCK entries is
+    transformed in blocks of rows, with the bits of one product per axis."""
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(9,) * 4)
+    whole = _dct(a, 16)
+    calls = []
+    real = np.matmul
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "_TURN_BLOCK", 81)
+    monkeypatch.setattr(fields.np, "matmul", counted)
+    got = _dct(a, 16)
+    assert calls == [(1, 81, 9, 9)] * 4
+    assert got.tobytes() == whole.tobytes() == per_axis_dct(a, 16).tobytes()
+
+
+def long_double_cosine(a, side):
+    """The DCT-I of a along every axis in long double, with the angles
+    reduced mod side before the cosine, and its matrix."""
+    m = side // 2 + 1
+    k = np.arange(m)
+    pi = 4 * np.arctan(np.longdouble(1))
+    w = np.full(m, 2, dtype=np.longdouble)
+    w[0] = 1
+    if side % 2 == 0:
+        w[-1] = 1
+    M = np.cos(2 * pi * (np.outer(k, k) % side).astype(np.longdouble) / side) * w
+    A = a.astype(np.longdouble)
+    for ax in range(A.ndim):
+        A = np.moveaxis(np.tensordot(M, A, axes=(1, ax)), 0, ax)
+    return A, M
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_side32_dct_error_against_long_double(d):
+    """At side 32 (17 cosines an axis) the padded product is not the
+    per-axis route bit for bit: BLAS does not sum the 16 terms of a
+    per-axis product in the order it sums the 17 of a padded one. Against
+    the long-double transform, on G at p = 0.99 and on a random field,
+    every entry of both routes is within the rounding bound of d sums of
+    17 products each, ((1 + gamma_18)^d - 1) |M|^d |a| (an ulp for each
+    cosine, one rounding for each product and sum), and the padded route's
+    mean absolute error is within 1% of the per-axis route's (it is 0.5%
+    above it on G at d = 3, so the routes are compared on the mean, not
+    entry by entry)."""
+    side = 32
+    u = 2.0 ** -53
+    gamma = 18 * u / (1 - 18 * u)
+    G, _ = rw_green_proxy(SpreadOut(d, 2.0), side, 0.99)
+    for a in (G.data, np.random.default_rng(29).normal(size=(17,) * d)):
+        want, M = long_double_cosine(a, side)
+        scale = np.abs(a).astype(np.longdouble)
+        for ax in range(d):
+            scale = np.moveaxis(np.tensordot(np.abs(M), scale, axes=(1, ax)), 0, ax)
+        bound = ((1 + gamma) ** d - 1) * scale
+        new = np.abs(_dct(a, side) - want)
+        old = np.abs(per_axis_dct(a, side) - want)
+        assert (new <= bound).all() and (old <= bound).all()
+        assert new.mean() <= 1.01 * old.mean()
+
+
+def test_four_point_sums_fold_weights_bitwise(proxy):
+    """Each sum of depicted_ratios' four-point call, with the multiplicities
+    folded into the scaled pairs, has the bits of multiplying each dot
+    product by them and summing it pairwise; and the weight takes at most
+    half the passes a slice it took with one pass per dot product."""
+    _, G, _, Gt = proxy
+    seen = []
+    real = fields._four_point_sums
+
+    def kept(fs, k, quads):
+        seen.append((fs, k, quads))
+        return real(fs, k, quads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_four_point_sums", kept)
+        depicted_ratios(G, Gt)
+    (fs, k, quads), = seen
+    got = [s.hex() for s in _four_point_sums(fs, k, quads)]
+    assert got == [s.hex() for s in weighted_four_point_oracle(fs, k, quads)]
+    pair = [tuple(sorted((n, s[:k]) for n, s in legs)) for q in quads
+            for legs in (q[:2], q[2:])]
+    dots = list(dict.fromkeys(tuple(sorted(pq)) for pq in zip(pair[::2], pair[1::2])))
+    scaled = fields._scaled_pairs(dots)
+    assert len(scaled) + sum((x in scaled) == (y in scaled) for x, y in dots) <= len(dots) / 2
 
 
 @pytest.mark.parametrize("side", [12, 16])
