@@ -29,9 +29,10 @@ factors and |one| those of exactly one. A two-layer through-set measure, with
 its outer layer on the bonds O that avoid A, costs 3**|O| * 2**(n_bonds - |O|).
 A product whose branches pass a cache-sized block splits on its top bond
 into half-size products, until each fits, with the same sums. A product
-that fits keeps its temporaries in a workspace that successive products
-reuse, so they write into pages that are already mapped; building another
-graph's positive table, or clearing the caches, releases it.
+that fits keeps its temporaries in a workspace of four blocks that
+successive products reuse, so they write into pages that are already
+mapped; building another graph's positive table, or clearing the caches,
+releases it.
 A family of measures on the same layer bonds, such as theta' at every x, is
 one superposition with a row per source choice: the product runs on the
 stack of rows, and o's connection to each y is summed row by row. A scalar
@@ -49,8 +50,9 @@ bit b for bond b, as are the positive masks that index every table.
 
 Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
 allocation when the table's traced peak would pass ``_MEM_LIMIT``. A
-superposition counts five mask vectors a row and the workspace; a family's
-rows go in chunks that fit, so only a single row that does not fit is refused.
+superposition counts five mask vectors a row, and once the workspace, its
+layers' masks and numpy's iterator buffers; a family's rows go in chunks
+that fit, so only a single row that does not fit is refused.
 """
 from __future__ import annotations
 
@@ -340,7 +342,8 @@ def _split(f: np.ndarray, h: np.ndarray, bits) -> tuple:
 
     Only a bond in both supports writes: the k-th such level puts f's
     expansion and then h's at the start of ``_work[k % 2]``, so each one
-    lies in the other workspace array from the one it reads."""
+    lies in the other workspace array from the one it reads. Returns the
+    factors and the number of levels that wrote."""
     k = 0
     for in_f, in_h in bits:
         f, h = f.reshape(2, -1, *f.shape[1:]), h.reshape(2, -1, *h.shape[1:])
@@ -357,7 +360,7 @@ def _split(f: np.ndarray, h: np.ndarray, bits) -> tuple:
         else:
             f = (f if in_f else f[:1]).swapaxes(0, 1)
             h = (h if in_h else h[:1]).swapaxes(0, 1)
-    return f, h
+    return f, h, k
 
 
 def _join(r: np.ndarray, levels: int, out: np.ndarray, k: int) -> None:
@@ -380,20 +383,18 @@ def _join(r: np.ndarray, levels: int, out: np.ndarray, k: int) -> None:
         else:
             o[1] = r[:, 1] if r.shape[1] == 2 else 0.0
         r = o.reshape(-1, *shape[2:])
-    if not levels:
-        out[...] = r
 
 
-# The covering product's workspace: two float64 arrays of one size, which
-# every pass of ``_cover`` reuses for its temporaries, so successive passes
-# write into pages that are already mapped. They grow only when a pass needs
-# more. ``_positive_table`` releases them before it builds another graph's
-# table, and ``clear_caches`` with the caches, so they never outlive the
-# graph whose superpositions sized them. Products must run one at a time:
-# two threads covering at once would share them. Two arrays, not one twice as
+# The covering product's workspace: two float64 arrays of ``_COVER_BLOCK // 4``
+# entries, which every pass of ``_cover`` reuses, so successive passes write
+# into pages that are already mapped. A pass has 8 * rows * batch <=
+# ``_COVER_BLOCK`` (``_cover_plan``); its split levels write at most
+# 2 * rows * batch entries, its product and sums rows * batch. The first pass
+# after a release allocates them; ``_positive_table`` and ``clear_caches``
+# release them. Products must run one at a time. Two arrays, not one twice as
 # long: glibc returns a freed heap top only past twice the largest mapping
-# freed so far, and with one array the corpus benchmark's peak RSS read
-# 2.7% higher, with two no higher than before (CHANGES.md).
+# freed so far, and with one array the corpus benchmark's peak RSS read 2.7%
+# higher, with two no higher than before (CHANGES.md).
 _work: list = []
 
 
@@ -413,21 +414,30 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int, out=None) -> np.ndarr
     split. The recursion runs one level per bond, over
     3**|fb & hb| * 2**|fb ^ hb| branches per row.
 
-    A product whose branches fit ``_COVER_BLOCK`` bytes runs breadth first
-    in one pass (``_cover_pass``), with all its rows, in the workspace. A
-    larger one splits on its top bit and covers its halves into the halves
-    of ``out``, each by the same rule, so every entry takes the same
-    elementwise steps as in one pass, and a stack of rows gives bit for bit
-    the rows covered one at a time. Its only new arrays are the result,
-    h0 + h1 and f1*(h0 + h1), which over all levels add up to less than
-    one row vector each.
+    A product whose branches fit ``_COVER_BLOCK`` bytes is one pass, with
+    all its rows, in the workspace: ``_split`` and ``_join`` run its levels
+    breadth first with the branch axes innermost, so the deep levels, which
+    hold most entries, work on long contiguous runs. A larger one splits on
+    its top bit and covers its halves into the halves of ``out``, each by
+    the same rule, so every entry takes the same elementwise steps as in
+    one pass, and a stack of rows gives bit for bit the rows covered one at
+    a time. Its only new arrays are the result, h0 + h1 and f1*(h0 + h1),
+    which over all levels add up to less than one row vector each. A
+    product on no bonds is the product of its rows.
     """
     nb = f.shape[1].bit_length() - 1
     if out is None:
         out = np.empty((max(len(f), len(h)), 1 << nb))
-    plan = _cover_plan(nb, fb, hb, len(f), len(h), _COVER_BLOCK)
-    if plan is not None:
-        _cover_pass(f.T, h.T, *plan, out.T)
+    if not nb:
+        return np.multiply(f, h, out=out)
+    bits = _cover_plan(nb, fb, hb, len(out), _COVER_BLOCK)
+    if bits is not None:
+        if not _work:
+            _work.extend(np.empty(_COVER_BLOCK // 4) for _ in range(2))
+        f, h, k = _split(f.T, h.T, bits)
+        both = np.broadcast(f, h)
+        r = np.multiply(f, h, out=_work[k % 2][:both.size].reshape(both.shape))
+        _join(r, nb, out.T, k + 1)
         return out
     half = 1 << (nb - 1)                   # the masks from half on hold the top bond
     in_f, in_h, fb, hb = fb >= half, hb >= half, fb % half, hb % half
@@ -447,53 +457,15 @@ def _cover(f: np.ndarray, fb: int, h: np.ndarray, hb: int, out=None) -> np.ndarr
 
 
 @lru_cache(maxsize=256)
-def _cover_plan(nb: int, fb: int, hb: int, rf: int, rh: int, block: int) -> tuple | None:
-    """How ``_cover`` runs the product of ``rf`` rows on the bond mask ``fb``
-    and ``rh`` rows on ``hb``, over ``nb`` bonds, with ``block`` bytes to a
-    pass: its (in f, in h) levels from the top bond down, the pass's largest
-    write and its split levels that write (``_pass_entries``); or None when
-    its branches pass the block and it splits on its top bit. A product on
-    no bonds is a pass whatever its rows, so the recursion ends. Cached,
-    since every measure of a family covers the same shapes, so the walks
-    over the levels run once per shape, not once per product."""
-    rows = max(rf, rh)
-    if nb and 8 * rows * _cover_batch(nb, fb, hb) > block:
+def _cover_plan(nb: int, fb: int, hb: int, rows: int, block: int) -> tuple | None:
+    """The (in f, in h) levels of ``_cover``'s product of ``rows`` rows on
+    ``nb`` bonds, f on the bond mask ``fb`` and h on ``hb``, from the top
+    bond down, when its branches fit ``block`` bytes and it is one pass; else
+    None, and it splits on its top bit. Cached, since every measure of a
+    family covers the same shapes."""
+    if 8 * rows * _cover_batch(nb, fb, hb) > block:
         return None
-    bits = tuple((fb >> k & 1, hb >> k & 1) for k in reversed(range(nb)))
-    return bits, *_pass_entries(rf << nb, rh << nb, rows << nb, bits)
-
-
-def _cover_pass(f: np.ndarray, h: np.ndarray, bits, n: int, k: int, out: np.ndarray) -> None:
-    """``_cover``'s recursion over the levels ``bits`` in one pass, into
-    ``out``, with the branch axes innermost, so the deep levels, which hold
-    most entries, work on long contiguous runs. The split levels, the
-    product and the sums but the last write into the workspace, each into
-    the other array from the one it reads. ``n`` is the pass's largest
-    write and ``k`` its split levels that write; a workspace smaller than
-    ``n`` is freed before the larger one is allocated."""
-    if not _work or _work[0].size < n:
-        _work.clear()
-        _work.extend(np.empty(n) for _ in range(2))
-    f, h = _split(f, h, bits)
-    both = np.broadcast(f, h)
-    r = np.multiply(f, h, out=_work[k % 2][:both.size].reshape(both.shape))
-    _join(r, len(bits), out, k + 1)
-
-
-def _pass_entries(nf: int, nh: int, nr: int, bits) -> tuple:
-    """Entries of the largest write of ``_cover_pass`` for factors of ``nf``
-    and ``nh`` entries and a result of ``nr`` (both expansions of a split
-    level, the product, or a sum but the last), and the number of split
-    levels that write, k; the product then goes into ``_work[k % 2]``."""
-    most = k = 0
-    for in_f, in_h in bits:
-        nf = nf * (1 + in_f + in_f * in_h) // 2
-        nh = nh * (1 + in_h + in_f * in_h) // 2
-        nr = nr * (1 + in_f + in_h) // 2
-        if in_f and in_h:
-            most, k = max(most, nf + nh), k + 1
-        most = max(most, nr)
-    return max(most, nr), k
+    return tuple((fb >> k & 1, hb >> k & 1) for k in reversed(range(nb)))
 
 
 def _cover_batch(nb: int, fb: int, hb: int) -> int:
@@ -511,11 +483,22 @@ def _row_bytes(nb: int) -> int:
     at most: five mask vectors. A layer is built beside the product so far
     and its predecessor as a zeroed vector and two gathers; a cover holds
     the product so far, the layer and the result, and its recursion's
-    h0 + h1 and f1*(h0 + h1), less than one vector each (``_cover``). The
-    workspace, at most four blocks since every pass fits one, is counted
-    once per superposition; it outlives the call until another graph's
-    positive table or ``clear_caches`` releases it."""
+    h0 + h1 and f1*(h0 + h1), less than one vector each (``_cover``)."""
     return 40 << nb
+
+
+# Bytes of the iterator buffers numpy takes for a ufunc on strided views:
+# ``np.getbufsize()`` float64 entries for each of three operands.
+_UFUNC_BUFFERS = 24 * np.getbufsize()
+
+
+def _shared_bytes(layers: tuple) -> int:
+    """Bytes a superposition of ``layers`` holds at its peak whatever its
+    rows: the workspace, four blocks, which outlives the call until another
+    graph's positive table or ``clear_caches`` releases it; the ``_inside``
+    masks of each layer bond set, 8 bytes a mask; and one ufunc's buffers."""
+    inside = sum(8 << bonds.bit_count() for bonds in {m for m, _ in layers})
+    return 4 * _COVER_BLOCK + _UFUNC_BUFFERS + inside
 
 
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
@@ -530,7 +513,7 @@ def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     """
     nb = g.n_bonds
     rows = max(len(sms) for _, sms in layers)
-    _fits(rows * _row_bytes(nb) + 4 * _COVER_BLOCK,
+    _fits(rows * _row_bytes(nb) + _shared_bytes(layers),
           f"superposition of {len(layers)} layers on {nb} bonds, {rows} rows")
     P = _positive_table(g)
     out = None
@@ -567,7 +550,7 @@ def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = N
     """
     counts = [len(sms) for _, sms in layers]
     rows = max(counts) if min(counts) else 0
-    step = max(1, (_MEM_LIMIT - _OVERHEAD - 4 * _COVER_BLOCK) // _row_bytes(g.n_bonds))
+    step = max(1, (_MEM_LIMIT - _OVERHEAD - _shared_bytes(layers)) // _row_bytes(g.n_bonds))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
         ysum = np.empty((rows, g.n_vertices))

@@ -19,7 +19,7 @@ from .graphs import CouplingGraph, GraphError, SpreadOut
 from .currents import two_point_matrix
 from .fields import (
     NonContracting,
-    _dct, _idct, _minus_delta, _mirror, _turns, _weights, hyp1_report,
+    _dct, _idct, _mirror, _turns, _weights, hyp1_report,
     rw_green_proxy, tilde_g, triangle_tensor, weighted_norm, wrap_mass,
 )
 
@@ -81,7 +81,7 @@ class _ChainSolve:
     of A x = p with residual R = p - A x then has |A^-1 p - x| <= A^-1 |R|
     <= v max_i(|R|_i / v_i) / (1 - r) (Rump, Acta Numerica 19, 2010), and x
     plus that bound, rounded upward, is a proved upper bound for p >= 0.
-    Otherwise ``refusal`` says why, and every nonzero field sums to +inf.
+    Otherwise ``refusal`` says why, and the solve is not called.
     """
 
     def __init__(self, K: np.ndarray, k: int, name: str):
@@ -97,9 +97,6 @@ class _ChainSolve:
         """Upper sums of the fields P (rows), each taking the products of a
         single one, and per field the width: the exact sum lies within it
         below the upper sum at every entry."""
-        if self.refusal:
-            zero = ~P.any(axis=1)
-            return np.where(zero[:, None], P, math.inf), np.where(zero, 0.0, math.inf)
         K, N = self.K, len(self.K)
         X = (self.inv @ P[..., None])[..., 0]
         aX = np.abs(X)
@@ -237,20 +234,15 @@ class DiagramEngine:
         return _ChainSolve(np.ascontiguousarray(K.T), self._rounds, "chain operator")
 
     def resolvent(self, P: np.ndarray):
-        """The plain chain sum after a nonnegative pair field, or after each
-        of a stack (k, n, n), certified upward; each field of a stack gets
-        the bits it gets alone. Gives (totals, info): info has the proved
-        contraction rho, the enclosure width tail (per field for a stack)
-        and the number of fields solved. A refused field is +inf in a stack;
-        one field raises NonContracting."""
+        """The plain chain sum after each nonnegative pair field of a stack
+        (k, n, n), certified upward; each field gets the bits it gets alone.
+        Gives (totals, info), info the number of fields solved. Raises
+        NonContracting when the pair operator is refused, which refuses
+        every chain from the origin."""
         solve = self._pair
-        totals, tails = solve(P.reshape(-1, P.shape[-1] ** 2))
-        info = {"iterations": int(np.isfinite(tails).sum()), "rho": solve.r, "tail": tails}
-        if P.ndim == 3:
-            return totals.reshape(P.shape), {**info, "rho": np.full(len(tails), solve.r)}
-        if tails[0] == math.inf:
+        if solve.refusal:
             raise NonContracting(solve.refusal)
-        return totals.reshape(P.shape), {**info, "tail": float(tails[0])}
+        return solve(P.reshape(len(P), -1))[0].reshape(P.shape), {"iterations": len(P)}
 
     def _delta_pair(self) -> np.ndarray:
         """The pair field 1 at (o, o), o the origin vertex 0."""
@@ -261,10 +253,8 @@ class DiagramEngine:
     def _resolve(self, prefixes) -> list:
         """The plain chain sum after each prefix (a tuple of middle kernel
         specs), summed with every prefix of those, level by level: one
-        stacked resolvent per prefix length. Raises NonContracting when the
-        pair operator is refused, which refuses every chain from the origin."""
-        if self._pair.refusal:
-            raise NonContracting(self._pair.refusal)
+        stacked resolvent per prefix length, which raises NonContracting
+        when the pair operator is refused."""
         todo = dict.fromkeys(p[:k] for p in prefixes for k in range(len(p) + 1))
         todo = [p for p in todo if p not in self._res_cache]
         for level in sorted(set(map(len, todo))):
@@ -518,8 +508,7 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     far probes, so the fitted quantity is the cube of the mean-subtracted
     field, with the raw-field fit reported alongside. Reports the fitted
     exponent against the floored distance, the per-probe envelope ratios
-    against theta^3 <x>^(-3(d-2)), and the proxy identity and wrap
-    diagnostics.
+    against theta^3 <x>^(-3(d-2)), and the wrap diagnostic.
 
     All fields are reflection-symmetric, and a probe shifts along axis 0
     only, so the per-probe products are unfolded on axis 0 and stay on the
@@ -533,7 +522,6 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
     """
     G, tau = rw_green_proxy(SpreadOut(d, L), side, p)
     Gt = tilde_g(G, tau)
-    ident_err = float(np.abs(Gt.data - _minus_delta(G)).max())
     if Gt.l1() < 1e-14:
         return {"degenerate": True, "reason": "smeared field vanishes"}
     theta = float(L) ** (-2)
@@ -625,7 +613,5 @@ def decay_trend(d: int = 5, L: float = 2.0, side: int = 16, p: float = 0.99,
         "rows": rows,
         "fit_radii": list(fit_radii),
         "hyp1": hyp1,
-        "proxy_identity_err": ident_err,
         "wrap_mass": wrap,
-        "theta": theta,
     }

@@ -46,31 +46,8 @@ class NonContracting(RuntimeError):
     """A geometric chain sum was requested but the contraction ratio is >= 1."""
 
 
-class _Grid:
-    """Arithmetic shared by the two field types. Operands of one
-    expression must match in type, dimension and side."""
-
-    def __add__(self, other):
-        return type(self)(self.d, self.side, self.data + self._coerce(other))
-
-    def __sub__(self, other):
-        return type(self)(self.d, self.side, self.data - self._coerce(other))
-
-    def __mul__(self, other):
-        return type(self)(self.d, self.side, self.data * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, _Grid):
-            if type(other) is not type(self) or (other.d, other.side) != (self.d, self.side):
-                raise GraphError("field shape mismatch")
-            return other.data
-        return other
-
-
 @dataclass(frozen=True, eq=False)
-class Field(_Grid):
+class Field:
     """Real field on the d-dimensional torus of the given side."""
 
     d: int
@@ -81,15 +58,9 @@ class Field(_Grid):
         if self.data.shape != (self.side,) * self.d:
             raise GraphError("field data shape does not match (side,)*d")
 
-    def value(self, x: Sequence[int]) -> float:
-        return float(self.data[tuple(int(c) % self.side for c in x)])
-
-    def total(self) -> float:
-        return float(self.data.sum())
-
 
 @dataclass(frozen=True, eq=False)
-class SymField(_Grid):
+class SymField:
     """Real torus field invariant under each axis reflection x_k -> -x_k,
     stored on its fundamental domain [0, side//2]^d.
 
@@ -327,7 +298,7 @@ def rw_green_proxy(spec: SpreadOut, side: int, p: float) -> tuple:
     if neg < -1e-10 * max(S.max(), 1.0):
         raise GraphError(f"proxy field has a significant negative entry {neg}")
     S[S < 0] = 0.0
-    return SymField(spec.d, side, S), p * D
+    return SymField(spec.d, side, S), SymField(spec.d, side, p * D.data)
 
 
 def tilde_g(G: SymField, tau: SymField) -> SymField:

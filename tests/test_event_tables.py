@@ -438,6 +438,7 @@ def test_cover_is_bitwise_the_breadth_first_cover(monkeypatch, block, max_nb):
     start through every level, down to passes on no bonds."""
     if block is not None:
         monkeypatch.setattr(currents, "_COVER_BLOCK", block)
+        monkeypatch.setattr(currents, "_work", [])      # sized by the block
     rng = np.random.default_rng(14)
     for nb in range(max_nb + 1):
         for k, (fb, hb) in enumerate(_support_pairs(rng, nb, 4)):
@@ -688,8 +689,9 @@ def test_scalar_calls_on_one_layer_set_build_it_once(monkeypatch):
 
 def test_superposition_counts_every_row(monkeypatch):
     """A batch's refusal counts rows * 40 * 2**nb bytes, five mask vectors a
-    row, and the covering product's workspace of four blocks once, whatever
-    the layers' bonds."""
+    row, and once the covering product's workspace of four blocks, 8 bytes
+    for each mask inside each distinct layer bond set, and the iterator
+    buffers of a three-operand ufunc."""
     g = spread_torus()
     nb = g.n_bonds
     counted = []
@@ -705,7 +707,9 @@ def test_superposition_counts_every_row(monkeypatch):
         layers = currents._through_layers(g, g.labels[1:], A)
         counted.clear()
         currents._superposed(g, layers)
-        want = (g.n_vertices - 1) * (40 << nb) + 4 * currents._COVER_BLOCK
+        inside = sum(8 << m.bit_count() for m in {m for m, _ in layers})
+        want = ((g.n_vertices - 1) * (40 << nb) + 4 * currents._COVER_BLOCK + inside
+                + 3 * 8 * np.getbufsize())
         assert counted == [want], A
     currents.clear_caches()
 
@@ -718,7 +722,8 @@ def test_family_rows_go_in_chunks_that_fit(monkeypatch):
     A = (g.labels[2],)
     full = tuple(range(g.n_bonds))
     per_row = currents._row_bytes(g.n_bonds)
-    fixed = 4 * currents._COVER_BLOCK + currents._OVERHEAD
+    # theta's layers hold one more bond set than the switch family's
+    fixed = currents._shared_bytes(currents._through_layers(g, (), A)) + currents._OVERHEAD
     want_theta = currents.theta_rows(g, A)
     want_switch = currents.sst_switch_rows(g, full, full)
     keys = _spy_superpositions(monkeypatch)
@@ -763,7 +768,8 @@ def _refusal_cases():
     theta_rows = currents._through_layers(s6, s6.labels[1:], s6.labels[2:3])
     switch_rows = currents._switch_layers(s6, [(s6.labels[3], y) for y in s6.labels[:4]],
                                           None, None)
-    side8 = currents._switch_layers(s8, [(s8.labels[4], s8.labels[1])], None, None)
+    side8, side8_rows = (currents._switch_layers(s8, [(s8.labels[4], y) for y in ys], None, None)
+                         for ys in (s8.labels[1:2], s8.labels[1:3]))
     return [
         ("source", "source table", lambda: currents._sweep(path, (1 << 15) - 1, False),
          currents.clear_caches),
@@ -780,6 +786,8 @@ def _refusal_cases():
         ("blocked_batch", "superposition", lambda: currents._superposed(s6, switch_rows),
          _warm(s6, currents._positive_table)),
         ("side8_cover", "superposition", lambda: currents._superposed(s8, side8),
+         _warm(s8, currents._positive_table)),
+        ("side8_batch", "superposition", lambda: currents._superposed(s8, side8_rows),
          _warm(s8, currents._positive_table)),
         ("subset", "subset tables", lambda: currents.subset_connection_tables(s6),
          _warm(s6, currents._positive_table, currents._component_table)),
@@ -868,7 +876,9 @@ def test_two_layer_measure_past_the_limit_refused_before_allocation():
 
 def test_oversize_superposition_refused_before_allocation(monkeypatch):
     g = build_graph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], beta=0.5)
-    work = (40 << g.n_bonds) + 4 * currents._COVER_BLOCK + currents._OVERHEAD
+    # one row, both layers on all three bonds: one bond set of 8 masks
+    work = ((40 << g.n_bonds) + 4 * currents._COVER_BLOCK + (8 << g.n_bonds)
+            + 3 * 8 * np.getbufsize() + currents._OVERHEAD)
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):

@@ -12,6 +12,7 @@ import numpy as np
 
 from currentkit import currents, diagrams
 from currentkit.cli import RunConfig, run_suite
+from currentkit.fields import NonContracting
 
 from test_diagrams import enclosure_violations
 
@@ -37,12 +38,12 @@ def test_cover_without_f0_h1_fails_every_switch_identity(monkeypatch):
     real = currents._split
 
     def split(f, h, bits):
-        f, h = real(f, h, bits)
+        f, h, k = real(f, h, bits)
         f = f.copy()
         for axis in range(1, len(bits) + 1):
             if f.shape[axis] == 3:                   # (f0, f0, f1): zero the f0 facing h1
                 f[(slice(None),) * axis + (1,)] = 0.0
-        return f, h
+        return f, h, k
 
     suites = ("identities", "sst")
     assert not _run(suites)[1]
@@ -54,14 +55,16 @@ def test_cover_without_f0_h1_fails_every_switch_identity(monkeypatch):
 
 
 def test_resolvent_returning_its_seed_fails_every_contracting_enclosure(monkeypatch):
-    """``resolvent`` returning its seed, as if the plain chain were dropped.
-    The theorem bounds only shrink, and no theorem or sst row fails; the
-    Neumann partial sum rises above the seed, so the chain_enclosure row
-    fails at each depth whose operator contracts, 9 engines at depth one and
-    9 at infinite depth, and stays trivial where the operator is refused."""
+    """``resolvent`` returning its seed, as if the plain chain were dropped,
+    with its refusal kept. The theorem bounds only shrink, and no theorem or
+    sst row fails; the Neumann partial sum rises above the seed, so the
+    chain_enclosure row fails at each depth whose operator contracts, 9
+    engines at depth one and 9 at infinite depth, and stays trivial where
+    the operator is refused."""
     def seed(self, P):
-        zero = np.zeros(len(P)) if P.ndim == 3 else 0.0
-        return P.copy(), {"iterations": 0, "rho": zero, "tail": zero}
+        if self._pair.refusal:
+            raise NonContracting(self._pair.refusal)
+        return P.copy(), {"iterations": 0}
 
     suites = ("theorems", "sst")
     rows, failing = _run(suites)

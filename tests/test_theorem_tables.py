@@ -96,7 +96,7 @@ class ScalarTheorems:
                 seed = eng.apply_kernel(self._resolved(m, mids[:-1]), mids[-1])
             else:
                 seed = eng._delta_pair()
-            self._res[m, mids] = eng.resolvent(seed)[0]
+            self._res[m, mids] = eng.resolvent(seed[None])[0][0]
         return self._res[m, mids]
 
     def _chain(self, m, x, placements):
@@ -244,9 +244,10 @@ def test_oracle_compares_finite_and_refused_bounds():
 
 
 def test_stacked_resolvent_rows_are_single_field_sums():
-    """Each field of a stack is summed as on its own: the same bits, rho and
-    tail, a zero field zero, a refused field +inf with the engine's
-    contraction bound, and the fields solved counted."""
+    """Each field of a stack is summed as on its own: the same bits and
+    enclosure width, a zero field zero with width 0, and the fields solved
+    counted. An engine whose pair operator is refused raises its contraction
+    bound for a stack and for each field."""
     corpus = dict(default_corpus())
     rng = np.random.default_rng(3)
     refused = 0
@@ -256,23 +257,25 @@ def test_stacked_resolvent_rows_are_single_field_sums():
         n = eng.f.n
         seeds = np.stack([np.zeros((n, n)), rng.uniform(0.0, 1.0, (n, n)),
                           eng._delta_pair(), 1e3 * rng.uniform(0.0, 1.0, (n, n))])
+        if eng._pair.refusal:
+            refused += 1
+            assert eng._pair.r >= 1.0 and ">= 1" in eng._pair.refusal
+            for stack in (seeds, *seeds[:, None]):
+                with pytest.raises(NonContracting) as exc:
+                    eng.resolvent(stack)
+                assert str(exc.value) == eng._pair.refusal
+            continue
+        assert 0.0 < eng._pair.r < 1.0
         totals, info = eng.resolvent(seeds)
-        assert isinstance(info["iterations"], int)
-        assert np.all(totals[0] == 0.0) and info["tail"][0] == 0.0
-        solved = 0
-        for P, total, rho, tail in zip(seeds, totals, info["rho"], info["tail"]):
-            try:
-                one, one_info = eng.resolvent(P)
-            except NonContracting as exc:
-                refused += 1
-                assert np.all(total == math.inf) and tail == math.inf and rho >= 1.0
-                assert str(exc) == eng._pair.refusal and ">= 1" in str(exc)
-                continue
-            assert one.tobytes() == total.tobytes()
-            assert (one_info["rho"], one_info["tail"]) == (rho, tail)
-            solved += one_info["iterations"]
-        assert info["iterations"] == solved
-    assert refused == 6
+        assert info == {"iterations": len(seeds)}
+        tails = eng._pair(seeds.reshape(len(seeds), -1))[1]
+        assert np.all(totals[0] == 0.0) and tails[0] == 0.0
+        for P, total, tail in zip(seeds, totals, tails):
+            one, one_info = eng.resolvent(P[None])
+            assert one[0].tobytes() == total.tobytes()
+            assert eng._pair(P.reshape(1, -1))[1][0] == tail
+            assert one_info == {"iterations": 1}
+    assert refused == 2
 
 
 def test_iteration_agrees_with_solve():
@@ -290,14 +293,15 @@ def test_iteration_agrees_with_solve():
             eng = ev.engine(m)
             for p, sol in eng._res_cache.items():
                 seed = eng.apply_kernel(eng._res_cache[p[:-1]], p[-1]) if p else eng._delta_pair()
-                one, info = eng.resolvent(seed)
+                one = eng.resolvent(seed[None])[0][0]
+                width = eng._pair(seed.reshape(1, -1))[1][0]
                 assert one.tobytes() == sol.tobytes()
                 try:
                     it, tail = scalar_resolvent(eng, seed)
                 except NonContracting:
                     skipped += 1
                     continue
-                assert np.all(np.abs(it - sol) <= info["tail"] + tail), (p, m)
+                assert np.all(np.abs(it - sol) <= width + tail), (p, m)
                 compared += 1
     assert (compared, skipped) == (960, 0)
 
