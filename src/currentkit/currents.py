@@ -51,8 +51,8 @@ bit b for bond b, as are the positive masks that index every table.
 Only memory refuses a table: ``_fits`` raises ``CapExceeded`` before
 allocation when the table's traced peak would pass ``_MEM_LIMIT``. A
 superposition counts five mask vectors a row, and once the workspace, its
-layers' masks and numpy's iterator buffers; a family's rows go in chunks
-that fit, so only a single row that does not fit is refused.
+layers' masks and numpy's iterator buffers. A family is one batch, refused
+whole; wherever a graph's positive table fits, its largest family fits too.
 """
 from __future__ import annotations
 
@@ -204,12 +204,8 @@ def four_point(g: CouplingGraph, x, y, u, v) -> float:
 def two_point_matrix(g: CouplingGraph) -> np.ndarray:
     """Symmetric matrix of pair correlations over all vertex index pairs."""
     st = _source_table(g, _bonds_arg(g, None))
-    n = g.n_vertices
-    M = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = st[(1 << i) ^ (1 << j)]
-    return M / st[0]
+    bit = 1 << np.arange(g.n_vertices)
+    return st[bit[:, None] ^ bit] / st[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,27 +474,9 @@ def _cover_batch(nb: int, fb: int, hb: int) -> int:
     return peak
 
 
-def _row_bytes(nb: int) -> int:
-    """Bytes one row of a superposition over ``nb`` bonds holds at its peak,
-    at most: five mask vectors. A layer is built beside the product so far
-    and its predecessor as a zeroed vector and two gathers; a cover holds
-    the product so far, the layer and the result, and its recursion's
-    h0 + h1 and f1*(h0 + h1), less than one vector each (``_cover``)."""
-    return 40 << nb
-
-
 # Bytes of the iterator buffers numpy takes for a ufunc on strided views:
 # ``np.getbufsize()`` float64 entries for each of three operands.
 _UFUNC_BUFFERS = 24 * np.getbufsize()
-
-
-def _shared_bytes(layers: tuple) -> int:
-    """Bytes a superposition of ``layers`` holds at its peak whatever its
-    rows: the workspace, four blocks, which outlives the call until another
-    graph's positive table or ``clear_caches`` releases it; the ``_inside``
-    masks of each layer bond set, 8 bytes a mask; and one ufunc's buffers."""
-    inside = sum(8 << bonds.bit_count() for bonds in {m for m, _ in layers})
-    return 4 * _COVER_BLOCK + _UFUNC_BUFFERS + inside
 
 
 def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
@@ -510,10 +488,18 @@ def _superposed(g: CouplingGraph, layers: tuple) -> np.ndarray:
     table's rows inside its bonds, left in place among all global masks;
     successive layers combine by the covering product, whose supports are
     the union of the bonds combined so far and the new layer's bonds.
+
+    Its peak holds at most five mask vectors a row: a layer is built beside
+    the product so far and its predecessor as a zeroed vector and two
+    gathers; a cover holds the product so far, the layer, the result, and
+    h0 + h1 and f1*(h0 + h1), less than one vector each (``_cover``). It
+    holds once the workspace of four blocks, which outlives the call until
+    a release; 8 bytes a mask of each layer bond set; one ufunc's buffers.
     """
     nb = g.n_bonds
     rows = max(len(sms) for _, sms in layers)
-    _fits(rows * _row_bytes(nb) + _shared_bytes(layers),
+    inside = sum(8 << m.bit_count() for m in {m for m, _ in layers})
+    _fits(rows * (40 << nb) + 4 * _COVER_BLOCK + _UFUNC_BUFFERS + inside,
           f"superposition of {len(layers)} layers on {nb} bonds, {rows} rows")
     P = _positive_table(g)
     out = None
@@ -544,30 +530,30 @@ def _row_measures(g: CouplingGraph, layers: tuple, events, bonds: int | None = N
     component table as ``_indicator`` reads it, so each value sums the same
     weights in the same order as the one-row measure of both events. A
     layer without source masks leaves no rows. One row is read from
-    ``_superposed_row``'s cache; other batches go in chunks whose
-    superposition fits ``_MEM_LIMIT``, and only a single row that does not
-    fit is refused, before its event's indicator is built.
+    ``_superposed_row``'s cache, and a larger batch is superposed whole; a
+    batch that does not fit ``_MEM_LIMIT`` is refused before its
+    superposition or any indicator is built.
     """
     counts = [len(sms) for _, sms in layers]
     rows = max(counts) if min(counts) else 0
-    step = max(1, (_MEM_LIMIT - _OVERHEAD - _shared_bytes(layers)) // _row_bytes(g.n_bonds))
     total, ysum, linked = np.empty(rows), None, None
     if bonds is not None:
         ysum = np.empty((rows, g.n_vertices))
         lab = _component_table(g)[np.arange(1 << g.n_bonds) & bonds]
         linked = lab == lab[:, :1]                   # o <-> y under each mask
-    for lo in range(0, rows, step):
-        part = tuple((m, sms if len(sms) == 1 else sms[lo:lo + step]) for m, sms in layers)
-        batch = (_superposed_row(g, part),) if rows == 1 else _superposed(g, part)
-        for r, w in enumerate(batch, lo):
-            on = linked
-            if events is not None:
-                holds = _indicator(g, events[r])
-                w = w[holds]
-                on = None if linked is None else linked[holds]
-            total[r] = w.sum()
-            if on is not None:
-                ysum[r] = [w[c].sum() for c in on.T]
+    if rows == 1:
+        batch = (_superposed_row(g, layers),)
+    else:
+        batch = _superposed(g, layers) if rows else ()
+    for r, w in enumerate(batch):
+        on = linked
+        if events is not None:
+            holds = _indicator(g, events[r])
+            w = w[holds]
+            on = None if linked is None else linked[holds]
+        total[r] = w.sum()
+        if on is not None:
+            ysum[r] = [w[c].sum() for c in on.T]
     return total, ysum
 
 
@@ -686,9 +672,6 @@ def sst_switch_rows(g: CouplingGraph, B, B_prime) -> np.ndarray:
     return _row_measures(g, _switch_layers(g, xy, B, B_prime), events)[0]
 
 
-_ZETA_CHUNK = 1 << 18   # bytes per block of one zeta-transform step
-
-
 def subset_connection_tables(g: CouplingGraph) -> tuple:
     """Every bond subset's one-layer connection measures from one sweep.
 
@@ -699,9 +682,9 @@ def subset_connection_tables(g: CouplingGraph) -> tuple:
     measures; T[B, o, o] is then Z_B, the divisor of every entry.
     """
     nb, n = g.n_bonds, g.n_vertices
-    # both (2**nb, n, n) float tables, two (2**nb, n) gathers and the copy
-    # numpy takes of one zeta-transform chunk
-    _fits((8 << nb) * n * (2 * n + 2) + _ZETA_CHUNK,
+    # both (2**nb, n, n) float tables, two (2**nb, n) gathers and the
+    # buffers of the zeta transform's strided adds
+    _fits((8 << nb) * n * (2 * n + 2) + _UFUNC_BUFFERS,
           f"subset tables for {nb} bonds on {n} vertices")
     P = _positive_table(g)
     comp = _component_table(g)
@@ -710,16 +693,12 @@ def subset_connection_tables(g: CouplingGraph) -> tuple:
     np.multiply(P[:, 1 ^ (1 << np.arange(n))][:, :, None], linked[:, None, :],
                 out=F[0])
     np.multiply((P[:, :1] * linked)[:, :, None], linked[:, None, :], out=F[1])
-    # zeta transform, F[B] = sum over m <= B, one bond bit at a time. Where
-    # the halves B and B | bit interleave, numpy copies the overlapping
-    # operand of +=, so each table goes in blocks of at most _ZETA_CHUNK bytes.
-    step = max(1, _ZETA_CHUNK // (8 * n * n))
+    # zeta transform, F[B] = sum over m <= B, one bond bit at a time: one
+    # in-place add over both tables. The halves B and B | bit interleave but
+    # do not overlap, and numpy adds them through its buffers, with no copy.
     for k in range(nb):
-        span = max(2 << k, step - step % (2 << k))
-        for table in F.reshape(2, 1 << nb, n * n):
-            for lo in range(0, 1 << nb, span):
-                blk = table[lo:lo + span].reshape(-1, 2, 1 << k, n * n)
-                blk[:, 1] += blk[:, 0]
+        blk = F.reshape(2, -1, 2, 1 << k, n * n)
+        blk[:, :, 1] += blk[:, :, 0]
     F /= F[1, :, 0, 0].copy()[:, None, None]
     return F[0], F[1]
 

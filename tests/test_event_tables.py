@@ -589,7 +589,7 @@ def test_subset_tables_match_per_subset_measures(g):
 def test_subset_tables_refused_before_allocation(monkeypatch):
     g = corpus_graphs()[-1]
     nb, n = g.n_bonds, g.n_vertices
-    work = (8 << nb) * n * (2 * n + 2) + currents._ZETA_CHUNK + currents._OVERHEAD
+    work = (8 << nb) * n * (2 * n + 2) + currents._UFUNC_BUFFERS + currents._OVERHEAD
     currents.clear_caches()
     monkeypatch.setattr(currents, "_MEM_LIMIT", work - 1)
     with pytest.raises(CapExceeded):
@@ -714,34 +714,81 @@ def test_superposition_counts_every_row(monkeypatch):
     currents.clear_caches()
 
 
-def test_family_rows_go_in_chunks_that_fit(monkeypatch):
-    """Under a limit that a whole family's batch passes, its rows go in
-    chunks that fit, with the same values; only a limit that a single row
-    passes refuses, where the scalar measure is refused too."""
+class _Counted(Exception):
+    """Raised by a ``_fits`` spy in place of the construction it counts."""
+
+
+def _count(monkeypatch, call) -> int:
+    """The bytes ``_fits`` weighs against ``_MEM_LIMIT`` for ``call``, which
+    stops there and allocates nothing."""
+    def spy(nbytes, what):
+        raise _Counted(nbytes + currents._OVERHEAD)
+
+    with monkeypatch.context() as m:
+        m.setattr(currents, "_fits", spy)
+        with pytest.raises(_Counted) as counted:
+            call()
+    return counted.value.args[0]
+
+
+def test_largest_family_fits_wherever_its_positive_table_fits(monkeypatch):
+    """A family runs as one batch, so it must fit wherever its graph's
+    positive table does. For every connected simple graph of n from 2 to 40
+    vertices and n - 1 to n(n - 1)/2 bonds whose positive table fits
+    ``_MEM_LIMIT``, the largest family, the switched rhs with a row per
+    (x, y) and two layer bond sets, fits too. The largest count, at 7
+    vertices and 19 bonds, is over 0.8 of the limit."""
+    largest = 0
+    for n in range(2, 41):
+        path = [(i, i + 1) for i in range(n - 1)]
+        chords = [(i, j) for i in range(n) for j in range(i + 2, n)]
+        for nb in range(n - 1, n * (n - 1) // 2 + 1):
+            g = build_graph(range(n), [(u, v, 1.0) for u, v in path + chords[:nb - n + 1]])
+            if _count(monkeypatch, lambda: currents._sweep(g, (1 << nb) - 1, True)) \
+                    > currents._MEM_LIMIT:
+                break
+            xy = [(x, y) for x in g.labels[1:] for y in g.labels]
+            layers = currents._switch_layers(g, xy, range(1, nb), None)
+            count = _count(monkeypatch, lambda: currents._superposed(g, layers))
+            assert count <= currents._MEM_LIMIT, (n, nb)
+            largest = max(largest, count)
+    assert largest > 0.8 * currents._MEM_LIMIT
+
+
+def test_family_refused_whole_before_allocation(monkeypatch):
+    """Under a limit one byte below a whole family's count, theta_rows and
+    sst_switch_rows are refused before their positive table or any
+    indicator is built; the one-row theta_prime and sst_switch_rhs still
+    return that family's rows, bit for bit."""
     g = spread_torus()
     A = (g.labels[2],)
     full = tuple(range(g.n_bonds))
-    per_row = currents._row_bytes(g.n_bonds)
-    # theta's layers hold one more bond set than the switch family's
-    fixed = currents._shared_bytes(currents._through_layers(g, (), A)) + currents._OVERHEAD
-    want_theta = currents.theta_rows(g, A)
-    want_switch = currents.sst_switch_rows(g, full, full)
-    keys = _spy_superpositions(monkeypatch)
-    xs, xy = g.n_vertices - 1, (g.n_vertices - 1) * g.n_vertices
-    for rows in (3, 1):
-        monkeypatch.setattr(currents, "_MEM_LIMIT", rows * per_row + fixed)
-        keys.clear()
-        got = currents.theta_rows(g, A)
-        assert [_rows(k) for k in keys] == [min(rows, xs - lo) for lo in range(0, xs, rows)]
-        assert np.array_equal(got[0], want_theta[0]) and np.array_equal(got[1], want_theta[1])
-        keys.clear()
-        assert np.array_equal(currents.sst_switch_rows(g, full, full), want_switch)
-        assert [_rows(k) for k in keys] == [min(rows, xy - lo) for lo in range(0, xy, rows)]
-    monkeypatch.setattr(currents, "_MEM_LIMIT", per_row + fixed - 1)
-    with pytest.raises(CapExceeded):
-        currents.theta_rows(g, A)
-    with pytest.raises(CapExceeded):
-        currents.theta_prime(g, g.labels[1], A)
+    xs = g.labels[1:]
+    xy = [(x, y) for x in xs for y in g.labels]
+    theta = currents.theta_rows(g, A)[0].tolist()
+    switch = currents.sst_switch_rows(g, full, full).tolist()
+    cases = [
+        (lambda: currents.theta_rows(g, A), currents._through_layers(g, xs, A),
+         lambda: [theta_prime(g, x, A) for x in xs], theta),
+        (lambda: currents.sst_switch_rows(g, full, full),
+         currents._switch_layers(g, xy, full, full),
+         lambda: [sst_switch_rhs(g, x, y, B=full, B_prime=full) for x, y in xy], switch),
+    ]
+    for family, layers, one_row, want in cases:
+        count = _count(monkeypatch, lambda: currents._superposed(g, layers))
+        currents.clear_caches()
+        monkeypatch.setattr(currents, "_MEM_LIMIT", count - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="^superposition"):
+                family()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 16
+        finally:
+            tracemalloc.stop()
+        assert currents._positive_table.cache_info().currsize == 0
+        assert currents._indicator.cache_info().currsize == 0
+        assert one_row() == want
+        monkeypatch.undo()
     currents.clear_caches()
 
 
